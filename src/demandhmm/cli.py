@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, dataio
 from .covariates import CovariateError, build_covariates
+from .diagnostics import json_number
 from .filtering import rao_blackwell_states
 from .generative import default_truth, simulate, sinusoidal_cwv
 from .paramspace import ParamSpace
@@ -234,7 +235,7 @@ def _cmd_fit(args) -> int:
         args.out_dir, "fit", vars(args), args.seed,
         [args.data, args.holidays, args.config], hyper,
         extra={"draws_sha256": dataio.sha256_file(draws_path),
-               "max_rhat": float(diag.max_rhat), "min_ess": float(diag.min_ess)},
+               "max_rhat": json_number(diag.max_rhat), "min_ess": json_number(diag.min_ess)},
     )
     if args.strict and not (diag.max_rhat <= args.rhat_threshold):
         raise ConvergenceError(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .accel import USE_NUMBA
 from .covariates import CovariateError, CovariateSeries, HolidayCalendar, build_covariates, smooth_cwv_baseline
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, hyperparameters_to_dict
@@ -275,7 +274,6 @@ def write_manifest(out_dir, command, args_dict, seed, input_paths, hyper=None, e
         "args": {k: (str(v) if isinstance(v, os.PathLike) else v) for k, v in args_dict.items()},
         "seed": seed,
         "version": __version__,
-        "numba_enabled": USE_NUMBA,
         "inputs": {str(p): sha256_file(p) for p in input_paths if p is not None},
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
     }

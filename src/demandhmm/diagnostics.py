@@ -12,7 +12,8 @@ pooled average ranks, chains are split in half, and
 
 Degenerate inputs are handled explicitly: chains that are each constant get
 an ESS equal to the number of chains and an infinite R-hat when their levels
-differ (1.0 when all draws are identical).
+differ (1.0 when all draws are identical). ``json_number`` writes such
+undefined or infinite values as JSON ``null``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from statistics import NormalDist
 import numpy as np
 
 _PHI_INV = NormalDist().inv_cdf
+
+
+def json_number(x) -> float | None:
+    """``float(x)``, or None (JSON ``null``) for NaN and infinite values."""
+    x = float(x)
+    return x if np.isfinite(x) else None
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

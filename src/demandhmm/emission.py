@@ -222,7 +222,8 @@ def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
     )
     v11, v12, v22 = np.linalg.solve(coef, np.array([s11, s12, s22]))
     v = np.array([[v11, v12], [v12, v22]])
-    assert v[0, 0] > 0.0 and np.linalg.det(v) > 0.0, "stationary variance not SPD"
+    if not (v[0, 0] > 0.0 and np.linalg.det(v) > 0.0):
+        raise np.linalg.LinAlgError("stationary variance is not positive definite")
     return v
 
 
@@ -274,7 +275,7 @@ def log_emission_density(
 
 
 # ---------------------------------------------------------------------------
-# Vectorised per-day tables for the filtering and simulation kernels.
+# Vectorised per-day tables for the filter and the simulator.
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def build_design(cov: CovariateSeries, k_annual: int, k_prec_annual: int) -> Des
 
 @dataclass(frozen=True)
 class DayTables:
-    """Per-day, per-state emission quantities consumed by the kernels.
+    """Per-day, per-state emission quantities consumed by the filter and simulator.
 
     ``mu`` is (T, 4, 2); ``phi``, ``tau1``, ``tau2``, ``ltau1``, ``ltau2`` are
     (T, 4). ``v_inv`` (4, 2, 2), ``v_logdet`` (4,) and ``v_chol`` (4, 2, 2)

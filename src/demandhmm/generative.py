@@ -11,11 +11,11 @@ recovery and calibration studies and by the CLI demo.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .covariates import (
     HOLIDAY_TYPE_CHRISTMAS,
     HOLIDAY_TYPE_EASTER,
@@ -25,7 +25,7 @@ from .covariates import (
 )
 from .emission import EmissionParams, build_day_tables, build_design
 from .priors import HyperLatents
-from .states import ModelMode, TransitionParams, initial_distribution, transition_matrix
+from .states import ModelMode, TransitionParams, initial_distribution, log_transition_tables
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,14 @@ def simulate(
     design = build_design(cov, emission.k_annual, emission.k_prec_annual)
     tables = build_day_tables(emission, design)
 
-    lam = np.stack(
-        [transition_matrix(trans, int(n), int(p), mode) for n, p in zip(cov.n[1:], cov.p[1:])]
-    )
+    lam = np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode))
     l0 = initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
 
     u = rng.random(T + 1)
     z = rng.standard_normal((T, 2))
     states0 = np.empty(T + 1, dtype=np.int64)
     y = np.empty((T, 2))
-    kernels.simulate_kernel(
+    simulate_path(
         lam, l0, tables.mu, tables.phi, tables.tau1, tables.tau2, tables.psi,
         tables.v_chol, u, z, False, 0, np.zeros(2), np.zeros(2), states0, y,
     )
@@ -80,24 +78,76 @@ def continue_simulation(
     T = future_cov.T
     design = build_design(future_cov, emission.k_annual, emission.k_prec_annual)
     tables = build_day_tables(emission, design)
-    lam = np.stack(
-        [
-            transition_matrix(trans, int(n), int(p), mode)
-            for n, p in zip(future_cov.n[1:], future_cov.p[1:])
-        ]
-    )
+    lam = np.exp(log_transition_tables(trans, future_cov.n[1:], future_cov.p[1:], mode))
     l0 = initial_distribution(int(future_cov.n[0]), int(future_cov.p[0]), mode)
     u = rng.random(T + 1)
     z = rng.standard_normal((T, 2))
     states0 = np.empty(T + 1, dtype=np.int64)
     y = np.empty((T, 2))
-    kernels.simulate_kernel(
+    simulate_path(
         lam, l0, tables.mu, tables.phi, tables.tau1, tables.tau2, tables.psi,
         tables.v_chol, u, z, True, last_state - 1,
         np.asarray(last_y, dtype=np.float64), np.asarray(last_mu, dtype=np.float64),
         states0, y,
     )
     return states0[1:] + 1, y
+
+
+def simulate_path(lam, l0, mu, phi, tau1, tau2, psi, v_chol,
+                  u, z, has_init, init_state, init_y, init_mu,
+                  states, y):
+    """Draw a state path and demand series (0-based states) into ``states`` and ``y``.
+
+    ``lam`` (T, 4, 4) and ``l0`` (4,) are transition and anchor probabilities;
+    randomness comes from the caller's uniforms ``u`` (T+1,) and standard
+    normals ``z`` (T, 2).
+
+    With ``has_init`` false the path starts from the anchor distribution and
+    the first observation from its stationary law; otherwise ``init_state``,
+    ``init_y`` and ``init_mu`` describe the day before the first output day
+    and the recursion continues from there (forecasting).
+    """
+    T = y.shape[0]
+    p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
+
+    if has_init:
+        states[0] = init_state
+    else:
+        c = 0.0
+        s0 = 3
+        for k in range(4):
+            c += l0[k]
+            if u[0] < c:
+                s0 = k
+                break
+        states[0] = s0
+
+    for t in range(T):
+        prev = states[t]
+        c = 0.0
+        st = 3
+        for k in range(4):
+            c += lam[t, prev, k]
+            if u[t + 1] < c:
+                st = k
+                break
+        states[t + 1] = st
+
+        if t == 0 and not has_init:
+            y[0, 0] = mu[0, st, 0] + v_chol[st, 0, 0] * z[0, 0]
+            y[0, 1] = mu[0, st, 1] + v_chol[st, 1, 0] * z[0, 0] + v_chol[st, 1, 1] * z[0, 1]
+            continue
+        if t == 0:
+            d0 = init_y[0] - init_mu[0]
+            d1 = init_y[1] - init_mu[1]
+        else:
+            d0 = y[t - 1, 0] - mu[t - 1, states[t], 0]
+            d1 = y[t - 1, 1] - mu[t - 1, states[t], 1]
+        e0 = z[t, 0] / math.sqrt(tau1[t, st])
+        e1 = phi[t, st] * e0 + z[t, 1] / math.sqrt(tau2[t, st])
+        y[t, 0] = mu[t, st, 0] + (p00 * d0 + p01 * d1) + e0
+        y[t, 1] = mu[t, st, 1] + (p01 * d0 + p11 * d1) + e1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """JAX mirror of the log posterior, used for gradient-based sampling.
 
-The numpy/numba path (``filtering`` + ``priors``) is the reference
+The numpy path (``filtering`` + ``priors``) is the reference
 implementation; this module re-expresses the identical arithmetic in jax so
 the posterior is differentiable. The outputs of the two paths are checked
 against one another in the test suite. Gradients back-propagate through the
@@ -31,7 +31,7 @@ except ImportError:  # pragma: no cover - exercised only without the hmc extra
 from .covariates import CovariateSeries
 from .emission import LOG_2PI, OMEGA_CLAMP
 from .paramspace import ParamSpace
-from .priors import Hyperparameters
+from .priors import ConfigError, Hyperparameters
 from .states import LOGIT_CLAMP, ModelMode, initial_distribution
 
 NEG = -1.0e30
@@ -39,7 +39,7 @@ NEG = -1.0e30
 
 def _require_jax():
     if not HAVE_JAX:
-        raise ImportError(
+        raise ConfigError(
             "the hmc sampler backend needs jax; install 'demandhmm[hmc]' or "
             "use the adaptive-metropolis backend"
         )

@@ -8,9 +8,10 @@ holiday: a model without proximity states shows its misfit in the small-gap
 buckets.
 
 Forecasts roll the generative model forward from the end of the data: for
-each draw the terminal state is sampled from that draw's smoothed terminal
-distribution, then states and demand evolve over the supplied future
-covariates (future holidays are known; future CWV is a scenario).
+each draw the terminal state is sampled from that draw's terminal filtered
+distribution (which equals the smoothed one), then states and demand evolve
+over the supplied future covariates (future holidays are known; future CWV
+is a scenario).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 
 from .covariates import CovariateSeries
 from .emission import build_day_tables, build_design
-from .filtering import smooth_states
+from .filtering import forward_filter
 from .generative import continue_simulation, simulate
 from .sampler import PosteriorDraws
-from .states import ModelMode
+from .states import PAIR_CUR, ModelMode
 
 GAP_BUCKETS = (0, 1, 2, 3, 10)
 
@@ -163,7 +164,8 @@ def forecast(
 
     ``future_cov`` must start the day after the last observation; its anchor
     day is that last observation day. Each path samples the terminal state
-    from the draw's own smoothed distribution and rolls the chain forward.
+    from the draw's own terminal filtered distribution and rolls the chain
+    forward.
     """
     y = np.asarray(y)
     if future_cov.day0 != cov.dates[-1]:
@@ -177,10 +179,11 @@ def forecast(
     paths = np.empty((draws.n_draws, h, 2))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
-        _, smoothed = smooth_states(y, cov, emission, trans, draws.mode, design)
-        last_probs = smoothed.probs[-1]
-        last_state = int(rng.choice(4, p=last_probs / last_probs.sum())) + 1
         tables = build_day_tables(emission, design)
+        _, messages = forward_filter(y, cov, emission, trans, draws.mode, design, tables)
+        # the last filtered distribution is the last smoothed one
+        last_probs = np.bincount(PAIR_CUR - 1, np.exp(messages.log_messages[-1]), minlength=4)
+        last_state = int(rng.choice(4, p=last_probs / last_probs.sum())) + 1
         last_mu = tables.mu[-1, last_state - 1]
         _, path = continue_simulation(
             emission, trans, future_cov, last_state, y[-1], last_mu, rng, draws.mode

@@ -127,10 +127,10 @@ class Diagnostics:
 
     def to_dict(self) -> dict:
         return {
-            "rhat": {k: float(v) for k, v in self.rhat.items()},
-            "ess": {k: float(v) for k, v in self.ess.items()},
-            "max_rhat": float(self.max_rhat),
-            "min_ess": float(self.min_ess),
+            "rhat": {k: diag.json_number(v) for k, v in self.rhat.items()},
+            "ess": {k: diag.json_number(v) for k, v in self.ess.items()},
+            "max_rhat": diag.json_number(self.max_rhat),
+            "min_ess": diag.json_number(self.min_ess),
             "accept_rate": [float(a) for a in self.accept_rate],
             "divergences": int(self.divergences),
             "n_retained": int(self.n_retained),
@@ -168,7 +168,7 @@ class NumpyPosterior:
             loglik, _ = forward_filter(
                 self.y, self.cov, emission, trans, self.space.mode, self.design
             )
-        except (AssertionError, ValueError, FloatingPointError):
+        except (ValueError, FloatingPointError):
             return -np.inf
         if not np.isfinite(loglik):
             return -np.inf

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -123,6 +124,28 @@ class TestFit:
         assert err["error"]["exit_code"] == 4
 
 
+    def test_undefined_diagnostics_are_json_null(self, workspace):
+        # one chain keeping one draw leaves R-hat and ESS undefined
+        out = workspace / "fit_tiny"
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "3",
+            "--out-dir", str(out), "--chains", "1", "--iters", "2", "--thin", "1",
+            "--backend", "adaptive-metropolis",
+        ])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=reject)
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        assert diag["max_rhat"] is None
+        assert all(v is None for v in diag["rhat"].values())
+        assert manifest["extra"]["max_rhat"] is None
+
+
 class TestDownstream:
     def test_smooth(self, workspace, fitted):
         rc = main([
@@ -243,6 +266,19 @@ class TestInputErrors:
             "--backend", "adaptive-metropolis", "--iters", "20", "--chains", "1",
         ])
         assert rc == 2
+
+    @pytest.mark.skipif(importlib.util.find_spec("jax") is not None, reason="jax is installed")
+    def test_hmc_without_jax_is_input_error(self, workspace):
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "1",
+            "--out-dir", str(workspace / "err5"), "--backend", "hmc",
+            "--iters", "20", "--chains", "1",
+        ])
+        assert rc == 2
+        err = json.loads((workspace / "err5" / "error.json").read_text())
+        assert err["error"]["type"] == "ConfigError"
 
     def test_console_entry_point(self, workspace):
         proc = subprocess.run(

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from demandhmm import kernels
-from demandhmm.accel import USE_NUMBA
 from demandhmm.emission import build_day_tables, build_design, log_emission_density
 from demandhmm.filtering import (
     backward_smooth,
@@ -15,6 +15,7 @@ from demandhmm.filtering import (
 )
 from demandhmm.generative import simulate
 from demandhmm.paramspace import ParamSpace
+from demandhmm.priors import default_hyperparameters, sample_prior
 from demandhmm.sampler import PosteriorDraws
 from demandhmm.states import (
     AUGMENTED_PAIRS,
@@ -205,31 +206,54 @@ def _reference_filter(y, loglam, logl0, tables, pairs):
     return total
 
 
-class TestKernelPaths:
-    @pytest.mark.skipif(not USE_NUMBA, reason="compiled path disabled")
-    def test_compiled_matches_interpreted(self, setup):
-        emission, trans, cov, y = setup
-        design = build_design(cov, emission.k_annual, emission.k_prec_annual)
-        tables = build_day_tables(emission, design)
-        loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:])
-        logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]))
-        T = cov.T
-        args = (y, loglam, logl0, tables.mu, tables.phi, tables.tau1, tables.tau2,
-                tables.ltau1, tables.ltau2, tables.psi, tables.v_inv, tables.v_logdet,
-                kernels._PAIR_A, kernels._PAIR_B)
-        m1, l1 = np.empty((T, 11)), np.empty(T)
-        m2, l2 = np.empty((T, 11)), np.empty(T)
-        ll_nb = kernels.forward_kernel(*args, m1, l1)
-        ll_py = kernels._forward_impl(*args, m2, l2)
-        assert ll_nb == pytest.approx(ll_py, rel=1e-13)
-        assert np.allclose(m1, m2, atol=1e-11)
-        s1 = np.empty((T + 1, 4))
-        s2 = np.empty((T + 1, 4))
-        bargs = (y, loglam, m1, tables.mu, tables.phi, tables.tau1, tables.tau2,
-                 tables.ltau1, tables.ltau2, tables.psi, kernels._PAIR_A, kernels._PAIR_B)
-        kernels.backward_kernel(*bargs, s1)
-        kernels._backward_impl(*bargs, s2)
-        assert np.allclose(s1, s2, atol=1e-11)
+_START = dt.date(2021, 3, 2)
+
+
+@st.composite
+def _problems(draw):
+    """A short calendar, a series simulated at truth, and the truth or a prior draw."""
+    n_days = draw(st.integers(1, 10))
+    offsets = draw(st.sets(st.integers(-1, n_days - 1), max_size=4))
+    holidays = [(_START + dt.timedelta(days=o), draw(st.integers(1, 3))) for o in sorted(offsets)]
+    mode = draw(st.sampled_from(list(ModelMode)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cov = make_cov(_START, n_days, holidays, rng=rng)
+    emission, trans, _ = small_truth()
+    if mode is ModelMode.TWO_STATE:
+        trans = None
+    y = simulate(emission, trans, cov, rng, mode).y
+    if draw(st.booleans()):
+        emission, prior_trans, _ = sample_prior(default_hyperparameters("paper-like", 2, 2), rng)
+        trans = None if mode is ModelMode.TWO_STATE else prior_trans
+    return y, cov, emission, trans, mode
+
+
+class TestFilterProperties:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_problems())
+    def test_matches_reference_filter(self, problem):
+        y, cov, emission, trans, mode = problem
+        loglik, _ = forward_filter(y, cov, emission, trans, mode)
+        assume(np.isfinite(loglik))
+        tables = build_day_tables(emission, build_design(cov, 2, 2))
+        loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:], mode)
+        logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
+        expected = _reference_filter(y, loglam, logl0, tables, AUGMENTED_PAIRS)
+        assert loglik == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_problems())
+    def test_smoothed_rows_normalised_and_exact_on_holidays(self, problem):
+        y, cov, emission, trans, mode = problem
+        loglik, smoothed = smooth_states(y, cov, emission, trans, mode)
+        assume(np.isfinite(loglik))
+        probs = smoothed.probs
+        assert probs.sum(axis=1) == pytest.approx(np.ones(cov.T + 1), abs=1e-12)
+        assert np.all(probs >= 0.0)
+        for i in np.flatnonzero(cov.is_holiday):
+            assert np.array_equal(probs[i], [0.0, 1.0, 0.0, 0.0])
+        assert np.all(probs[~cov.is_holiday, 1] == 0.0)
 
 
 class TestRaoBlackwell:
@@ -247,8 +271,6 @@ class TestRaoBlackwell:
 
     def test_single_draw_equals_smoother(self, setup):
         emission, trans, cov, y = setup
-        from demandhmm.priors import default_hyperparameters, sample_prior
-
         hyper = default_hyperparameters("paper-like", 2, 2)
         latents = sample_prior(hyper, np.random.default_rng(0))[2]
         draws = self._draws_from_params([(emission, trans, latents)])
@@ -258,8 +280,6 @@ class TestRaoBlackwell:
 
     def test_duplicate_draws_idempotent(self, setup):
         emission, trans, cov, y = setup
-        from demandhmm.priors import default_hyperparameters, sample_prior
-
         hyper = default_hyperparameters("paper-like", 2, 2)
         latents = sample_prior(hyper, np.random.default_rng(0))[2]
         draws = self._draws_from_params([(emission, trans, latents)] * 3)
@@ -269,8 +289,6 @@ class TestRaoBlackwell:
 
     def test_rows_sum_to_one(self, setup):
         emission, trans, cov, y = setup
-        from demandhmm.priors import default_hyperparameters, sample_prior
-
         hyper = default_hyperparameters("paper-like", 2, 2)
         rng = np.random.default_rng(13)
         params = [sample_prior(hyper, rng) for _ in range(10)]

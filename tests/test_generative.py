@@ -3,7 +3,6 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from demandhmm import kernels
 from demandhmm.covariates import CovariateSeries
 from demandhmm.emission import build_day_tables, build_design, stationary_variance, precision_matrix, PrecisionComponents
 from demandhmm.generative import (
@@ -11,6 +10,7 @@ from demandhmm.generative import (
     continue_simulation,
     default_truth,
     simulate,
+    simulate_path,
     sinusoidal_cwv,
     uk_holiday_calendar,
 )
@@ -93,7 +93,7 @@ class TestSimulate:
         for i in range(n_rep):
             u = rng.random(2)
             z = rng.standard_normal((1, 2))
-            kernels.simulate_kernel(
+            simulate_path(
                 lam, l0, tables.mu, tables.phi, tables.tau1, tables.tau2, tables.psi,
                 tables.v_chol, u, z, False, 0, np.zeros(2), np.zeros(2), states, y,
             )
