@@ -3,10 +3,22 @@
 The future depends on a (previous, current) state pair only through the
 current state, so the forward filter over the 11 admissible pairs is a
 product of per-day 4x4 kernels ``K_t[b, c] = lambda_t(b, c) f_t(y_t | b, c)``.
-``log_kernels`` builds all of them in one vectorised pass; the filter and
-the smoother are log-space recursions over 4-vectors that take logsumexp
-over one state per day. Rao-Blackwell averaging of the per-draw smoothed
-marginals over posterior draws yields the reported state probabilities.
+``log_kernels`` builds all of them in one vectorised pass. Two paths consume
+them, chosen by what the caller needs:
+
+* callers that need only the log likelihood or the terminal filtered
+  distribution (the sampler's posterior, ``log_likelihood``, and forecast's
+  terminal state, ``terminal_log_distribution``) multiply the kernels by a
+  pairwise tree reduction in log space, O(log T) vectorised steps (Hassan,
+  Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in
+  hidden Markov models", IEEE TSP 69, 2021);
+* callers that need per-day messages or smoothed marginals use the
+  sequential recursions ``forward_filter`` and ``backward_smooth``, which
+  take logsumexp over one state per day, because the tree yields only the
+  whole product.
+
+Rao-Blackwell averaging of the per-draw smoothed marginals over posterior
+draws yields the reported state probabilities.
 """
 
 from __future__ import annotations
@@ -141,12 +153,58 @@ def forward_filter(
     return loglik, ForwardMessages(alpha[:, _PAIR_A, _PAIR_B], lognorm, loglik)
 
 
+def _log_product(y, cov, emission, trans, mode, design, tables) -> np.ndarray:
+    """(4, 4) log of the ordered product ``K_0 K_1 ... K_{T-1}`` of the day kernels.
+
+    Neighbouring matrices are multiplied pairwise with logsumexp, level by
+    level; an odd last matrix is carried to the next level. Entry [b, c] is
+    the log total weight of all state paths from anchor state b to final
+    state c. It stays in log space: a probability-space product with
+    per-level rescaling returned NaN on extreme prior draws.
+    """
+    y = _validate(y, cov)
+    m = log_kernels(y, cov, _tables_for(cov, emission, design, tables), trans, mode)
+    while m.shape[0] > 1:
+        even = m.shape[0] - m.shape[0] % 2
+        paired = _logsumexp(m[0:even:2, :, :, None] + m[1:even:2, None, :, :], axis=2)
+        m = np.concatenate([paired, m[even:]])
+    return m[0]
+
+
+def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPointError:
+    t = int(np.argmax(lognorm == -np.inf))
+    return FloatingPointError(
+        f"zero likelihood: the filter increment is -inf on day {t + 1} ({cov.dates[t]})"
+    )
+
+
 def log_likelihood(
     y, cov, emission, trans, mode=ModelMode.FOUR_STATE, design=None
 ) -> float:
-    """Observed-data log likelihood (forward filter, messages discarded)."""
-    loglik, _ = forward_filter(y, cov, emission, trans, mode, design)
-    return loglik
+    """Observed-data log likelihood by the tree product; ``-inf`` if it is zero."""
+    return float(_logsumexp(_log_product(y, cov, emission, trans, mode, design, None).ravel()))
+
+
+def terminal_log_distribution(
+    y: np.ndarray,
+    cov: CovariateSeries,
+    emission: EmissionParams,
+    trans: TransitionParams | None,
+    mode: ModelMode = ModelMode.FOUR_STATE,
+    design: DesignMatrices | None = None,
+    tables: DayTables | None = None,
+) -> np.ndarray:
+    """Normalised log filtered distribution (4,) of the state on the last day.
+
+    Raises ``FloatingPointError`` naming the first day of zero likelihood
+    when the series has none.
+    """
+    product = _log_product(y, cov, emission, trans, mode, design, tables)
+    loglik = _logsumexp(product.ravel())
+    if loglik == -np.inf:
+        _, messages = forward_filter(y, cov, emission, trans, mode, design, tables)
+        raise _zero_likelihood(messages.lognorm, cov)
+    return _logsumexp(product, axis=0) - loglik
 
 
 def backward_smooth(
@@ -162,12 +220,15 @@ def backward_smooth(
     """Smoothed state marginals for days 0..T from stored forward messages.
 
     The backward message is a 4-vector over the current state, scaled by the
-    forward increments so it stays of order one.
+    forward increments so it stays of order one. Raises ``FloatingPointError``
+    naming the first day of zero likelihood when the series has none.
     """
     y = _validate(y, cov)
     T = y.shape[0]
     if messages.log_messages.shape != (T, 11):
         raise ValueError("forward messages do not match the series length")
+    if messages.log_likelihood == -np.inf:
+        raise _zero_likelihood(messages.lognorm, cov)
     logk = log_kernels(y, cov, _tables_for(cov, emission, design, tables), trans, mode)
     scaled = logk - messages.lognorm[:, None, None]
     beta = np.zeros((T, 4))   # row t: scaled log p(y after day t+1 | state on day t+1)
@@ -209,7 +270,10 @@ def rao_blackwell_states(draws, y, cov, design=None) -> SmoothedStates:
     total = np.zeros((y.shape[0] + 1, 4))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
-        _, smoothed = smooth_states(y, cov, emission, trans, draws.mode, design)
+        try:
+            _, smoothed = smooth_states(y, cov, emission, trans, draws.mode, design)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"draw {i}: {exc}") from exc
         total += smoothed.probs
     total /= draws.n_draws
     return SmoothedStates(probs=total)

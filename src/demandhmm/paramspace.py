@@ -19,7 +19,7 @@ import numpy as np
 
 from .emission import EmissionParams
 from .priors import HyperLatents
-from .states import LOGIT_CLAMP, ModelMode, TransitionParams
+from .states import ModelMode, TransitionParams, log_sigmoid, sigmoid
 
 _COS_SIN = ("cos", "sin")
 
@@ -34,19 +34,9 @@ TRANS_NAMES = (
 )
 
 
-def expit(x):
-    x = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
 def logit(x):
     x = np.asarray(x, dtype=np.float64)
     return np.log(x) - np.log1p(-x)
-
-
-def _log_sigmoid(x):
-    x = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
-    return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
 
 
 @dataclass(frozen=True)
@@ -205,16 +195,16 @@ class ParamSpace:
         four = self.mode is ModelMode.FOUR_STATE
         trans = TransitionParams.from_array(u[self.slice("trans")]) if four else None
         emission = EmissionParams(
-            ar_eig01=np.asarray(expit(u[self.slice("ar_eig01")])),
+            ar_eig01=np.asarray(sigmoid(u[self.slice("ar_eig01")])),
             level=u[self.slice("level")].copy(),
             holiday=u[self.slice("holiday")].reshape(2, 3).copy(),
             annual=u[self.slice("annual")].reshape(2, 2, kg).copy(),
             weekday=u[self.slice("weekday")].reshape(2, 2, 3).copy(),
             weather=u[self.slice("weather")].reshape(2, 2).copy(),
             decay_mean=(
-                np.asarray(expit(u[self.slice("decay_mean")])) if four else np.array([0.5, 0.5])
+                np.asarray(sigmoid(u[self.slice("decay_mean")])) if four else np.array([0.5, 0.5])
             ),
-            decay_prec=float(expit(u[self.slice("decay_prec")])[0]) if four else 0.5,
+            decay_prec=float(sigmoid(u[self.slice("decay_prec")])[0]) if four else 0.5,
             prec_base=u[self.slice("prec_base")].copy(),
             prec_holiday=u[self.slice("prec_holiday")].copy(),
             prec_annual=u[self.slice("prec_annual")].reshape(3, 2, kp).copy(),
@@ -245,12 +235,12 @@ class ParamSpace:
     def log_jacobian(self, u_full: np.ndarray) -> float:
         """log |d(constrained) / d(unconstrained)| of the vector transform."""
         x = np.asarray(u_full)[self._logit_mask]
-        return float(np.sum(_log_sigmoid(x) + _log_sigmoid(-x)))
+        return float(np.sum(log_sigmoid(x) + log_sigmoid(-x)))
 
     def constrained_values(self, u_full: np.ndarray) -> np.ndarray:
         """Natural-space value of every scalar, in layout order."""
         out = np.asarray(u_full, dtype=np.float64).copy()
-        out[self._logit_mask] = expit(out[self._logit_mask])
+        out[self._logit_mask] = sigmoid(out[self._logit_mask])
         return out
 
     def unconstrained_from_values(self, values: np.ndarray) -> np.ndarray:

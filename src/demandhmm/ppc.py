@@ -22,10 +22,10 @@ import numpy as np
 
 from .covariates import CovariateSeries
 from .emission import build_day_tables, build_design
-from .filtering import forward_filter
+from .filtering import terminal_log_distribution
 from .generative import continue_simulation, simulate
 from .sampler import PosteriorDraws
-from .states import PAIR_CUR, ModelMode
+from .states import ModelMode
 
 GAP_BUCKETS = (0, 1, 2, 3, 10)
 
@@ -180,9 +180,14 @@ def forecast(
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
         tables = build_day_tables(emission, design)
-        _, messages = forward_filter(y, cov, emission, trans, draws.mode, design, tables)
-        # the last filtered distribution is the last smoothed one
-        last_probs = np.bincount(PAIR_CUR - 1, np.exp(messages.log_messages[-1]), minlength=4)
+        try:
+            # the last filtered distribution is the last smoothed one
+            log_last = terminal_log_distribution(
+                y, cov, emission, trans, draws.mode, design, tables
+            )
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"draw {i}: {exc}") from exc
+        last_probs = np.exp(log_last)
         last_state = int(rng.choice(4, p=last_probs / last_probs.sum())) + 1
         last_mu = tables.mu[-1, last_state - 1]
         _, path = continue_simulation(

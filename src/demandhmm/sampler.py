@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnostics as diag
 from .covariates import CovariateSeries
 from .emission import build_design
-from .filtering import forward_filter
+from .filtering import log_likelihood
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, log_prior, sample_prior
 from .states import ModelMode
@@ -165,7 +165,7 @@ class NumpyPosterior:
         if not np.isfinite(lp):
             return -np.inf
         try:
-            loglik, _ = forward_filter(
+            loglik = log_likelihood(
                 self.y, self.cov, emission, trans, self.space.mode, self.design
             )
         except (ValueError, FloatingPointError):

@@ -28,11 +28,16 @@ from demandhmm.emission import (
     psi_from_xi,
     stationary_variance,
 )
-from demandhmm.filtering import forward_filter, rao_blackwell_states, smooth_states
+from demandhmm.filtering import (
+    forward_filter,
+    log_likelihood,
+    rao_blackwell_states,
+    smooth_states,
+)
 from demandhmm.generative import default_truth, simulate, sinusoidal_cwv, uk_holiday_calendar
 from demandhmm.paramspace import ParamSpace
 from demandhmm.ppc import coverage_by_gap, posterior_predictive_replicates
-from demandhmm.priors import default_hyperparameters, sample_prior_batch
+from demandhmm.priors import default_hyperparameters, sample_prior, sample_prior_batch
 from demandhmm.sampler import SamplerConfig, run_mcmc
 from demandhmm.states import ModelMode, TransitionParams, transition_matrix
 
@@ -115,6 +120,20 @@ def test_criterion_01_filter_matches_enumeration():
     assert elapsed < 5.0
     print(f"\nCRITERION 1: PASS (29 placements, rel err {worst_ll:.2e}, "
           f"smoothed err {worst_post:.2e}, {elapsed:.2f}s)")
+
+
+def test_tree_log_likelihood_matches_filter_on_desk_data(desk):
+    """The tree product agrees with the sequential filter over 1500 days."""
+    cov, y = desk["cov"], desk["sim"].y
+    rng = np.random.default_rng(5)
+    params = [desk["truth"][:2]] + [sample_prior(desk["hyper"], rng)[:2] for _ in range(5)]
+    worst = 0.0
+    for emission, trans in params:
+        expected, _ = forward_filter(y, cov, emission, trans)
+        got = log_likelihood(y, cov, emission, trans)
+        worst = max(worst, abs(got - expected) / abs(expected))
+    assert worst <= 1e-13
+    print(f"\nTREE LOG LIKELIHOOD: PASS (truth + 5 prior draws, rel err {worst:.2e})")
 
 
 def test_criterion_02_lyapunov_solver():

@@ -3,6 +3,7 @@ import datetime as dt
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 
@@ -281,9 +282,11 @@ class TestInputErrors:
         assert err["error"]["type"] == "ConfigError"
 
     def test_console_entry_point(self, workspace):
+        # the child imports the package from wherever this process found it
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "demandhmm.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
 

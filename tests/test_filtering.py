@@ -10,8 +10,10 @@ from demandhmm.emission import build_day_tables, build_design, log_emission_dens
 from demandhmm.filtering import (
     backward_smooth,
     forward_filter,
+    log_likelihood,
     rao_blackwell_states,
     smooth_states,
+    terminal_log_distribution,
 )
 from demandhmm.generative import simulate
 from demandhmm.paramspace import ParamSpace
@@ -117,6 +119,8 @@ class TestMessages:
         for i, (_, b) in enumerate(AUGMENTED_PAIRS):
             filtered[b - 1] += math.exp(msgs.log_messages[-1, i])
         assert smoothed.probs[-1] == pytest.approx(filtered, abs=1e-12)
+        terminal = np.exp(terminal_log_distribution(y, cov, emission, trans))
+        assert terminal == pytest.approx(filtered, abs=1e-12)
 
     def test_information_bound(self, setup):
         # each day's log-likelihood increment cannot exceed that day's best
@@ -163,6 +167,7 @@ class TestPairOrderInvariance:
                 y, loglam, logl0, tables, [AUGMENTED_PAIRS[i] for i in perm]
             )
             assert got == pytest.approx(loglik, rel=1e-12)
+            assert got == pytest.approx(log_likelihood(y, cov, emission, trans), rel=1e-12)
 
 
 def _reference_filter(y, loglam, logl0, tables, pairs):
@@ -241,6 +246,7 @@ class TestFilterProperties:
         logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
         expected = _reference_filter(y, loglam, logl0, tables, AUGMENTED_PAIRS)
         assert loglik == pytest.approx(expected, rel=1e-12)
+        assert log_likelihood(y, cov, emission, trans, mode) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_problems())
@@ -256,24 +262,54 @@ class TestFilterProperties:
         assert np.all(probs[~cov.is_holiday, 1] == 0.0)
 
 
-class TestRaoBlackwell:
-    def _draws_from_params(self, params_list, k=2, kp=2):
-        space = ParamSpace(k, kp)
-        rows = [space.pack(e, t, l) for e, t, l in params_list]
-        return PosteriorDraws(
-            free_draws=np.asarray(rows),
-            logpost=np.zeros(len(rows)),
-            chain=np.zeros(len(rows), dtype=np.int64),
-            iteration=np.arange(len(rows), dtype=np.int64),
-            space=space,
-            base_full=np.zeros(space.full_size),
-        )
+def _draws_from_params(params_list, k=2, kp=2):
+    space = ParamSpace(k, kp)
+    rows = [space.pack(e, t, l) for e, t, l in params_list]
+    return PosteriorDraws(
+        free_draws=np.asarray(rows),
+        logpost=np.zeros(len(rows)),
+        chain=np.zeros(len(rows), dtype=np.int64),
+        iteration=np.arange(len(rows), dtype=np.int64),
+        space=space,
+        base_full=np.zeros(space.full_size),
+    )
 
+
+class TestZeroLikelihood:
+    """One observation far beyond every state's emission law: the likelihood is zero."""
+
+    @pytest.fixture(scope="class")
+    def zero(self):
+        emission, trans, latents = small_truth()
+        cov = make_cov(dt.date(2021, 3, 2), 40, [], rng=np.random.default_rng(1))
+        y = simulate(emission, trans, cov, seed=3).y
+        y[5, 0] = 1e200
+        return emission, trans, latents, cov, y
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_likelihood_is_exactly_minus_inf(self, zero):
+        emission, trans, _, cov, y = zero
+        assert log_likelihood(y, cov, emission, trans) == -np.inf
+        loglik, msgs = forward_filter(y, cov, emission, trans)
+        assert loglik == -np.inf
+        assert np.all(np.isfinite(msgs.lognorm[:5])) and msgs.lognorm[5] == -np.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_smoothing_raises_naming_the_day(self, zero):
+        emission, trans, latents, cov, y = zero
+        with pytest.raises(FloatingPointError, match=r"day 6 \(2021-03-07\)"):
+            smooth_states(y, cov, emission, trans)
+        draws = _draws_from_params([(emission, trans, latents)])
+        with pytest.raises(FloatingPointError, match=r"^draw 0: .*day 6 \(2021-03-07\)"):
+            rao_blackwell_states(draws, y, cov)
+
+
+class TestRaoBlackwell:
     def test_single_draw_equals_smoother(self, setup):
         emission, trans, cov, y = setup
         hyper = default_hyperparameters("paper-like", 2, 2)
         latents = sample_prior(hyper, np.random.default_rng(0))[2]
-        draws = self._draws_from_params([(emission, trans, latents)])
+        draws = _draws_from_params([(emission, trans, latents)])
         avg = rao_blackwell_states(draws, y, cov)
         _, single = smooth_states(y, cov, emission, trans)
         assert np.max(np.abs(avg.probs - single.probs)) <= 1e-12
@@ -282,7 +318,7 @@ class TestRaoBlackwell:
         emission, trans, cov, y = setup
         hyper = default_hyperparameters("paper-like", 2, 2)
         latents = sample_prior(hyper, np.random.default_rng(0))[2]
-        draws = self._draws_from_params([(emission, trans, latents)] * 3)
+        draws = _draws_from_params([(emission, trans, latents)] * 3)
         avg = rao_blackwell_states(draws, y, cov)
         _, single = smooth_states(y, cov, emission, trans)
         assert np.max(np.abs(avg.probs - single.probs)) <= 1e-12
@@ -292,7 +328,7 @@ class TestRaoBlackwell:
         hyper = default_hyperparameters("paper-like", 2, 2)
         rng = np.random.default_rng(13)
         params = [sample_prior(hyper, rng) for _ in range(10)]
-        draws = self._draws_from_params(params)
+        draws = _draws_from_params(params)
         avg = rao_blackwell_states(draws, y, cov)
         assert avg.probs.sum(axis=1) == pytest.approx(np.ones(cov.T + 1), abs=1e-9)
         assert np.all(avg.probs >= 0.0)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from demandhmm.paramspace import ParamSpace, expit, logit
+from demandhmm.paramspace import ParamSpace, logit
 from demandhmm.priors import default_hyperparameters, sample_prior
-from demandhmm.states import ModelMode
+from demandhmm.states import ModelMode, sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestJacobian:
         h = 1e-6
         fd = 0.0
         for k in np.flatnonzero(space._logit_mask):
-            fd += np.log((expit(u[k] + h) - expit(u[k] - h)) / (2 * h))
+            fd += np.log((sigmoid(u[k] + h) - sigmoid(u[k] - h)) / (2 * h))
         assert analytic == pytest.approx(float(fd), abs=1e-6)
 
     def test_identity_coordinates_contribute_nothing(self, space):
@@ -110,4 +110,4 @@ class TestFreeSubset:
 def test_expit_logit_inverse():
     # beyond |x| ~ 15 the (0,1) representation itself loses precision
     x = np.linspace(-15, 15, 101)
-    assert logit(expit(x)) == pytest.approx(x, rel=1e-8, abs=1e-8)
+    assert logit(sigmoid(x)) == pytest.approx(x, rel=1e-8, abs=1e-8)

@@ -225,6 +225,15 @@ class TestForecast:
         tol = 6 * spread / np.sqrt(len(params))
         assert paths[:, 0, :].mean(axis=0) == pytest.approx(expected, abs=max(tol, 5e-3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_likelihood_draw_raises_naming_draw_and_day(self, scene):
+        cov, y = scene
+        bad = y.copy()
+        bad[5, 0] = 1e200
+        draws = _make_draws(_jittered_params(3, np.random.default_rng(17)))
+        with pytest.raises(FloatingPointError, match=r"^draw 0: .*day 6 \(2021-02-06\)"):
+            forecast(draws, bad, cov, self._future(cov, 3), seed=6)
+
     def test_long_horizon_drift_to_seasonal_path(self, scene):
         cov, y = scene
         emission, trans, latents = small_truth()
