@@ -16,6 +16,7 @@ import datetime as dt
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,9 +29,7 @@ from .paramspace import ParamSpace
 from .ppc import coverage_by_gap, forecast, posterior_predictive_replicates
 from .priors import ConfigError, load_hyperparameters
 from .sampler import SamplerConfig, SamplingError, run_mcmc
-from .states import ModelMode, TransitionParams
-from .priors import HyperLatents
-from .emission import EmissionParams
+from .states import ModelMode
 
 
 class ConvergenceError(RuntimeError):
@@ -116,60 +115,48 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_to_json(emission, trans, latents) -> dict:
-    def arr(x):
-        return np.asarray(x).tolist()
-
-    out = {
-        "emission": {
-            "ar_eig01": arr(emission.ar_eig01), "level": arr(emission.level),
-            "holiday": arr(emission.holiday), "annual": arr(emission.annual),
-            "weekday": arr(emission.weekday), "weather": arr(emission.weather),
-            "decay_mean": arr(emission.decay_mean), "decay_prec": emission.decay_prec,
-            "prec_base": arr(emission.prec_base), "prec_holiday": arr(emission.prec_holiday),
-            "prec_annual": arr(emission.prec_annual),
-        },
-        "latents": {
-            "mu_level": latents.mu_level, "mu_weather": arr(latents.mu_weather),
-            "mu_weekday": arr(latents.mu_weekday), "mu_annual": arr(latents.mu_annual),
-            "mu_holiday": arr(latents.mu_holiday),
-            "logit_decay_mean": latents.logit_decay_mean,
-            "mu_logit_decay": latents.mu_logit_decay,
-        },
+    """The ``params.json`` document: every dataclass field of each part, by name."""
+    parts = {"emission": emission, "trans": trans, "latents": latents}
+    return {
+        key: {f.name: np.asarray(getattr(part, f.name)).tolist() for f in fields(part)}
+        for key, part in parts.items()
+        if part is not None
     }
-    if trans is not None:
-        out["trans"] = {k: getattr(trans, k) for k in (
-            "to_pre_const", "to_pre_dist", "to_normal_const", "to_normal_days",
-            "to_normal_eve", "to_post_const", "to_post_gap2")}
-    return out
 
 
-def _params_from_json(doc: dict):
-    e = doc["emission"]
-    emission = EmissionParams(
-        ar_eig01=np.asarray(e["ar_eig01"], dtype=np.float64),
-        level=np.asarray(e["level"], dtype=np.float64),
-        holiday=np.asarray(e["holiday"], dtype=np.float64),
-        annual=np.asarray(e["annual"], dtype=np.float64),
-        weekday=np.asarray(e["weekday"], dtype=np.float64),
-        weather=np.asarray(e["weather"], dtype=np.float64),
-        decay_mean=np.asarray(e["decay_mean"], dtype=np.float64),
-        decay_prec=float(e["decay_prec"]),
-        prec_base=np.asarray(e["prec_base"], dtype=np.float64),
-        prec_holiday=np.asarray(e["prec_holiday"], dtype=np.float64),
-        prec_annual=np.asarray(e["prec_annual"], dtype=np.float64),
-    )
-    trans = TransitionParams(**doc["trans"]) if "trans" in doc else None
-    lt = doc["latents"]
-    latents = HyperLatents(
-        mu_level=float(lt["mu_level"]),
-        mu_weather=np.asarray(lt["mu_weather"], dtype=np.float64),
-        mu_weekday=np.asarray(lt["mu_weekday"], dtype=np.float64),
-        mu_annual=np.asarray(lt["mu_annual"], dtype=np.float64),
-        mu_holiday=np.asarray(lt["mu_holiday"], dtype=np.float64),
-        logit_decay_mean=float(lt["logit_decay_mean"]),
-        mu_logit_decay=float(lt["mu_logit_decay"]),
-    )
-    return emission, trans, latents
+def _params_from_json(doc, k_annual: int, k_prec_annual: int, mode: ModelMode):
+    """Inverse of :func:`_params_to_json`; a malformed document raises ``ConfigError``.
+
+    Each part must name every field of its dataclass and nothing else, as
+    finite numbers shaped as the config's harmonic counts imply. ``trans`` may
+    be left out in two-state mode.
+    """
+    reference = dict(zip(("emission", "trans", "latents"), default_truth(k_annual, k_prec_annual)))
+    required = {"emission", "latents"} | ({"trans"} if mode is ModelMode.FOUR_STATE else set())
+    if not isinstance(doc, dict) or not required <= set(doc) <= set(reference):
+        raise ConfigError(
+            f"params file must hold the parts {sorted(required)} (and optionally 'trans')"
+        )
+    parts = {}
+    for key, part in doc.items():
+        ref = reference[key]
+        names = [f.name for f in fields(ref)]
+        if not isinstance(part, dict) or set(part) != set(names):
+            got = set(part) if isinstance(part, dict) else set()
+            missing, unknown = sorted(set(names) - got), sorted(got - set(names))
+            raise ConfigError(f"params '{key}': missing {missing}, unknown {unknown}")
+        values = {}
+        for name in names:
+            shape = np.shape(getattr(ref, name))
+            try:
+                value = np.asarray(part[name], dtype=np.float64)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or value.shape != shape or not np.all(np.isfinite(value)):
+                raise ConfigError(f"params '{key}.{name}' must be finite numbers of shape {shape}")
+            values[name] = float(value) if value.ndim == 0 else value
+        parts[key] = type(ref)(**values)
+    return parts["emission"], parts.get("trans"), parts["latents"]
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +179,14 @@ def _cmd_simulate(args) -> int:
     baseline = smooth_cwv_baseline(ref_dates, ref_cwv, args.cwv_window)
     cov = build_covariates(dates, calendar, cwv, baseline)
 
+    mode = ModelMode(args.mode)
     if args.params == "demo":
         emission, trans, latents = default_truth(hyper.k_annual, hyper.k_prec_annual)
     else:
         with open(args.params) as fh:
-            emission, trans, latents = _params_from_json(json.load(fh))
-    mode = ModelMode(args.mode)
+            emission, trans, latents = _params_from_json(
+                json.load(fh), hyper.k_annual, hyper.k_prec_annual, mode
+            )
     sim = simulate(emission, trans, cov, np.random.SeedSequence([args.seed, 0]), mode)
 
     data_path = os.path.join(args.out_dir, "data.csv")

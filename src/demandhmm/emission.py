@@ -197,33 +197,39 @@ def covariance_from_components(pc: PrecisionComponents) -> np.ndarray:
     )
 
 
-def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
-    """Solve V = psi V psi' + omega1^{-1} for the stationary variance V.
-
-    With symmetric psi the equation reduces to a 3x3 linear system in
-    (V11, V12, V22); the system is nonsingular whenever both eigenvalues of
-    psi lie inside the unit disc and omega1 is symmetric positive definite.
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    a, b = psi[0, 0], psi[0, 1]
-    omega1 = np.asarray(omega1, dtype=np.float64)
-    det = omega1[0, 0] * omega1[1, 1] - omega1[0, 1] * omega1[1, 0]
-    if det <= 0.0 or omega1[0, 0] <= 0.0:
-        raise ValueError("omega1 must be symmetric positive definite")
-    s11 = omega1[1, 1] / det
-    s12 = -omega1[0, 1] / det
-    s22 = omega1[0, 0] / det
-    coef = np.array(
+def _lyapunov_matrix(a: float, b: float) -> np.ndarray:
+    """3x3 system of V = psi V psi' + S in (V11, V12, V22) for psi = [[a, b], [b, a]]."""
+    return np.array(
         [
             [1.0 - a * a, -2.0 * a * b, -b * b],
             [-a * b, 1.0 - a * a - b * b, -a * b],
             [-b * b, -2.0 * a * b, 1.0 - a * a],
         ]
     )
-    v11, v12, v22 = np.linalg.solve(coef, np.array([s11, s12, s22]))
-    v = np.array([[v11, v12], [v12, v22]])
-    if not (v[0, 0] > 0.0 and np.linalg.det(v) > 0.0):
+
+
+def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
+    """Solve V = psi V psi' + omega1^{-1} for the stationary variance V.
+
+    With symmetric psi the equation reduces to a 3x3 linear system in
+    (V11, V12, V22); the system is nonsingular whenever both eigenvalues of
+    psi lie inside the unit disc and omega1 is symmetric positive definite.
+    ``omega1`` is one (2, 2) precision matrix or a stack (..., 2, 2) of them,
+    solved together; V has the same shape.
+    """
+    psi = np.asarray(psi, dtype=np.float64)
+    omega1 = np.asarray(omega1, dtype=np.float64)
+    det = omega1[..., 0, 0] * omega1[..., 1, 1] - omega1[..., 0, 1] * omega1[..., 1, 0]
+    if np.any(det <= 0.0) or np.any(omega1[..., 0, 0] <= 0.0):
+        raise ValueError("omega1 must be symmetric positive definite")
+    s = np.stack([omega1[..., 1, 1] / det, -omega1[..., 0, 1] / det, omega1[..., 0, 0] / det])
+    v11, v12, v22 = np.linalg.solve(
+        _lyapunov_matrix(psi[0, 0], psi[0, 1]), s.reshape(3, -1)
+    ).reshape(s.shape)
+    if not (np.all(v11 > 0.0) and np.all(v11 * v22 - v12 * v12 > 0.0)):
         raise np.linalg.LinAlgError("stationary variance is not positive definite")
+    v = np.empty(omega1.shape)
+    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = v11, v12, v12, v22
     return v
 
 
@@ -319,6 +325,8 @@ class DayTables:
     ``mu`` is (T, 4, 2); ``phi``, ``tau1``, ``tau2``, ``ltau1``, ``ltau2`` are
     (T, 4). ``v_inv`` (4, 2, 2), ``v_logdet`` (4,) and ``v_chol`` (4, 2, 2)
     describe the stationary first-day distribution under each initial state.
+    The per-day fields are transposed views of day-last arrays, so ``.T``
+    gives those arrays without a copy.
     """
 
     mu: np.ndarray
@@ -333,70 +341,146 @@ class DayTables:
     v_chol: np.ndarray
 
 
+def _state_weights(design: DesignMatrices, decay) -> np.ndarray:
+    """Holiday-effect weights (..., 4, T) of states 1-4: ``decay**n``, 1, ``decay**gap``, 0."""
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(decay)[..., None]
+    w = np.zeros(np.shape(decay) + (4, design.n.shape[0]))
+    w[..., 0, :] = np.exp(log_rho * design.n)
+    w[..., 1, :] = 1.0
+    w[..., 2, :] = np.exp(log_rho * design.gap)
+    return w
+
+
 def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTables:
-    """Evaluate mean and precision tables for every day and candidate state."""
-    T = design.n.shape[0]
+    """Evaluate mean and precision tables for every day and candidate state.
+
+    The arrays are built with the day axis last, so numpy's loops run over
+    days rather than over 2 regions or 4 states; the tables are (T, ...)
+    views of them.
+    """
     two_k = 2 * params.k_annual
     if design.f_annual.shape[1] != two_k or design.f_prec.shape[1] != 2 * params.k_prec_annual:
         raise ValueError("design matrices were built for different harmonic counts")
 
-    # state-independent part of the mean, (T, 2)
+    # state-independent part of the mean, (2, T)
     base = (
-        params.level[None, :]
-        + design.f_annual @ params.annual.reshape(2, two_k).T
-        + design.f_week @ params.weekday.reshape(2, 6).T
-        + (params.weather[None, :, 0] + params.weather[None, :, 1] * design.w) * design.w_tilde
+        params.level[:, None]
+        + params.annual.reshape(2, two_k) @ design.f_annual.T
+        + params.weekday.reshape(2, 6) @ design.f_week.T
+        + (params.weather[:, 0, None] + params.weather[:, 1, None] * design.w.T) * design.w_tilde.T
     )
-    hol_effect = params.holiday.T[design.r_index]  # (T, 2)
+    hol_effect = params.holiday[:, design.r_index]  # (2, T)
+    mu = base[:, None, :] + _state_weights(design, params.decay_mean) * hol_effect[:, None, :]
 
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(params.decay_mean)  # (2,)
-    bw = np.zeros((T, 4, 2))
-    bw[:, 0, :] = np.exp(design.n[:, None] * log_rho[None, :])
-    bw[:, 1, :] = 1.0
-    bw[:, 2, :] = np.exp(design.gap[:, None] * log_rho[None, :])
-    mu = base[:, None, :] + bw * hol_effect[:, None, :]
-
-    tw = np.zeros((T, 4))
-    log_rho_p = math.log(params.decay_prec)
-    tw[:, 0] = np.exp(design.n * log_rho_p)
-    tw[:, 1] = 1.0
-    tw[:, 2] = np.exp(design.gap * log_rho_p)
-    seasonal = design.f_prec @ params.prec_annual.reshape(3, 2 * params.k_prec_annual).T  # (T, 3)
+    tw = _state_weights(design, params.decay_prec)  # (4, T)
+    seasonal = params.prec_annual.reshape(3, 2 * params.k_prec_annual) @ design.f_prec.T  # (3, T)
     omega = (
-        params.prec_base[None, None, :]
-        + tw[:, :, None] * params.prec_holiday[None, None, :]
+        params.prec_base[:, None, None]
+        + tw * params.prec_holiday[:, None, None]
         + seasonal[:, None, :]
-    )  # (T, 4, 3)
-    phi = omega[:, :, 0]
-    ltau1 = np.clip(omega[:, :, 1], -OMEGA_CLAMP, OMEGA_CLAMP)
-    ltau2 = np.clip(omega[:, :, 2], -OMEGA_CLAMP, OMEGA_CLAMP)
+    )  # (3, 4, T)
+    phi = omega[0]
+    ltau1 = np.clip(omega[1], -OMEGA_CLAMP, OMEGA_CLAMP)
+    ltau2 = np.clip(omega[2], -OMEGA_CLAMP, OMEGA_CLAMP)
     tau1 = np.exp(ltau1)
     tau2 = np.exp(ltau2)
 
     psi = params.ar_matrix
+    # first-day law under each state: the precision matrix of day 1's components
+    phi0, t1, t2 = phi[:, 0], tau1[:, 0], tau2[:, 0]
+    omega1 = np.empty((4, 2, 2))
+    omega1[:, 0, 0] = t1 + phi0 * phi0 * t2
+    omega1[:, 0, 1] = omega1[:, 1, 0] = -phi0 * t2
+    omega1[:, 1, 1] = t2
+    v = stationary_variance(psi, omega1)                 # (4, 2, 2)
+    v00, v01, v11 = v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]
+    det = v00 * v11 - v01 * v01
     v_inv = np.empty((4, 2, 2))
-    v_logdet = np.empty(4)
-    v_chol = np.empty((4, 2, 2))
-    for s in range(4):
-        pc = PrecisionComponents(phi=float(phi[0, s]), tau1=float(tau1[0, s]), tau2=float(tau2[0, s]))
-        v = stationary_variance(psi, precision_matrix(pc))
-        det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-        v_inv[s] = np.array([[v[1, 1], -v[0, 1]], [-v[0, 1], v[0, 0]]]) / det
-        v_logdet[s] = math.log(det)
-        l11 = math.sqrt(v[0, 0])
-        l21 = v[0, 1] / l11
-        l22 = math.sqrt(v[1, 1] - l21 * l21)
-        v_chol[s] = np.array([[l11, 0.0], [l21, l22]])
+    v_inv[:, 0, 0] = v11 / det
+    v_inv[:, 0, 1] = v_inv[:, 1, 0] = -v01 / det
+    v_inv[:, 1, 1] = v00 / det
+    v_logdet = np.log(det)
+    l11 = np.sqrt(v00)
+    l21 = v01 / l11
+    v_chol = np.zeros((4, 2, 2))
+    v_chol[:, 0, 0] = l11
+    v_chol[:, 1, 0] = l21
+    v_chol[:, 1, 1] = np.sqrt(np.maximum(v11 - l21 * l21, 0.0))  # det > 0 up to rounding
     return DayTables(
-        mu=mu,
-        phi=phi,
-        tau1=tau1,
-        tau2=tau2,
-        ltau1=ltau1,
-        ltau2=ltau2,
+        mu=mu.T,
+        phi=phi.T,
+        tau1=tau1.T,
+        tau2=tau2.T,
+        ltau1=ltau1.T,
+        ltau2=ltau2.T,
         psi=psi,
         v_inv=v_inv,
         v_logdet=v_logdet,
         v_chol=v_chol,
     )
+
+
+def day_tables_adjoint(
+    params: EmissionParams,
+    design: DesignMatrices,
+    tables: DayTables,
+    g_mu, g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, g_v_logdet,
+) -> dict:
+    """Adjoint of :func:`build_day_tables`.
+
+    Takes the gradients of a scalar with respect to the tables, the per-day
+    ones transposed to put the day last (``filtering._log_kernels_adjoint``
+    returns them so), and gives its gradients with respect to the
+    ``EmissionParams`` fields, keyed by field name, on their natural scale.
+    Clamped log precisions pass no gradient.
+    """
+    # first-day law: V_c solves V = psi V psi + S_c with S_c = Omega_c^{-1}.
+    # d/dV of log det V and of V^{-1}, then back through the 3x3 system in
+    # (V11, V12, V22) that stationary_variance solves
+    v_inv = tables.v_inv
+    v = np.stack([v_inv[:, 1, 1], -v_inv[:, 0, 1], v_inv[:, 0, 0]]) * np.exp(tables.v_logdet)
+    g_v = g_v_logdet[:, None, None] * v_inv - v_inv @ g_v_inv.transpose(0, 2, 1) @ v_inv
+    a, b = tables.psi[0, 0], tables.psi[0, 1]
+    g_v3 = np.stack([g_v[:, 0, 0], g_v[:, 0, 1] + g_v[:, 1, 0], g_v[:, 1, 1]])
+    g_s = np.linalg.solve(_lyapunov_matrix(a, b).T, g_v3)
+    g_coef = -g_s @ v.T
+    dcoef_da = np.array([[-2 * a, -2 * b, 0.0], [-b, -2 * a, -b], [0.0, -2 * b, -2 * a]])
+    dcoef_db = np.array([[0.0, -2 * a, -2 * b], [-a, -2 * b, -a], [-2 * b, -2 * a, 0.0]])
+    g_on = g_psi[0, 0] + g_psi[1, 1] + np.sum(g_coef * dcoef_da)
+    g_off = g_psi[0, 1] + g_psi[1, 0] + np.sum(g_coef * dcoef_db)
+
+    # omega = (phi, log tau1, log tau2); S_c = [[1/t1, phi/t1], [phi/t1, 1/t2 + phi^2/t1]]
+    phi0, t1, t2 = tables.phi[0], tables.tau1[0], tables.tau2[0]
+    g_omega = np.stack([g_phi, g_ltau1, g_ltau2])       # (3, 4, T)
+    g_omega[0, :, 0] += (g_s[1] + 2.0 * phi0 * g_s[2]) / t1
+    g_omega[1, :, 0] -= (g_s[0] + phi0 * g_s[1] + phi0 * phi0 * g_s[2]) / t1
+    g_omega[2, :, 0] -= g_s[2] / t2
+    g_omega[1] *= np.abs(tables.ltau1.T) < OMEGA_CLAMP
+    g_omega[2] *= np.abs(tables.ltau2.T) < OMEGA_CLAMP
+    tw = _state_weights(design, params.decay_prec)      # (4, T)
+    g_tw = tw * np.tensordot(params.prec_holiday, g_omega, axes=1)  # d/d log decay_prec, per power
+    g_seasonal = g_omega.sum(axis=1)                    # (3, T)
+
+    # mu = base + bw * holiday effect, (2, 4, T) here
+    hol_effect = params.holiday[:, design.r_index]      # (2, T)
+    bw = _state_weights(design, params.decay_mean)      # (2, 4, T)
+    g_base = g_mu.sum(axis=1)                           # (2, T)
+    g_hol = (g_mu * bw).sum(axis=1)
+    g_bw = g_mu * bw * hol_effect[:, None, :]
+    g_base_w = g_base * design.w_tilde.T
+    return {
+        "ar_eig01": np.array([g_on + g_off, g_on - g_off]),
+        "level": g_base.sum(axis=1),
+        "holiday": np.stack(
+            [np.bincount(design.r_index, weights=g_hol[j], minlength=3) for j in range(2)]
+        ),
+        "annual": (g_base @ design.f_annual).reshape(params.annual.shape),
+        "weekday": (g_base @ design.f_week).reshape(params.weekday.shape),
+        "weather": np.stack([g_base_w.sum(axis=1), (g_base_w * design.w.T).sum(axis=1)], axis=1),
+        "decay_mean": (g_bw[:, 0] @ design.n + g_bw[:, 2] @ design.gap) / params.decay_mean,
+        "decay_prec": (g_tw[0] @ design.n + g_tw[2] @ design.gap) / params.decay_prec,
+        "prec_base": g_seasonal.sum(axis=1),
+        "prec_holiday": (g_omega * tw).sum(axis=(1, 2)),
+        "prec_annual": (g_seasonal @ design.f_prec).reshape(params.prec_annual.shape),
+    }

@@ -11,7 +11,11 @@ them, chosen by what the caller needs:
   terminal state, ``terminal_log_distribution``) multiply the kernels by a
   pairwise tree reduction in log space, O(log T) vectorised steps (Hassan,
   Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in
-  hidden Markov models", IEEE TSP 69, 2021);
+  hidden Markov models", IEEE TSP 69, 2021). The sampler's gradient runs the
+  tree in reverse: d log L / d log K_t(b, c) is the smoothed pair marginal
+  (Fisher's identity; Cappe, Moulines & Ryden, "Inference in Hidden Markov
+  Models", 2005, ch. 10), and ``log_likelihood_adjoint`` carries it back to
+  the day tables;
 * callers that need per-day messages or smoothed marginals use the
   sequential recursions ``forward_filter`` and ``backward_smooth``, which
   take logsumexp over one state per day, because the tree yields only the
@@ -48,6 +52,10 @@ from .states import (
 _PAIR_A = PAIR_PREV - 1
 _PAIR_B = PAIR_CUR - 1
 _logsumexp = np.logaddexp.reduce
+# Terms of a logsumexp this far below its largest term count as exactly 0:
+# next to the largest term's 1 they are below rounding, and numpy's exp of
+# -inf or of an argument below about -708 takes a path ten or more times slower.
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,43 @@ def _validate(y: np.ndarray, cov: CovariateSeries) -> np.ndarray:
     return y
 
 
+def _sum4(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over a length-4 axis as three adds; numpy's reduction over so short
+    an axis is several times slower."""
+    at = (slice(None),) * axis
+    return (a[at + (0,)] + a[at + (1,)]) + (a[at + (2,)] + a[at + (3,)])
+
+
+def _kernel_terms(y, cov, tables, trans, mode):
+    """(4, 4, T) log kernels, day last, and the terms their adjoint needs.
+
+    Day is the last axis of every array here, so numpy's loops run over days
+    rather than over 4 states; ``log_kernels`` transposes the kernels back.
+    """
+    mu, phi, tau1, tau2 = tables.mu.T, tables.phi.T, tables.tau1.T, tables.tau2.T
+    d0, d1 = y[:, 0] - mu[0], y[:, 1] - mu[1]                        # (4, T)
+    psi = tables.psi
+    # VAR(1) innovation given (b, c): (y_t - mu_t(c)) - Psi (y_{t-1} - mu_{t-1}(b)),
+    # one (b, c, T-1) array per region
+    e0 = d0[None, :, 1:] - (psi[0, 0] * d0[:, :-1] + psi[0, 1] * d1[:, :-1])[:, None, :]
+    e1 = d1[None, :, 1:] - (psi[1, 0] * d0[:, :-1] + psi[1, 1] * d1[:, :-1])[:, None, :]
+    u2 = e1 - phi[:, 1:] * e0
+    out = np.empty((4, 4, y.shape[0]))
+    # a zero-likelihood observation overflows the squares to inf: its kernel is -inf
+    with np.errstate(over="ignore"):
+        out[:, :, 1:] = (
+            -LOG_2PI
+            + 0.5 * (tables.ltau1.T + tables.ltau2.T)[:, 1:]
+            - 0.5 * (tau1[:, 1:] * (e0 * e0) + tau2[:, 1:] * (u2 * u2))
+        )
+        dev0 = np.stack([d0[:, 0], d1[:, 0]], axis=1)                 # (4, 2)
+        quad0 = np.einsum("ci,cij,cj->c", dev0, tables.v_inv, dev0)
+    logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
+    out[:, :, 0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[None, :]
+    out += log_transition_tables(trans, cov.n[1:], cov.p[1:], mode).transpose(1, 2, 0)
+    return out, (d0, d1, e0, u2, phi, tau1, tau2)
+
+
 def log_kernels(
     y: np.ndarray,
     cov: CovariateSeries,
@@ -95,20 +140,48 @@ def log_kernels(
     row 0 also carries the anchor-day log distribution over b. Structurally
     impossible transitions are -inf.
     """
-    dev = y[:, None, :] - tables.mu                                    # (T, 4, 2)
-    # VAR(1) innovation given (b, c): (y_t - mu_t(c)) - Psi (y_{t-1} - mu_{t-1}(b))
-    e = dev[1:, None, :, :] - (dev[:-1] @ tables.psi.T)[:, :, None, :]  # (T-1, b, c, 2)
-    u2 = e[..., 1] - tables.phi[1:, None, :] * e[..., 0]
-    out = np.empty((y.shape[0], 4, 4))
-    out[1:] = (
-        -LOG_2PI
-        + 0.5 * (tables.ltau1[1:, None, :] + tables.ltau2[1:, None, :])
-        - 0.5 * (tables.tau1[1:, None, :] * e[..., 0] ** 2 + tables.tau2[1:, None, :] * u2 ** 2)
+    return np.ascontiguousarray(_kernel_terms(y, cov, tables, trans, mode)[0].transpose(2, 0, 1))
+
+
+def _log_kernels_adjoint(g, tables, d0, d1, e0, u2, phi, tau1, tau2):
+    """Adjoint of ``_kernel_terms`` from ``g = d/d log K`` (4, 4, T) to the day tables.
+
+    Returns the gradients with respect to ``mu``, ``phi``, ``ltau1``, ``ltau2``
+    (day last, like the terms), ``psi``, ``v_inv`` and ``v_logdet``; the
+    transition tables' gradient is ``g`` itself. Entries of ``g`` on -inf
+    kernels must be 0.
+    """
+    T = g.shape[2]
+    gt = g[:, :, 1:]                                    # (b, c, T-1)
+    psi = tables.psi
+    g_ltau1 = np.zeros((4, T))
+    g_ltau2 = np.zeros((4, T))
+    g_phi = np.zeros((4, T))
+    gc = _sum4(gt, 0)                                   # (c, T-1)
+    g_ltau1[:, 1:] = 0.5 * gc - 0.5 * tau1[:, 1:] * _sum4(gt * e0 * e0, 0)
+    g_ltau2[:, 1:] = 0.5 * gc - 0.5 * tau2[:, 1:] * _sum4(gt * u2 * u2, 0)
+    g_e1 = gt * tau2[:, 1:] * u2                        # minus d/d e1
+    g_phi[:, 1:] = _sum4(g_e1 * e0, 0)
+    g_e0 = g_e1 * phi[:, 1:] - gt * tau1[:, 1:] * e0
+    g_d0 = np.zeros((4, T))
+    g_d1 = np.zeros((4, T))
+    g_d0[:, 1:] = _sum4(g_e0, 0)
+    g_d1[:, 1:] = -_sum4(g_e1, 0)
+    g_eb0, g_eb1 = _sum4(g_e0, 1), -_sum4(g_e1, 1)      # (b, T-1)
+    g_d0[:, :-1] -= psi[0, 0] * g_eb0 + psi[1, 0] * g_eb1
+    g_d1[:, :-1] -= psi[0, 1] * g_eb0 + psi[1, 1] * g_eb1
+    p0, p1 = d0[:, :-1], d1[:, :-1]
+    g_psi = -np.array(
+        [[np.vdot(g_eb0, p0), np.vdot(g_eb0, p1)], [np.vdot(g_eb1, p0), np.vdot(g_eb1, p1)]]
     )
-    quad0 = np.einsum("ci,cij,cj->c", dev[0], tables.v_inv, dev[0])
-    logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
-    out[0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[None, :]
-    return out + log_transition_tables(trans, cov.n[1:], cov.p[1:], mode)
+    # day 1: -0.5 log det V_c - 0.5 dev' V_c^{-1} dev
+    g0 = _sum4(g[:, :, 0], 0)                           # (c,)
+    dev0 = np.stack([d0[:, 0], d1[:, 0]], axis=1)       # (c, 2)
+    vd = g0[:, None] * np.einsum("cij,cj->ci", tables.v_inv, dev0)
+    g_d0[:, 0] -= vd[:, 0]
+    g_d1[:, 0] -= vd[:, 1]
+    g_v_inv = -0.5 * g0[:, None, None] * dev0[:, :, None] * dev0[:, None, :]
+    return -np.stack([g_d0, g_d1]), g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, -0.5 * g0
 
 
 def _tables_for(cov, emission, design, tables):
@@ -153,22 +226,86 @@ def forward_filter(
     return loglik, ForwardMessages(alpha[:, _PAIR_A, _PAIR_B], lognorm, loglik)
 
 
-def _log_product(y, cov, emission, trans, mode, design, tables) -> np.ndarray:
-    """(4, 4) log of the ordered product ``K_0 K_1 ... K_{T-1}`` of the day kernels.
+def _tree_levels(m: np.ndarray):
+    """Ordered log product of the (4, 4, T) kernels ``m`` and the levels that made it.
 
-    Neighbouring matrices are multiplied pairwise with logsumexp, level by
-    level; an odd last matrix is carried to the next level. Entry [b, c] is
-    the log total weight of all state paths from anchor state b to final
-    state c. It stays in log space: a probability-space product with
-    per-level rescaling returned NaN on extreme prior draws.
+    Neighbouring matrices are multiplied pairwise in log space, level by
+    level; an odd last matrix is carried to the next level. For
+    ``x[i, k, j, p] = m_{2p}[i, k] + m_{2p+1}[k, j]`` the pair product is
+    ``c + log s`` with ``c = max_k x`` and ``s = sum_k exp(x - c)``; each level
+    keeps ``exp(x - c)``, exactly 0 for -inf terms, and ``s`` for the reverse
+    pass. Day is the last axis throughout.
     """
-    y = _validate(y, cov)
-    m = log_kernels(y, cov, _tables_for(cov, emission, design, tables), trans, mode)
-    while m.shape[0] > 1:
-        even = m.shape[0] - m.shape[0] % 2
-        paired = _logsumexp(m[0:even:2, :, :, None] + m[1:even:2, None, :, :], axis=2)
-        m = np.concatenate([paired, m[even:]])
-    return m[0]
+    levels = []
+    while m.shape[2] > 1:
+        even = m.shape[2] - m.shape[2] % 2
+        n = even // 2
+        w = m[:, :, None, 0:even:2] + m[None, :, :, 1:even:2]
+        c = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
+        c[c == -np.inf] = 0.0
+        w -= c[:, None]
+        low = w <= _EXP_FLOOR
+        np.maximum(w, _EXP_FLOOR, out=w)
+        np.exp(w, out=w)
+        np.copyto(w, 0.0, where=low)
+        s = _sum4(w, 1)
+        levels.append((w, s))
+        nxt = np.empty((4, 4, n + m.shape[2] - even))
+        with np.errstate(divide="ignore"):
+            np.log(s, out=nxt[:, :, :n])
+        nxt[:, :, :n] += c
+        nxt[:, :, n:] = m[:, :, even:]
+        m = nxt
+    return m[:, :, 0], levels
+
+
+def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
+    """Reverse pass of ``_tree_levels``: ``d/d m`` (4, 4, T) from ``d/d product`` (4, 4).
+
+    At each level the upstream adjoint of a pair product is spread over its
+    terms with weights ``exp(x - c) / s`` and summed over j for the left
+    factor and over i for the right one; a -inf term has weight 0. For the
+    log likelihood, ``g_top = exp(P - log L)`` and the result is the smoothed
+    pair marginal of every day (Fisher's identity). Overwrites the levels.
+    """
+    g = g_top[:, :, None]
+    for w, s in reversed(levels):
+        n = w.shape[3]
+        s[s == 0.0] = 1.0
+        w *= (g[:, :, :n] / s)[:, None]
+        out = np.empty((4, 4, n + g.shape[2]))
+        out[:, :, 0 : 2 * n : 2] = _sum4(w, 2)
+        out[:, :, 1 : 2 * n : 2] = _sum4(w, 0)
+        out[:, :, 2 * n :] = g[:, :, n:]
+        g = out
+    return g
+
+
+def log_likelihood_tape(y, cov, tables, trans, mode):
+    """Tree log likelihood of validated ``y`` and what its adjoint needs.
+
+    Returns ``(loglik, tape)``; the tape holds the log likelihood, the (4, 4)
+    log product ``P`` of all kernels (entry [b, c]: all state paths from
+    anchor state b to final state c), the tree levels and the kernel terms.
+    It stays in log space: a probability-space product with per-level
+    rescaling returned NaN on extreme prior draws.
+    """
+    logk, terms = _kernel_terms(y, cov, tables, trans, mode)
+    top, levels = _tree_levels(logk)
+    loglik = float(_logsumexp(top.ravel()))
+    return loglik, (loglik, top, levels, terms)
+
+
+def log_likelihood_adjoint(tape, tables):
+    """Gradient of a finite tree log likelihood with respect to its inputs.
+
+    Returns ``(g_tables, g_loglam)``: ``g_tables`` is the tuple of
+    ``_log_kernels_adjoint`` and ``g_loglam`` (T, 4, 4) the gradient with
+    respect to ``log_transition_tables``, which is the smoothed pair marginal.
+    """
+    loglik, top, levels, terms = tape
+    xi = _tree_adjoint(levels, np.exp(top - loglik))
+    return _log_kernels_adjoint(xi, tables, *terms), xi.transpose(2, 0, 1)
 
 
 def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPointError:
@@ -182,7 +319,8 @@ def log_likelihood(
     y, cov, emission, trans, mode=ModelMode.FOUR_STATE, design=None
 ) -> float:
     """Observed-data log likelihood by the tree product; ``-inf`` if it is zero."""
-    return float(_logsumexp(_log_product(y, cov, emission, trans, mode, design, None).ravel()))
+    y = _validate(y, cov)
+    return log_likelihood_tape(y, cov, _tables_for(cov, emission, design, None), trans, mode)[0]
 
 
 def terminal_log_distribution(
@@ -199,12 +337,28 @@ def terminal_log_distribution(
     Raises ``FloatingPointError`` naming the first day of zero likelihood
     when the series has none.
     """
-    product = _log_product(y, cov, emission, trans, mode, design, tables)
-    loglik = _logsumexp(product.ravel())
+    tables = _tables_for(cov, emission, design, tables)
+    loglik, (_, product, _, _) = log_likelihood_tape(_validate(y, cov), cov, tables, trans, mode)
     if loglik == -np.inf:
         _, messages = forward_filter(y, cov, emission, trans, mode, design, tables)
         raise _zero_likelihood(messages.lognorm, cov)
     return _logsumexp(product, axis=0) - loglik
+
+
+def _smoothed_pairs(messages: ForwardMessages, logk: np.ndarray) -> np.ndarray:
+    """(T, 4, 4) smoothed probability of the (b, c) state pair of each kernel row.
+
+    The backward message is a 4-vector over the current state, scaled by the
+    forward increments so it stays of order one.
+    """
+    T = logk.shape[0]
+    scaled = logk - messages.lognorm[:, None, None]
+    beta = np.zeros((T, 4))   # row t: scaled log p(y after day t+1 | state on day t+1)
+    for t in range(T - 1, 0, -1):
+        beta[t - 1] = _logsumexp(scaled[t] + beta[t], axis=1)
+    alpha = np.full((T, 4, 4), -np.inf)
+    alpha[:, _PAIR_A, _PAIR_B] = messages.log_messages
+    return np.exp(alpha + beta[:, None, :])
 
 
 def backward_smooth(
@@ -219,9 +373,8 @@ def backward_smooth(
 ) -> SmoothedStates:
     """Smoothed state marginals for days 0..T from stored forward messages.
 
-    The backward message is a 4-vector over the current state, scaled by the
-    forward increments so it stays of order one. Raises ``FloatingPointError``
-    naming the first day of zero likelihood when the series has none.
+    Raises ``FloatingPointError`` naming the first day of zero likelihood
+    when the series has none.
     """
     y = _validate(y, cov)
     T = y.shape[0]
@@ -230,13 +383,7 @@ def backward_smooth(
     if messages.log_likelihood == -np.inf:
         raise _zero_likelihood(messages.lognorm, cov)
     logk = log_kernels(y, cov, _tables_for(cov, emission, design, tables), trans, mode)
-    scaled = logk - messages.lognorm[:, None, None]
-    beta = np.zeros((T, 4))   # row t: scaled log p(y after day t+1 | state on day t+1)
-    for t in range(T - 1, 0, -1):
-        beta[t - 1] = _logsumexp(scaled[t] + beta[t], axis=1)
-    alpha = np.full((T, 4, 4), -np.inf)
-    alpha[:, _PAIR_A, _PAIR_B] = messages.log_messages
-    pair = np.exp(alpha + beta[:, None, :])     # smoothed pair probabilities per row
+    pair = _smoothed_pairs(messages, logk)
     probs = np.empty((T + 1, 4))
     probs[0] = pair[0].sum(axis=1)
     probs[1:] = pair.sum(axis=1)

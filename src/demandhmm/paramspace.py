@@ -19,7 +19,7 @@ import numpy as np
 
 from .emission import EmissionParams
 from .priors import HyperLatents
-from .states import ModelMode, TransitionParams, log_sigmoid, sigmoid
+from .states import LOGIT_CLAMP, ModelMode, TransitionParams, log_sigmoid, sigmoid
 
 _COS_SIN = ("cos", "sin")
 
@@ -236,6 +236,22 @@ class ParamSpace:
         """log |d(constrained) / d(unconstrained)| of the vector transform."""
         x = np.asarray(u_full)[self._logit_mask]
         return float(np.sum(log_sigmoid(x) + log_sigmoid(-x)))
+
+    def log_jacobian_chain(self, u_full: np.ndarray, grads: dict) -> np.ndarray:
+        """Gradient over the full vector of ``f(unpack(u)) + log_jacobian(u)``.
+
+        ``grads`` maps every family name to the gradient of ``f`` with respect
+        to that family's natural values. Logit families pick up the factor
+        ``sigmoid(u) sigmoid(-u)`` and the log-Jacobian's own gradient; past
+        the logit clamp both are 0.
+        """
+        g = np.concatenate([np.ravel(grads[name]) for name in self.family_names])
+        x = np.asarray(u_full)[self._logit_mask]
+        s, s_neg = sigmoid(x), sigmoid(-x)
+        g[self._logit_mask] = np.where(
+            np.abs(x) < LOGIT_CLAMP, g[self._logit_mask] * s * s_neg + s_neg - s, 0.0
+        )
+        return g
 
     def constrained_values(self, u_full: np.ndarray) -> np.ndarray:
         """Natural-space value of every scalar, in layout order."""

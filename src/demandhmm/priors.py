@@ -198,8 +198,43 @@ def _mvn3_lpdf(x, m, cov) -> float:
     return float(-1.5 * LOG_2PI - 0.5 * logdet - 0.5 * quad)
 
 
-def _logit(x: float) -> float:
-    return math.log(x) - math.log1p(-x)
+def _prior_factors(emission, trans, latents, hyper, mode):
+    """The prior's normal factors as ``(x_family, x, mean_family, mean, variance)``.
+
+    ``mean_family`` is None for a fixed mean; means and variances broadcast
+    against ``x`` from the right. The decay factors enter on the logit scale.
+    """
+    h = hyper
+    rw, vw = h.r_weather, h.v_weather
+    v_wd, v_ann = h.v_weekday, h.v_annual
+    factors = [
+        ("level", emission.level, "mu_level", latents.mu_level, (1.0 - h.r_level) * h.v_level),
+        ("mu_level", latents.mu_level, None, h.m_level, h.r_level * h.v_level),
+        ("weather", emission.weather, "mu_weather", latents.mu_weather, (1.0 - rw) * vw),
+        ("mu_weather", latents.mu_weather, None, h.m_weather, rw * vw),
+        ("weekday", emission.weekday, "mu_weekday", latents.mu_weekday, (1.0 - h.r_weekday) * v_wd),
+        ("mu_weekday", latents.mu_weekday, None, 0.0, h.r_weekday * v_wd),
+        ("annual", emission.annual, "mu_annual", latents.mu_annual, (1.0 - h.r_annual) * v_ann),
+        ("mu_annual", latents.mu_annual, None, 0.0, h.r_annual * v_ann),
+        ("prec_base", emission.prec_base, None, h.m_prec_base, h.v_prec_base),
+        ("prec_holiday", emission.prec_holiday, None, 0.0, h.v_prec_holiday),
+        ("prec_annual", emission.prec_annual, None, 0.0, h.v_prec_annual[:, None, :]),
+    ]
+    if mode is ModelMode.FOUR_STATE:
+        v, r1, r2 = h.v_decay, h.r_decay_1, h.r_decay_2
+        ldm, mld = latents.logit_decay_mean, latents.mu_logit_decay
+        factors += [
+            ("trans", trans.as_array(), None, h.m_trans, h.v_trans),
+            ("decay_mean", _logit(emission.decay_mean), "logit_decay_mean", ldm, (1.0 - r1) * v),
+            ("logit_decay_mean", ldm, "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
+            ("decay_prec", _logit(emission.decay_prec), "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
+            ("mu_logit_decay", mld, None, h.m_decay, r1 * r2 * v),
+        ]
+    return factors
+
+
+def _logit(x):
+    return np.log(x) - np.log1p(-x)
 
 
 def log_prior(
@@ -226,49 +261,55 @@ def log_prior(
             return -np.inf
 
     lp = 0.0
-    if four:
-        lp += _norm_lpdf(trans.as_array(), hyper.m_trans, hyper.v_trans)
-    for i in range(2):
-        lp += _beta_lpdf(float(ar[i]), float(hyper.a_ar[i]), float(hyper.b_ar[i]))
-
-    lp += _norm_lpdf(emission.level, latents.mu_level, (1.0 - hyper.r_level) * hyper.v_level)
-    lp += _norm_lpdf(latents.mu_level, hyper.m_level, hyper.r_level * hyper.v_level)
-
-    for i in range(2):
-        ri, vi = float(hyper.r_weather[i]), float(hyper.v_weather[i])
-        lp += _norm_lpdf(emission.weather[:, i], latents.mu_weather[i], (1.0 - ri) * vi)
-        lp += _norm_lpdf(latents.mu_weather[i], float(hyper.m_weather[i]), ri * vi)
-
-    lp += _norm_lpdf(
-        emission.weekday, latents.mu_weekday[None], (1.0 - hyper.r_weekday) * hyper.v_weekday
-    )
-    lp += _norm_lpdf(latents.mu_weekday, 0.0, hyper.r_weekday * hyper.v_weekday)
-
-    v_ann = hyper.v_annual[None, None, :]
-    lp += _norm_lpdf(emission.annual, latents.mu_annual[None], (1.0 - hyper.r_annual) * v_ann)
-    lp += _norm_lpdf(latents.mu_annual, 0.0, hyper.r_annual * hyper.v_annual[None, :])
-
     v_beta = hyper.holiday_cov()
-    for j in range(2):
-        lp += _mvn3_lpdf(emission.holiday[j], latents.mu_holiday, (1.0 - hyper.r_holiday) * v_beta)
-    lp += _mvn3_lpdf(latents.mu_holiday, np.zeros(3), hyper.r_holiday * v_beta)
-
+    v_cond, v_hyper = (1.0 - hyper.r_holiday) * v_beta, hyper.r_holiday * v_beta
+    # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf
+    with np.errstate(over="ignore"):
+        for _, x, _, m, v in _prior_factors(emission, trans, latents, hyper, mode):
+            lp += _norm_lpdf(x, m, v)
+        for i in range(2):
+            lp += _beta_lpdf(float(ar[i]), float(hyper.a_ar[i]), float(hyper.b_ar[i]))
+        for j in range(2):
+            lp += _mvn3_lpdf(emission.holiday[j], latents.mu_holiday, v_cond)
+        lp += _mvn3_lpdf(latents.mu_holiday, np.zeros(3), v_hyper)
     if four:
-        v, r1, r2 = hyper.v_decay, hyper.r_decay_1, hyper.r_decay_2
-        lrho = np.array([_logit(float(x)) for x in emission.decay_mean])
-        lrho_p = _logit(emission.decay_prec)
-        lp += _norm_lpdf(lrho, latents.logit_decay_mean, (1.0 - r1) * v)
-        lp += _norm_lpdf(latents.logit_decay_mean, latents.mu_logit_decay, (1.0 - r2) * r1 * v)
-        lp += _norm_lpdf(lrho_p, latents.mu_logit_decay, (1.0 - r2) * r1 * v)
-        lp += _norm_lpdf(latents.mu_logit_decay, hyper.m_decay, r1 * r2 * v)
         # change of measure from logits to the (0, 1) decay values themselves
-        for x in (*emission.decay_mean, emission.decay_prec):
-            lp += -math.log(x) - math.log1p(-x)
-
-    lp += _norm_lpdf(emission.prec_base, hyper.m_prec_base, hyper.v_prec_base)
-    lp += _norm_lpdf(emission.prec_holiday, 0.0, hyper.v_prec_holiday)
-    lp += _norm_lpdf(emission.prec_annual, 0.0, hyper.v_prec_annual[:, None, :])
+        lp -= float(np.sum(np.log(rho) + np.log1p(-rho)))
     return lp
+
+
+def log_prior_grad(
+    emission: EmissionParams,
+    trans: TransitionParams | None,
+    latents: HyperLatents,
+    hyper: Hyperparameters,
+    mode: ModelMode = ModelMode.FOUR_STATE,
+) -> dict:
+    """Gradient of :func:`log_prior` inside its support, keyed by family name.
+
+    Family names are the ``EmissionParams`` and ``HyperLatents`` field names
+    plus ``trans``; each entry has the shape of that field, on the natural
+    scale the density is taken in.
+    """
+    g = {}
+    for name, x, mean_name, m, v in _prior_factors(emission, trans, latents, hyper, mode):
+        d = (np.asarray(x) - m) / v
+        g[name] = g.get(name, 0.0) - d
+        if mean_name is not None:
+            g[mean_name] = g.get(mean_name, 0.0) + d.reshape((-1,) + np.shape(m)).sum(axis=0)
+    ar = emission.ar_eig01
+    g["ar_eig01"] = (hyper.a_ar - 1.0) / ar - (hyper.b_ar - 1.0) / (1.0 - ar)
+    v_beta = hyper.holiday_cov()
+    d = emission.holiday - latents.mu_holiday
+    pd = np.linalg.solve((1.0 - hyper.r_holiday) * v_beta, d.T).T
+    g["holiday"] = -pd
+    g["mu_holiday"] = pd.sum(axis=0) - np.linalg.solve(hyper.r_holiday * v_beta, latents.mu_holiday)
+    if mode is ModelMode.FOUR_STATE:
+        # d logit(rho) / d rho = 1 / (rho (1 - rho)), plus the change of measure
+        for name in ("decay_mean", "decay_prec"):
+            rho = getattr(emission, name)
+            g[name] = (g[name] + 2.0 * rho - 1.0) / (rho * (1.0 - rho))
+    return g
 
 
 def sample_prior_batch(

@@ -4,8 +4,10 @@ Two interchangeable backends work on the unconstrained parameter vector:
 
 * ``hmc``: fixed-trajectory Hamiltonian Monte Carlo with jittered leapfrog
   count, dual-averaging step-size adaptation and a diagonal mass matrix
-  estimated during warmup. Gradients come from the jax mirror of the
-  posterior; the four chains advance in one batched call.
+  estimated during warmup. Gradients are exact reverse mode in numpy
+  (``NumpyPosterior.logpost_and_grad_batch``), checked against finite
+  differences in the tests; the chains advance together, one batched call
+  per leapfrog step.
 * ``adaptive-metropolis``: blockwise Gaussian random-walk with per-block
   empirical proposal covariances and acceptance-targeted scales, adapted
   during warmup only.
@@ -24,11 +26,11 @@ import numpy as np
 
 from . import diagnostics as diag
 from .covariates import CovariateSeries
-from .emission import build_design
-from .filtering import log_likelihood
+from .emission import build_day_tables, build_design, day_tables_adjoint
+from .filtering import _validate, log_likelihood_adjoint, log_likelihood_tape
 from .paramspace import ParamSpace
-from .priors import Hyperparameters, log_prior, sample_prior
-from .states import ModelMode
+from .priors import Hyperparameters, log_prior, log_prior_grad, sample_prior
+from .states import ModelMode, log_transition_tables_adjoint
 
 
 class SamplingError(RuntimeError):
@@ -139,7 +141,13 @@ class Diagnostics:
 
 
 class NumpyPosterior:
-    """Reference log posterior on the unconstrained free vector."""
+    """Log posterior on the unconstrained free vector, and its gradient.
+
+    ``__call__`` and ``logpost_and_grad_batch`` share one forward pass
+    (unpack, prior, day tables, kernels, tree product, log-Jacobian); the
+    gradient runs its adjoints in reverse over the intermediates that pass
+    keeps.
+    """
 
     def __init__(
         self,
@@ -149,7 +157,7 @@ class NumpyPosterior:
         space: ParamSpace,
         base_full: np.ndarray | None = None,
     ):
-        self.y = np.asarray(y, dtype=np.float64)
+        self.y = _validate(y, cov)
         self.cov = cov
         self.hyper = hyper
         self.space = space
@@ -158,26 +166,51 @@ class NumpyPosterior:
         )
         self.design = build_design(cov, space.k_annual, space.k_prec_annual)
 
-    def __call__(self, u_free: np.ndarray) -> float:
+    def _forward(self, u_free: np.ndarray):
+        """``(value, state)``; ``state`` is what the gradient needs, None at -inf."""
         full = self.space.insert_free(self.base_full, u_free)
         emission, trans, latents = self.space.unpack(full)
-        lp = log_prior(emission, trans, latents, self.hyper, self.space.mode)
+        mode = self.space.mode
+        lp = log_prior(emission, trans, latents, self.hyper, mode)
         if not np.isfinite(lp):
-            return -np.inf
+            return -np.inf, None
         try:
-            loglik = log_likelihood(
-                self.y, self.cov, emission, trans, self.space.mode, self.design
-            )
+            tables = build_day_tables(emission, self.design)
+            loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans, mode)
         except (ValueError, FloatingPointError):
-            return -np.inf
+            return -np.inf, None
         if not np.isfinite(loglik):
-            return -np.inf
-        return loglik + lp + self.space.log_jacobian(full)
+            return -np.inf, None
+        value = loglik + lp + self.space.log_jacobian(full)
+        return value, (full, emission, trans, latents, tables, tape)
 
+    def __call__(self, u_free: np.ndarray) -> float:
+        return self._forward(u_free)[0]
 
-def log_posterior(u_free, y, cov, hyper, space, base_full=None) -> float:
-    """Convenience single-shot evaluation; see ``NumpyPosterior``."""
-    return NumpyPosterior(y, cov, hyper, space, base_full)(np.asarray(u_free, dtype=np.float64))
+    def _gradient(self, full, emission, trans, latents, tables, tape) -> np.ndarray:
+        mode = self.space.mode
+        g_tables, g_loglam = log_likelihood_adjoint(tape, tables)
+        grads = log_prior_grad(emission, trans, latents, self.hyper, mode)
+        for name, g in day_tables_adjoint(emission, self.design, tables, *g_tables).items():
+            grads[name] = grads.get(name, 0.0) + g
+        if mode is ModelMode.FOUR_STATE:
+            n, p = self.cov.n[1:], self.cov.p[1:]
+            grads["trans"] = grads["trans"] + log_transition_tables_adjoint(trans, n, p, g_loglam)
+        return self.space.log_jacobian_chain(full, grads)[self.space.free_idx]
+
+    def logpost_and_grad_batch(self, q: np.ndarray):
+        """Values (C,) and gradients (C, D) at the rows of ``q``.
+
+        Each value equals ``self(q[c])`` exactly; where it is -inf the
+        gradient is 0.
+        """
+        values = np.empty(q.shape[0])
+        grads = np.zeros(q.shape)
+        for c in range(q.shape[0]):
+            values[c], state = self._forward(q[c])
+            if state is not None:
+                grads[c] = self._gradient(*state)
+        return values, grads
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -226,7 +259,7 @@ def _moment_overrides(u_full, space, y, cov, rng):
     return u
 
 
-def _initial_points(posterior, hyper, space, config, logpost_fn, rngs, y=None, cov=None):
+def _initial_points(posterior, hyper, space, config, rngs, y=None, cov=None):
     """Overdispersed chain starts, retried until the posterior is finite.
 
     Structural parameters start at prior draws; when the data is supplied the
@@ -243,7 +276,7 @@ def _initial_points(posterior, hyper, space, config, logpost_fn, rngs, y=None, c
                 u_full = _moment_overrides(u_full, space, y, cov, rng)
             u_full = space.insert_free(posterior.base_full, space.extract_free(u_full))
             u_free = space.extract_free(u_full)
-            lp = logpost_fn(u_free)
+            lp = posterior(u_free)
             if np.isfinite(lp):
                 points.append(u_free)
                 values.append(lp)
@@ -357,18 +390,47 @@ def _adam_phase(posterior, q, n_steps: int, lr: float, mask: np.ndarray):
     return best_q, best_lp, best_grad
 
 
+def _hmc_step(posterior, q0, lp0, g0, p0, log_u, eps, inv_mass, n_leap):
+    """One leapfrog trajectory and accept step for every chain (leading axis).
+
+    ``inv_mass`` is the diagonal of the inverse mass matrix (the posterior
+    variance estimate); momenta are drawn with per-coordinate standard
+    deviation ``1 / sqrt(inv_mass)``. Returns ``(q, lp, grad, accept_prob,
+    accepted, divergent)``; an energy error that is not finite or above 1000
+    counts as divergent and is rejected.
+    """
+    e = eps[:, None]
+    q, p, g, lp = q0, p0, g0, lp0
+    # a diverging trajectory overflows its momenta to an infinite energy: divergent
+    with np.errstate(over="ignore"):
+        for _ in range(n_leap):
+            p = p + 0.5 * e * g
+            q = q + e * inv_mass * p
+            lp, g = posterior.logpost_and_grad_batch(q)
+            p = p + 0.5 * e * g
+        k0 = 0.5 * np.sum(inv_mass * p0 * p0, axis=1)
+        k1 = 0.5 * np.sum(inv_mass * p * p, axis=1)
+        d_h = (k1 - lp) - (k0 - lp0)
+    finite = np.isfinite(d_h)
+    alpha = np.where(finite, np.minimum(1.0, np.exp(-np.maximum(d_h, -50.0))), 0.0)
+    divergent = ~finite | (d_h > 1000.0)
+    accept = (log_u < -d_h) & ~divergent
+    keep = accept[:, None]
+    return (
+        np.where(keep, q, q0),
+        np.where(accept, lp, lp0),
+        np.where(keep, g, g0),
+        alpha,
+        accept,
+        divergent,
+    )
+
+
 def _run_hmc(y, cov, hyper, space, base_full, config):
-    from . import jaxmodel
-
-    posterior = jaxmodel.JaxPosterior(y, cov, hyper, space, base_full)
-    np_posterior = NumpyPosterior(y, cov, hyper, space, base_full)
-    step_fn = jaxmodel.make_hmc_step(posterior)
-
+    posterior = NumpyPosterior(y, cov, hyper, space, base_full)
     chain_rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
     jitter_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
-    q, _ = _initial_points(
-        np_posterior, hyper, space, config, posterior.logpost, chain_rngs, y, cov
-    )
+    q, _ = _initial_points(posterior, hyper, space, config, chain_rngs, y, cov)
     C, D = q.shape
     q, lp, grad = _ascend(posterior, q, space)
 
@@ -406,15 +468,11 @@ def _run_hmc(y, cov, hyper, space, base_full, config):
         mom = np.stack([chain_rngs[c].standard_normal(D) for c in range(C)])
         mom /= np.sqrt(inv_mass)
         log_u = np.log(np.stack([chain_rngs[c].random() for c in range(C)]))
-        qj, lpj, gj, alpha, accepted, divergent = step_fn(
-            q, lp, grad, mom, log_u, eps, inv_mass, n_leap
+        q, lp, grad, alpha, accepted, divergent = _hmc_step(
+            posterior, q, lp, grad, mom, log_u, eps, inv_mass, n_leap
         )
-        q = np.asarray(qj)
-        lp = np.asarray(lpj)
-        grad = np.asarray(gj)
-        alpha = np.asarray(alpha)
         if it >= warmup:
-            divergences += int(np.asarray(divergent).sum())
+            divergences += int(divergent.sum())
 
         if it < warmup:
             for c in range(C):
@@ -432,7 +490,7 @@ def _run_hmc(y, cov, hyper, space, base_full, config):
             if it == warmup - 1:
                 eps = np.array([da.adapted for da in das])
         else:
-            accepts += np.asarray(accepted, dtype=np.float64)
+            accepts += accepted
             n_kept_iters += 1
             if (it - warmup) % config.thin == 0:
                 for c in range(C):
@@ -555,7 +613,7 @@ def _climb(posterior, q, lp, blocks, rngs, n_iter):
 def _run_rwm(y, cov, hyper, space, base_full, config):
     posterior = NumpyPosterior(y, cov, hyper, space, base_full)
     chain_rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
-    q, lp = _initial_points(posterior, hyper, space, config, posterior, chain_rngs, y, cov)
+    q, lp = _initial_points(posterior, hyper, space, config, chain_rngs, y, cov)
     C, D = q.shape
     blocks = _free_blocks(space)
     adapters = [[_BlockAdapter(len(b), config.rwm_target_accept) for b in blocks] for _ in range(C)]

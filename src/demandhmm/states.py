@@ -120,21 +120,23 @@ def logit_post_entry(trans: TransitionParams, n: int) -> float:
     return trans.to_post_const + (trans.to_post_gap2 if n == 2 else 0.0)
 
 
+def _logit_covariates(n, p):
+    """``sqrt(n - 1)``, ``sqrt(p - 2)``, ``1[n = 1]`` and ``1[n = 2]``, offsets floored at zero."""
+    n = np.asarray(n, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    return np.sqrt(np.maximum(n - 1.0, 0.0)), np.sqrt(np.maximum(p - 2.0, 0.0)), n == 1, n == 2
+
+
 def _logits_clamped(trans: TransitionParams, n, p):
     """Vectorised logits with offsets floored at zero so any (n, p) >= 0 is safe.
 
     Rows for states that are unreachable at small n or p are multiplied by
     zero probability mass in the filter, but must still be finite.
     """
-    n = np.asarray(n, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    l_pre = trans.to_pre_const + trans.to_pre_dist * np.sqrt(np.maximum(n - 1.0, 0.0)) / 10.0
-    l_exit = (
-        trans.to_normal_const
-        + trans.to_normal_days * np.sqrt(np.maximum(p - 2.0, 0.0)) / 10.0
-        + trans.to_normal_eve * (n == 1)
-    )
-    l_post = trans.to_post_const + trans.to_post_gap2 * (n == 2)
+    sq_n, sq_p, eve, gap2 = _logit_covariates(n, p)
+    l_pre = trans.to_pre_const + trans.to_pre_dist * sq_n / 10.0
+    l_exit = trans.to_normal_const + trans.to_normal_days * sq_p / 10.0 + trans.to_normal_eve * eve
+    l_post = trans.to_post_const + trans.to_post_gap2 * gap2
     return l_pre, l_exit, l_post
 
 
@@ -225,6 +227,30 @@ def log_transition_tables(
         out[hol] = -np.inf
     out[hol, :, 1] = 0.0
     return out
+
+
+def log_transition_tables_adjoint(trans: TransitionParams, n, p, g: np.ndarray) -> np.ndarray:
+    """Adjoint of four-state :func:`log_transition_tables`: ``g`` (T, 4, 4) to the 7 coefficients.
+
+    ``g`` must be 0 on the -inf entries; a clamped logit passes no gradient.
+    """
+    def d_logit(x, g_up, g_down):
+        # d/dx of g_up log sigmoid(x) + g_down log sigmoid(-x)
+        s = sigmoid(x)
+        return (g_up * (1.0 - s) - g_down * s) * (np.abs(x) < LOGIT_CLAMP)
+
+    l_pre, l_exit, l_post = _logits_clamped(trans, n, p)
+    g_pre = d_logit(l_pre, g[:, 3, 0], g[:, 3, 3])
+    g_exit = d_logit(l_exit, g[:, 2, 3], g[:, 2, 2])
+    g_post = d_logit(l_post, g[:, 1, 2], g[:, 1, 3])
+    sq_n, sq_p, eve, gap2 = _logit_covariates(n, p)
+    return np.array(
+        [
+            g_pre.sum(), g_pre @ sq_n / 10.0,
+            g_exit.sum(), g_exit @ sq_p / 10.0, g_exit @ eve,
+            g_post.sum(), g_post @ gap2,
+        ]
+    )
 
 
 def log_initial_distribution(n0: int, p0: int, mode: ModelMode = ModelMode.FOUR_STATE):

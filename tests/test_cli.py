@@ -1,7 +1,6 @@
 import csv
 import datetime as dt
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -52,6 +51,18 @@ class TestSimulate:
         for name in ("data.csv", "states.csv", "params.json", "manifest.json"):
             assert (workspace / "sim" / name).exists()
 
+    def test_params_round_trip(self, workspace):
+        rc = main([
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "11",
+            "--out-dir", str(workspace / "resim"), "--start", "2021-01-02", "--days", "380",
+            "--params", str(workspace / "sim" / "params.json"),
+        ])
+        assert rc == 0
+        for name in ("data.csv", "params.json"):
+            resim = (workspace / "resim" / name).read_bytes()
+            assert resim == (workspace / "sim" / name).read_bytes()
+
     def test_data_schema(self, workspace):
         with open(workspace / "sim" / "data.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -79,6 +90,20 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_hmc_backend_runs(self, workspace):
+        out = workspace / "fit_hmc"
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "1",
+            "--out-dir", str(out), "--backend", "hmc",
+            "--iters", "20", "--chains", "2", "--thin", "1",
+        ])
+        assert rc == 0
+        draws = dataio.read_draws_csv(out / "draws.csv")
+        assert draws.n_draws == 2 * 10
+        assert np.all(np.isfinite(draws.logpost))
+
     def test_outputs(self, fitted):
         assert (fitted / "draws.csv").exists()
         assert (fitted / "draws_meta.json").exists()
@@ -268,17 +293,35 @@ class TestInputErrors:
         ])
         assert rc == 2
 
-    @pytest.mark.skipif(importlib.util.find_spec("jax") is not None, reason="jax is installed")
-    def test_hmc_without_jax_is_input_error(self, workspace):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"emission": {}},
+            "missing_field",
+            "unknown_field",
+            "wrong_shape",
+        ],
+    )
+    def test_malformed_params_is_input_error(self, workspace, tmp_path, doc):
+        good = json.loads((workspace / "sim" / "params.json").read_text())
+        if doc == "missing_field":
+            del good["latents"]["mu_level"]
+        elif doc == "unknown_field":
+            good["trans"]["to_holiday"] = 0.0
+        elif doc == "wrong_shape":
+            good["emission"]["holiday"] = [0.1, 0.2, 0.3]
+        if isinstance(doc, str):
+            doc = good
+        (tmp_path / "params.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
         rc = main([
-            "fit", "--data", str(workspace / "sim" / "data.csv"),
-            "--holidays", str(workspace / "holidays.csv"),
-            "--config", str(workspace / "config.txt"), "--seed", "1",
-            "--out-dir", str(workspace / "err5"), "--backend", "hmc",
-            "--iters", "20", "--chains", "1",
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "11",
+            "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+            "--params", str(tmp_path / "params.json"),
         ])
         assert rc == 2
-        err = json.loads((workspace / "err5" / "error.json").read_text())
+        err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "ConfigError"
 
     def test_console_entry_point(self, workspace):

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from demandhmm.emission import build_day_tables, build_design, log_emission_density
 from demandhmm.filtering import (
+    _smoothed_pairs,
     backward_smooth,
     forward_filter,
+    log_kernels,
     log_likelihood,
+    log_likelihood_adjoint,
+    log_likelihood_tape,
     rao_blackwell_states,
     smooth_states,
     terminal_log_distribution,
@@ -261,6 +265,22 @@ class TestFilterProperties:
             assert np.array_equal(probs[i], [0.0, 1.0, 0.0, 0.0])
         assert np.all(probs[~cov.is_holiday, 1] == 0.0)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_problems())
+    def test_tree_adjoint_is_smoothed_pair_probability(self, problem):
+        # Fisher's identity: d log L / d log K_t(b, c) is the smoothed pair probability
+        y, cov, emission, trans, mode = problem
+        loglik, messages = forward_filter(y, cov, emission, trans, mode)
+        assume(np.isfinite(loglik))
+        tables = build_day_tables(emission, build_design(cov, 2, 2))
+        _, tape = log_likelihood_tape(y, cov, tables, trans, mode)
+        _, xi = log_likelihood_adjoint(tape, tables)
+        logk = log_kernels(y, cov, tables, trans, mode)
+        # both recursions round exponents of the size of log L
+        tol = max(1e-9, 1e-15 * abs(loglik))
+        assert np.max(np.abs(xi - _smoothed_pairs(messages, logk))) <= tol
+        assert np.all(xi[logk == -np.inf] == 0.0)
+
 
 def _draws_from_params(params_list, k=2, kp=2):
     space = ParamSpace(k, kp)
@@ -286,7 +306,7 @@ class TestZeroLikelihood:
         y[5, 0] = 1e200
         return emission, trans, latents, cov, y
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_likelihood_is_exactly_minus_inf(self, zero):
         emission, trans, _, cov, y = zero
         assert log_likelihood(y, cov, emission, trans) == -np.inf
@@ -294,7 +314,7 @@ class TestZeroLikelihood:
         assert loglik == -np.inf
         assert np.all(np.isfinite(msgs.lognorm[:5])) and msgs.lognorm[5] == -np.inf
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_smoothing_raises_naming_the_day(self, zero):
         emission, trans, latents, cov, y = zero
         with pytest.raises(FloatingPointError, match=r"day 6 \(2021-03-07\)"):

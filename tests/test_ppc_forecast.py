@@ -225,7 +225,7 @@ class TestForecast:
         tol = 6 * spread / np.sqrt(len(params))
         assert paths[:, 0, :].mean(axis=0) == pytest.approx(expected, abs=max(tol, 5e-3))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_likelihood_draw_raises_naming_draw_and_day(self, scene):
         cov, y = scene
         bad = y.copy()

@@ -6,7 +6,6 @@ import pytest
 from demandhmm.diagnostics import ess_bulk, split_rhat
 from demandhmm.filtering import log_likelihood
 from demandhmm.generative import simulate
-from demandhmm.jaxmodel import JaxPosterior
 from demandhmm.paramspace import ParamSpace
 from demandhmm.priors import default_hyperparameters, log_prior, sample_prior
 from demandhmm.sampler import (
@@ -53,35 +52,59 @@ class TestLogPosterior:
         u = space.pack(emission, trans, latents)
         assert post(u) == post(u)  # bitwise identical
 
-    def test_numpy_and_jax_paths_agree(self, problem):
+    def test_batch_value_equals_call(self, problem):
         *_, cov, y, hyper, space = problem
-        np_post = NumpyPosterior(y, cov, hyper, space)
-        jx_post = JaxPosterior(y, cov, hyper, space)
+        post = NumpyPosterior(y, cov, hyper, space)
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            emission, trans, latents = sample_prior(hyper, rng)
-            u = space.pack(emission, trans, latents)
-            a, b = np_post(u), jx_post.logpost(u)
-            assert b == pytest.approx(a, rel=1e-9)
+        u = np.stack([space.pack(*sample_prior(hyper, rng)) for _ in range(20)])
+        for batch in u.reshape(5, 4, -1):
+            values, _ = post.logpost_and_grad_batch(batch)
+            assert np.array_equal(values, [post(q) for q in batch])
 
-    def test_gradient_matches_finite_differences(self, problem):
-        *_, cov, y, hyper, space = problem
-        jx_post = JaxPosterior(y, cov, hyper, space)
+    @pytest.mark.parametrize(
+        "mode, free",
+        [
+            (ModelMode.FOUR_STATE, None),
+            (ModelMode.TWO_STATE, None),
+            (ModelMode.FOUR_STATE, ["level", "holiday", "trans"]),
+        ],
+        ids=["four_state", "two_state", "free_subset"],
+    )
+    def test_gradient_matches_finite_differences(self, problem, mode, free):
+        *_, cov, y, hyper, _ = problem
+        space = ParamSpace(2, 2, mode, free=free)
         rng = np.random.default_rng(5)
-        emission, trans, latents = sample_prior(hyper, rng)
-        u0 = space.pack(emission, trans, latents)
+        base = space.pack(*sample_prior(hyper, rng, mode))
+        post = NumpyPosterior(y, cov, hyper, space, base)
+        u0 = space.extract_free(space.pack(*sample_prior(hyper, rng, mode)))
         checked = 0
         for _ in range(20):
             u = u0 + 0.01 * rng.standard_normal(space.size)
-            _, g = jx_post.logpost_and_grad(u)
+            _, g = post.logpost_and_grad_batch(u[None])
             k = int(rng.integers(space.size))
             h = 1e-4 * max(1.0, abs(u[k]))
             e = np.zeros(space.size)
             e[k] = h
-            fd = (jx_post.logpost(u + e) - jx_post.logpost(u - e)) / (2 * h)
-            assert abs(g[k] - fd) <= 1e-5 * max(abs(g[k]), abs(fd), 1.0)
+            fd = (post(u + e) - post(u - e)) / (2 * h)
+            assert abs(g[0, k] - fd) <= 1e-5 * max(abs(g[0, k]), abs(fd), 1.0)
             checked += 1
         assert checked == 20
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_is_zero_where_value_is_minus_inf(self, problem):
+        *_, cov, y, hyper, space = problem
+        post = NumpyPosterior(y, cov, hyper, space)
+        u = space.pack(*sample_prior(hyper, np.random.default_rng(8)))
+        bad = u.copy()
+        bad[0] = np.nan
+        values, grads = post.logpost_and_grad_batch(np.stack([u, bad]))
+        assert np.isfinite(values[0]) and np.all(np.isfinite(grads[0]))
+        assert values[1] == -np.inf and np.array_equal(grads[1], np.zeros(space.size))
+        # a series of zero likelihood
+        y_zero = y.copy()
+        y_zero[5, 0] = 1e200
+        values, grads = NumpyPosterior(y_zero, cov, hyper, space).logpost_and_grad_batch(u[None])
+        assert values[0] == -np.inf and np.array_equal(grads[0], np.zeros(space.size))
 
     def test_sensitivity_localised_to_post_holiday_transitions(self):
         # without any holiday inside or at the anchor day, the holiday-exit
