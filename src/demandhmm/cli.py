@@ -3,7 +3,8 @@
 Every command takes ``--seed`` and ``--out-dir``, writes its outputs plus a
 ``manifest.json`` (input hashes, config snapshot, seed, version, command),
 and reports failures as machine-readable JSON on stderr with exit codes:
-0 success, 2 input error, 3 numerical failure, 4 non-convergence under
+0 success, 1 internal error (any other exception, reported with its
+traceback), 2 input error, 3 numerical failure, 4 non-convergence under
 ``--strict``. All randomness derives from the single seed via documented
 stream splitting, so identical invocations produce identical outputs.
 """
@@ -16,6 +17,7 @@ import datetime as dt
 import json
 import os
 import sys
+import traceback
 from dataclasses import fields
 
 import numpy as np
@@ -36,6 +38,7 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CONVERGENCE = 4
@@ -373,6 +376,11 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         dataio.write_error_json(out_dir, EXIT_INPUT, type(exc).__name__, str(exc))
         return EXIT_INPUT
+    except Exception as exc:
+        # a bug: keep the traceback, and still leave the machine-readable report
+        traceback.print_exc()
+        dataio.write_error_json(out_dir, EXIT_INTERNAL, type(exc).__name__, str(exc))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,23 +3,26 @@
 The future depends on a (previous, current) state pair only through the
 current state, so the forward filter over the 11 admissible pairs is a
 product of per-day 4x4 kernels ``K_t[b, c] = lambda_t(b, c) f_t(y_t | b, c)``.
-``log_kernels`` builds all of them in one vectorised pass. Two paths consume
-them, chosen by what the caller needs:
+``log_kernels`` builds all of them in one vectorised pass, and a pairwise
+tree reduction in log space multiplies them in O(log T) vectorised steps
+(Hassan, Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in
+hidden Markov models", IEEE TSP 69, 2021). Every caller outside the tests
+uses the tree:
 
-* callers that need only the log likelihood or the terminal filtered
-  distribution (the sampler's posterior, ``log_likelihood``, and forecast's
-  terminal state, ``terminal_log_distribution``) multiply the kernels by a
-  pairwise tree reduction in log space, O(log T) vectorised steps (Hassan,
-  Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in
-  hidden Markov models", IEEE TSP 69, 2021). The sampler's gradient runs the
-  tree in reverse: d log L / d log K_t(b, c) is the smoothed pair marginal
-  (Fisher's identity; Cappe, Moulines & Ryden, "Inference in Hidden Markov
-  Models", 2005, ch. 10), and ``log_likelihood_adjoint`` carries it back to
-  the day tables;
-* callers that need per-day messages or smoothed marginals use the
-  sequential recursions ``forward_filter`` and ``backward_smooth``, which
-  take logsumexp over one state per day, because the tree yields only the
-  whole product.
+* the sampler's posterior (``log_likelihood``, ``log_likelihood_tape``) and
+  forecast's terminal state (``terminal_log_distribution``) need only the
+  product of all the kernels;
+* the tree's reverse pass gives d log L / d log K_t(b, c), which is the
+  smoothed pair marginal of every day (Fisher's identity; Cappe, Moulines &
+  Ryden, "Inference in Hidden Markov Models", 2005, ch. 10).
+  ``log_likelihood_adjoint`` carries it back to the day tables for the
+  sampler's gradient, and ``smooth_states`` sums it into the smoothed state
+  marginals.
+
+``forward_filter`` and ``backward_smooth`` are the sequential reference: a
+logsumexp over one state per day, returning the per-day messages. Tests and
+the benchmark's reference check compare the tree against them, and they
+name the first day of zero likelihood.
 
 Rao-Blackwell averaging of the per-draw smoothed marginals over posterior
 draws yields the reported state probabilities.
@@ -315,6 +318,16 @@ def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPoint
     )
 
 
+def _nonzero_likelihood_tape(y, cov, emission, trans, mode, tables):
+    """``log_likelihood_tape`` of validated ``y``; on zero likelihood, raises
+    ``FloatingPointError`` naming the first such day, found by the sequential filter."""
+    loglik, tape = log_likelihood_tape(y, cov, tables, trans, mode)
+    if loglik == -np.inf:
+        _, messages = forward_filter(y, cov, emission, trans, mode, tables=tables)
+        raise _zero_likelihood(messages.lognorm, cov)
+    return tape
+
+
 def log_likelihood(
     y, cov, emission, trans, mode=ModelMode.FOUR_STATE, design=None
 ) -> float:
@@ -338,10 +351,9 @@ def terminal_log_distribution(
     when the series has none.
     """
     tables = _tables_for(cov, emission, design, tables)
-    loglik, (_, product, _, _) = log_likelihood_tape(_validate(y, cov), cov, tables, trans, mode)
-    if loglik == -np.inf:
-        _, messages = forward_filter(y, cov, emission, trans, mode, design, tables)
-        raise _zero_likelihood(messages.lognorm, cov)
+    loglik, product, _, _ = _nonzero_likelihood_tape(
+        _validate(y, cov), cov, emission, trans, mode, tables
+    )
     return _logsumexp(product, axis=0) - loglik
 
 
@@ -394,13 +406,23 @@ def backward_smooth(
 def smooth_states(
     y, cov, emission, trans, mode=ModelMode.FOUR_STATE, design=None
 ):
-    """Filter and smooth in one call; returns ``(loglik, SmoothedStates)``."""
-    if design is None:
-        design = build_design(cov, emission.k_annual, emission.k_prec_annual)
-    tables = build_day_tables(emission, design)
-    loglik, messages = forward_filter(y, cov, emission, trans, mode, design, tables)
-    smoothed = backward_smooth(messages, y, cov, emission, trans, mode, design, tables)
-    return loglik, smoothed
+    """Smoothed state marginals from the tree's reverse pass; returns
+    ``(loglik, SmoothedStates)``.
+
+    Day 0's marginal sums the first pair marginal over the next state, day
+    t >= 1's sums pair t-1 over the previous state. Raises
+    ``FloatingPointError`` naming the first day of zero likelihood when the
+    series has none.
+    """
+    y = _validate(y, cov)
+    tables = _tables_for(cov, emission, design, None)
+    loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, emission, trans, mode, tables)
+    xi = _tree_adjoint(levels, np.exp(top - loglik))   # (b, c, T) pair marginals
+    probs = np.empty((y.shape[0] + 1, 4))
+    probs[0] = _sum4(xi[:, :, 0], 1)
+    probs[1:] = _sum4(xi, 0).T
+    probs /= probs.sum(axis=1, keepdims=True)
+    return loglik, SmoothedStates(probs=probs)
 
 
 def rao_blackwell_states(draws, y, cov, design=None) -> SmoothedStates:

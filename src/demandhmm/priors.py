@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,19 @@ class Hyperparameters:
         c = self.c_holiday
         return self.v_holiday * ((1.0 - c) * np.eye(3) + c * np.ones((3, 3)))
 
+    @cached_property
+    def _holiday_precisions(self) -> tuple:
+        """``((precision, log det covariance), ...)`` of the regions' holiday
+        effects around their latent mean, then of that mean around 0.
+
+        The covariances are constant, so they are factorised once per instance.
+        """
+        v_beta = self.holiday_cov()
+        return tuple(
+            (np.linalg.inv(cov), np.linalg.slogdet(cov)[1])
+            for cov in ((1.0 - self.r_holiday) * v_beta, self.r_holiday * v_beta)
+        )
+
 
 def default_hyperparameters(
     mode: str = "weak", k_annual: int = 6, k_prec_annual: int = 12
@@ -191,10 +205,9 @@ def _beta_lpdf(x: float, a: float, b: float) -> float:
     )
 
 
-def _mvn3_lpdf(x, m, cov) -> float:
-    sign, logdet = np.linalg.slogdet(cov)
+def _mvn3_lpdf(x, m, precision, logdet) -> float:
     d = np.asarray(x) - m
-    quad = d @ np.linalg.solve(cov, d)
+    quad = d @ precision @ d
     return float(-1.5 * LOG_2PI - 0.5 * logdet - 0.5 * quad)
 
 
@@ -261,8 +274,7 @@ def log_prior(
             return -np.inf
 
     lp = 0.0
-    v_beta = hyper.holiday_cov()
-    v_cond, v_hyper = (1.0 - hyper.r_holiday) * v_beta, hyper.r_holiday * v_beta
+    regions, mean = hyper._holiday_precisions
     # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf
     with np.errstate(over="ignore"):
         for _, x, _, m, v in _prior_factors(emission, trans, latents, hyper, mode):
@@ -270,8 +282,8 @@ def log_prior(
         for i in range(2):
             lp += _beta_lpdf(float(ar[i]), float(hyper.a_ar[i]), float(hyper.b_ar[i]))
         for j in range(2):
-            lp += _mvn3_lpdf(emission.holiday[j], latents.mu_holiday, v_cond)
-        lp += _mvn3_lpdf(latents.mu_holiday, np.zeros(3), v_hyper)
+            lp += _mvn3_lpdf(emission.holiday[j], latents.mu_holiday, *regions)
+        lp += _mvn3_lpdf(latents.mu_holiday, 0.0, *mean)
     if four:
         # change of measure from logits to the (0, 1) decay values themselves
         lp -= float(np.sum(np.log(rho) + np.log1p(-rho)))
@@ -299,11 +311,10 @@ def log_prior_grad(
             g[mean_name] = g.get(mean_name, 0.0) + d.reshape((-1,) + np.shape(m)).sum(axis=0)
     ar = emission.ar_eig01
     g["ar_eig01"] = (hyper.a_ar - 1.0) / ar - (hyper.b_ar - 1.0) / (1.0 - ar)
-    v_beta = hyper.holiday_cov()
-    d = emission.holiday - latents.mu_holiday
-    pd = np.linalg.solve((1.0 - hyper.r_holiday) * v_beta, d.T).T
+    (prec_regions, _), (prec_mean, _) = hyper._holiday_precisions
+    pd = (emission.holiday - latents.mu_holiday) @ prec_regions
     g["holiday"] = -pd
-    g["mu_holiday"] = pd.sum(axis=0) - np.linalg.solve(hyper.r_holiday * v_beta, latents.mu_holiday)
+    g["mu_holiday"] = pd.sum(axis=0) - prec_mean @ latents.mu_holiday
     if mode is ModelMode.FOUR_STATE:
         # d logit(rho) / d rho = 1 / (rho (1 - rho)), plus the change of measure
         for name in ("decay_mean", "decay_prec"):

@@ -13,6 +13,8 @@ from demandhmm.covariates import (
 )
 from demandhmm.emission import log_emission_density
 from demandhmm.generative import default_truth
+from demandhmm.paramspace import ParamSpace
+from demandhmm.sampler import PosteriorDraws
 from demandhmm.states import ModelMode, initial_distribution, transition_matrix
 
 
@@ -42,6 +44,20 @@ def make_cov(start, n_days, holidays, cwv=None, rng=None):
 
 def small_truth(k_annual=2, k_prec_annual=2):
     return default_truth(k_annual=k_annual, k_prec_annual=k_prec_annual)
+
+
+def draws_from_params(params_list, k=2, kp=2):
+    """``PosteriorDraws`` holding the given ``(emission, trans, latents)`` triples."""
+    space = ParamSpace(k, kp)
+    rows = [space.pack(e, t, l) for e, t, l in params_list]
+    return PosteriorDraws(
+        free_draws=np.asarray(rows),
+        logpost=np.zeros(len(rows)),
+        chain=np.zeros(len(rows), dtype=np.int64),
+        iteration=np.arange(len(rows), dtype=np.int64),
+        space=space,
+        base_full=np.zeros(space.full_size),
+    )
 
 
 def enumeration_oracle(y, cov, emission, trans, mode=ModelMode.FOUR_STATE):

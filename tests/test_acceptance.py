@@ -29,6 +29,7 @@ from demandhmm.emission import (
     stationary_variance,
 )
 from demandhmm.filtering import (
+    backward_smooth,
     forward_filter,
     log_likelihood,
     rao_blackwell_states,
@@ -41,7 +42,7 @@ from demandhmm.priors import default_hyperparameters, sample_prior, sample_prior
 from demandhmm.sampler import SamplerConfig, run_mcmc
 from demandhmm.states import ModelMode, TransitionParams, transition_matrix
 
-from helpers import enumeration_oracle, make_cov, small_truth
+from helpers import draws_from_params, enumeration_oracle, make_cov, small_truth
 
 DESIGNATED_PARAMETERS = (
     "level_1", "level_2",
@@ -134,6 +135,26 @@ def test_tree_log_likelihood_matches_filter_on_desk_data(desk):
         worst = max(worst, abs(got - expected) / abs(expected))
     assert worst <= 1e-13
     print(f"\nTREE LOG LIKELIHOOD: PASS (truth + 5 prior draws, rel err {worst:.2e})")
+
+
+def test_tree_smoothing_matches_sequential_smoother_on_desk_data(desk):
+    """Rao-Blackwell state marginals from the tree's reverse pass agree with the
+    average of the sequential forward-backward marginals over 1500 days."""
+    cov, y = desk["cov"], desk["sim"].y
+    rng = np.random.default_rng(5)
+    params = [desk["truth"]] + [sample_prior(desk["hyper"], rng) for _ in range(5)]
+    expected = np.zeros((cov.T + 1, 4))
+    tol = 1e-9
+    for emission, trans, _ in params:
+        loglik, messages = forward_filter(y, cov, emission, trans)
+        expected += backward_smooth(messages, y, cov, emission, trans).probs
+        # both recursions round exponents of the size of log L
+        tol = max(tol, 1e-15 * abs(loglik))
+    expected /= len(params)
+    got = rao_blackwell_states(draws_from_params(params, 6, 12), y, cov).probs
+    err = float(np.max(np.abs(got - expected)))
+    assert err <= tol
+    print(f"\nTREE SMOOTHING: PASS (truth + 5 prior draws, max err {err:.2e}, bound {tol:.2e})")
 
 
 def test_criterion_02_lyapunov_solver():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from demandhmm import dataio
+from demandhmm import cli, dataio
 from demandhmm.cli import main
 from demandhmm.filtering import forward_filter
 from demandhmm.generative import default_truth, simulate, uk_holiday_calendar
@@ -323,6 +323,21 @@ class TestInputErrors:
         assert rc == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "ConfigError"
+
+    def test_unexpected_exception_is_internal_error(self, workspace, tmp_path, monkeypatch):
+        def broken(args):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "simulate", broken)
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "11",
+            "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+        ])
+        assert rc == 1
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err == {"exit_code": 1, "type": "RuntimeError", "message": "handler bug"}
 
     def test_console_entry_point(self, workspace):
         # the child imports the package from wherever this process found it

@@ -20,9 +20,7 @@ from demandhmm.filtering import (
     terminal_log_distribution,
 )
 from demandhmm.generative import simulate
-from demandhmm.paramspace import ParamSpace
 from demandhmm.priors import default_hyperparameters, sample_prior
-from demandhmm.sampler import PosteriorDraws
 from demandhmm.states import (
     AUGMENTED_PAIRS,
     ModelMode,
@@ -30,7 +28,7 @@ from demandhmm.states import (
     log_transition_tables,
 )
 
-from helpers import enumeration_oracle, make_cov, small_truth
+from helpers import draws_from_params, enumeration_oracle, make_cov, small_truth
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +265,19 @@ class TestFilterProperties:
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_problems())
+    def test_smooth_states_matches_sequential_smoother(self, problem):
+        y, cov, emission, trans, mode = problem
+        loglik, messages = forward_filter(y, cov, emission, trans, mode)
+        assume(np.isfinite(loglik))
+        expected = backward_smooth(messages, y, cov, emission, trans, mode).probs
+        tree_loglik, smoothed = smooth_states(y, cov, emission, trans, mode)
+        assert tree_loglik == pytest.approx(loglik, rel=1e-12)
+        # both recursions round exponents of the size of log L
+        tol = max(1e-9, 1e-15 * abs(loglik))
+        assert np.max(np.abs(smoothed.probs - expected)) <= tol
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_problems())
     def test_tree_adjoint_is_smoothed_pair_probability(self, problem):
         # Fisher's identity: d log L / d log K_t(b, c) is the smoothed pair probability
         y, cov, emission, trans, mode = problem
@@ -280,19 +291,6 @@ class TestFilterProperties:
         tol = max(1e-9, 1e-15 * abs(loglik))
         assert np.max(np.abs(xi - _smoothed_pairs(messages, logk))) <= tol
         assert np.all(xi[logk == -np.inf] == 0.0)
-
-
-def _draws_from_params(params_list, k=2, kp=2):
-    space = ParamSpace(k, kp)
-    rows = [space.pack(e, t, l) for e, t, l in params_list]
-    return PosteriorDraws(
-        free_draws=np.asarray(rows),
-        logpost=np.zeros(len(rows)),
-        chain=np.zeros(len(rows), dtype=np.int64),
-        iteration=np.arange(len(rows), dtype=np.int64),
-        space=space,
-        base_full=np.zeros(space.full_size),
-    )
 
 
 class TestZeroLikelihood:
@@ -319,7 +317,7 @@ class TestZeroLikelihood:
         emission, trans, latents, cov, y = zero
         with pytest.raises(FloatingPointError, match=r"day 6 \(2021-03-07\)"):
             smooth_states(y, cov, emission, trans)
-        draws = _draws_from_params([(emission, trans, latents)])
+        draws = draws_from_params([(emission, trans, latents)])
         with pytest.raises(FloatingPointError, match=r"^draw 0: .*day 6 \(2021-03-07\)"):
             rao_blackwell_states(draws, y, cov)
 
@@ -329,7 +327,7 @@ class TestRaoBlackwell:
         emission, trans, cov, y = setup
         hyper = default_hyperparameters("paper-like", 2, 2)
         latents = sample_prior(hyper, np.random.default_rng(0))[2]
-        draws = _draws_from_params([(emission, trans, latents)])
+        draws = draws_from_params([(emission, trans, latents)])
         avg = rao_blackwell_states(draws, y, cov)
         _, single = smooth_states(y, cov, emission, trans)
         assert np.max(np.abs(avg.probs - single.probs)) <= 1e-12
@@ -338,7 +336,7 @@ class TestRaoBlackwell:
         emission, trans, cov, y = setup
         hyper = default_hyperparameters("paper-like", 2, 2)
         latents = sample_prior(hyper, np.random.default_rng(0))[2]
-        draws = _draws_from_params([(emission, trans, latents)] * 3)
+        draws = draws_from_params([(emission, trans, latents)] * 3)
         avg = rao_blackwell_states(draws, y, cov)
         _, single = smooth_states(y, cov, emission, trans)
         assert np.max(np.abs(avg.probs - single.probs)) <= 1e-12
@@ -348,7 +346,7 @@ class TestRaoBlackwell:
         hyper = default_hyperparameters("paper-like", 2, 2)
         rng = np.random.default_rng(13)
         params = [sample_prior(hyper, rng) for _ in range(10)]
-        draws = _draws_from_params(params)
+        draws = draws_from_params(params)
         avg = rao_blackwell_states(draws, y, cov)
         assert avg.probs.sum(axis=1) == pytest.approx(np.ones(cov.T + 1), abs=1e-9)
         assert np.all(avg.probs >= 0.0)
