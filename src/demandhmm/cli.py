@@ -252,6 +252,8 @@ def _cmd_smooth(args) -> int:
 def _cmd_forecast(args) -> int:
     from .covariates import smooth_cwv_baseline
 
+    if args.horizon < 1:
+        raise dataio.DataError(f"horizon must be at least 1 day, got {args.horizon}")
     hyper = load_hyperparameters(args.config)
     ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window)
     draws = dataio.read_draws_csv(args.draws)

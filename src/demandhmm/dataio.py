@@ -33,7 +33,7 @@ from .covariates import CovariateError, CovariateSeries, HolidayCalendar, build_
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, hyperparameters_to_dict
 from .sampler import PosteriorDraws
-from .states import ModelMode
+from .states import ModelMode, logit
 
 
 class DataError(ValueError):
@@ -184,9 +184,7 @@ def read_draws_csv(path) -> PosteriorDraws:
     free_draws = np.empty_like(values)
     logit_free = space._logit_mask[space.free_idx]
     free_draws[:, ~logit_free] = values[:, ~logit_free]
-    if logit_free.any():
-        v = values[:, logit_free]
-        free_draws[:, logit_free] = np.log(v) - np.log1p(-v)
+    free_draws[:, logit_free] = logit(values[:, logit_free])
     return PosteriorDraws(
         free_draws=free_draws,
         logpost=np.asarray(lp),

@@ -2,16 +2,18 @@
 
 Inverts the model's generative story: draw the anchor state, walk the
 non-homogeneous chain, start demand from its stationary law and roll the
-VAR(1) recursion forward. Also provides synthetic-input helpers (sinusoidal
-CWV, a UK-style observed-holiday calendar) and a documented set of "truth"
-parameters with pronounced holiday and proximity effects, used by the
-recovery and calibration studies and by the CLI demo.
+VAR(1) recursion forward. ``simulate`` and ``continue_simulation`` (forecast
+paths) share one path function, and each draws its uniforms ``u`` (T+1,)
+first and its standard normals ``z`` (T, 2) second. Also provides
+synthetic-input helpers (sinusoidal CWV, a UK-style observed-holiday
+calendar) and a documented set of "truth" parameters with pronounced holiday
+and proximity effects, used by the recovery and calibration studies and by
+the CLI demo.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .covariates import (
     CovariateSeries,
     HolidayCalendar,
 )
-from .emission import EmissionParams, build_day_tables, build_design
+from .emission import DayTables, EmissionParams, build_day_tables, build_design
 from .priors import HyperLatents
 from .states import ModelMode, TransitionParams, initial_distribution, log_transition_tables
 
@@ -46,22 +48,12 @@ def simulate(
 ) -> SimulationOutput:
     """Simulate one dataset. ``seed`` is an int or a ``numpy`` SeedSequence/Generator."""
     rng = np.random.default_rng(seed)
-    T = cov.T
-    design = build_design(cov, emission.k_annual, emission.k_prec_annual)
-    tables = build_day_tables(emission, design)
-
-    lam = np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode))
+    tables, cum = _path_tables(emission, trans, cov, mode)
     l0 = initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
-
-    u = rng.random(T + 1)
-    z = rng.standard_normal((T, 2))
-    states0 = np.empty(T + 1, dtype=np.int64)
-    y = np.empty((T, 2))
-    simulate_path(
-        lam, l0, tables.mu, tables.phi, tables.tau1, tables.tau2, tables.psi,
-        tables.v_chol, u, z, False, 0, np.zeros(2), np.zeros(2), states0, y,
-    )
-    return SimulationOutput(states=states0 + 1, y=y, cov=cov)
+    u = rng.random(cov.T + 1)
+    z = rng.standard_normal((cov.T, 2))
+    states, y = _draw_path(tables, cum, l0, u, z)
+    return SimulationOutput(states=states + 1, y=y, cov=cov)
 
 
 def continue_simulation(
@@ -75,79 +67,72 @@ def continue_simulation(
     mode: ModelMode = ModelMode.FOUR_STATE,
 ):
     """Roll states and demand forward from a known end point (forecasting)."""
-    T = future_cov.T
-    design = build_design(future_cov, emission.k_annual, emission.k_prec_annual)
+    tables, cum = _path_tables(emission, trans, future_cov, mode)
+    u = rng.random(future_cov.T + 1)
+    z = rng.standard_normal((future_cov.T, 2))
+    states, y = _draw_path(tables, cum, (last_state - 1, last_y, last_mu), u, z)
+    return states[1:] + 1, y
+
+
+def _path_tables(emission, trans, cov, mode):
+    """Day tables and cumulative transition probabilities (T, 4, 4) over ``cov``."""
+    design = build_design(cov, emission.k_annual, emission.k_prec_annual)
     tables = build_day_tables(emission, design)
-    lam = np.exp(log_transition_tables(trans, future_cov.n[1:], future_cov.p[1:], mode))
-    l0 = initial_distribution(int(future_cov.n[0]), int(future_cov.p[0]), mode)
-    u = rng.random(T + 1)
-    z = rng.standard_normal((T, 2))
-    states0 = np.empty(T + 1, dtype=np.int64)
-    y = np.empty((T, 2))
-    simulate_path(
-        lam, l0, tables.mu, tables.phi, tables.tau1, tables.tau2, tables.psi,
-        tables.v_chol, u, z, True, last_state - 1,
-        np.asarray(last_y, dtype=np.float64), np.asarray(last_mu, dtype=np.float64),
-        states0, y,
-    )
-    return states0[1:] + 1, y
+    lam = np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode))
+    return tables, np.cumsum(lam, axis=2)
 
 
-def simulate_path(lam, l0, mu, phi, tau1, tau2, psi, v_chol,
-                  u, z, has_init, init_state, init_y, init_mu,
-                  states, y):
-    """Draw a state path and demand series (0-based states) into ``states`` and ``y``.
+def _state_walk(cum: np.ndarray, s0: int, u: np.ndarray) -> np.ndarray:
+    """0-based states of days 0..T from ``s0``, day t+1 drawn with ``u[t + 1]``.
 
-    ``lam`` (T, 4, 4) and ``l0`` (4,) are transition and anchor probabilities;
-    randomness comes from the caller's uniforms ``u`` (T+1,) and standard
-    normals ``z`` (T, 2).
-
-    With ``has_init`` false the path starts from the anchor distribution and
-    the first observation from its stationary law; otherwise ``init_state``,
-    ``init_y`` and ``init_mu`` describe the day before the first output day
-    and the recursion continues from there (forecasting).
+    Each day moves to the first state whose cumulative probability exceeds
+    its uniform, or to state 4 if none does. Day t's next-state map is
+    ``walk[t, s]``; the doubling passes turn ``walk[t]`` into the composition
+    of the maps of days 0..t, which is exact on integers.
     """
-    T = y.shape[0]
-    p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
+    walk = np.count_nonzero(cum[:, :, :3] <= u[1:, None, None], axis=2)
+    d = 1
+    while d < len(walk):
+        walk[d:] = np.take_along_axis(walk[d:], walk[:-d], axis=1)
+        d *= 2
+    return np.concatenate(([s0], walk[:, s0]))
 
-    if has_init:
-        states[0] = init_state
+
+def _draw_path(tables: DayTables, cum: np.ndarray, start, u: np.ndarray, z: np.ndarray):
+    """Draw 0-based states (T+1,) and log demand (T, 2) from uniforms and normals.
+
+    ``start`` is either the anchor distribution (4,), in which case the
+    anchor state comes from ``u[0]`` and day 1 from the stationary law
+    (``v_chol``), or ``(state, y, mu)`` of the day before day 1, from which
+    the recursion continues (``u[0]`` is then unused).
+    """
+    T = len(z)
+    anchored = not isinstance(start, tuple)
+    if anchored:
+        s0 = int(np.count_nonzero(np.cumsum(start)[:3] <= u[0]))
     else:
-        c = 0.0
-        s0 = 3
-        for k in range(4):
-            c += l0[k]
-            if u[0] < c:
-                s0 = k
-                break
-        states[0] = s0
+        s0, y_prev, mu_prev = start
+    states = _state_walk(cum, s0, u)
+    days, s = np.arange(T), states[1:]
+    m = tables.mu[days, s]
+    e0 = z[:, 0] / np.sqrt(tables.tau1[days, s])
+    e1 = tables.phi[days, s] * e0 + z[:, 1] / np.sqrt(tables.tau2[days, s])
 
-    for t in range(T):
-        prev = states[t]
-        c = 0.0
-        st = 3
-        for k in range(4):
-            c += lam[t, prev, k]
-            if u[t + 1] < c:
-                st = k
-                break
-        states[t + 1] = st
-
-        if t == 0 and not has_init:
-            y[0, 0] = mu[0, st, 0] + v_chol[st, 0, 0] * z[0, 0]
-            y[0, 1] = mu[0, st, 1] + v_chol[st, 1, 0] * z[0, 0] + v_chol[st, 1, 1] * z[0, 1]
-            continue
-        if t == 0:
-            d0 = init_y[0] - init_mu[0]
-            d1 = init_y[1] - init_mu[1]
-        else:
-            d0 = y[t - 1, 0] - mu[t - 1, states[t], 0]
-            d1 = y[t - 1, 1] - mu[t - 1, states[t], 1]
-        e0 = z[t, 0] / math.sqrt(tau1[t, st])
-        e1 = phi[t, st] * e0 + z[t, 1] / math.sqrt(tau2[t, st])
-        y[t, 0] = mu[t, st, 0] + (p00 * d0 + p01 * d1) + e0
-        y[t, 1] = mu[t, st, 1] + (p01 * d0 + p11 * d1) + e1
-    return 0
+    m0, m1, e0, e1 = m[:, 0].tolist(), m[:, 1].tolist(), e0.tolist(), e1.tolist()
+    rows = []
+    if anchored:
+        v = tables.v_chol[s[0]].tolist()
+        z0, z1 = z[0].tolist()
+        rows.append((m0[0] + v[0][0] * z0, m1[0] + v[1][0] * z0 + v[1][1] * z1))
+        y_prev, mu_prev = rows[0], (m0[0], m1[0])
+    d0, d1 = float(y_prev[0] - mu_prev[0]), float(y_prev[1] - mu_prev[1])
+    (p00, p01), (_, p11) = tables.psi.tolist()
+    for t in range(len(rows), T):
+        y0 = m0[t] + (p00 * d0 + p01 * d1) + e0[t]
+        y1 = m1[t] + (p01 * d0 + p11 * d1) + e1[t]
+        rows.append((y0, y1))
+        d0, d1 = y0 - m0[t], y1 - m1[t]
+    return states, np.array(rows)
 
 
 # ---------------------------------------------------------------------------

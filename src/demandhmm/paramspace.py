@@ -19,24 +19,17 @@ import numpy as np
 
 from .emission import EmissionParams
 from .priors import HyperLatents
-from .states import LOGIT_CLAMP, ModelMode, TransitionParams, log_sigmoid, sigmoid
-
-_COS_SIN = ("cos", "sin")
-
-TRANS_NAMES = (
-    "to_pre_const",
-    "to_pre_dist",
-    "to_normal_const",
-    "to_normal_days",
-    "to_normal_eve",
-    "to_post_const",
-    "to_post_gap2",
+from .states import (
+    LOGIT_CLAMP,
+    TRANS_NAMES,
+    ModelMode,
+    TransitionParams,
+    log_sigmoid,
+    logit,
+    sigmoid,
 )
 
-
-def logit(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.log(x) - np.log1p(-x)
+_COS_SIN = ("cos", "sin")
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .emission import EmissionParams
-from .states import ModelMode, TransitionParams
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .emission import LOG_2PI, EmissionParams
+from .states import TRANS_NAMES, ModelMode, TransitionParams, logit
 
 
 class ConfigError(ValueError):
@@ -238,16 +236,12 @@ def _prior_factors(emission, trans, latents, hyper, mode):
         ldm, mld = latents.logit_decay_mean, latents.mu_logit_decay
         factors += [
             ("trans", trans.as_array(), None, h.m_trans, h.v_trans),
-            ("decay_mean", _logit(emission.decay_mean), "logit_decay_mean", ldm, (1.0 - r1) * v),
+            ("decay_mean", logit(emission.decay_mean), "logit_decay_mean", ldm, (1.0 - r1) * v),
             ("logit_decay_mean", ldm, "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
-            ("decay_prec", _logit(emission.decay_prec), "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
+            ("decay_prec", logit(emission.decay_prec), "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
             ("mu_logit_decay", mld, None, h.m_decay, r1 * r2 * v),
         ]
     return factors
-
-
-def _logit(x):
-    return np.log(x) - np.log1p(-x)
 
 
 def log_prior(
@@ -441,14 +435,12 @@ def sample_prior(
 
 
 _VECTOR_KEYS = {"v_annual", "v_prec_annual_1", "v_prec_annual_2", "v_prec_annual_3"}
-_TRANS = ("to_pre_const", "to_pre_dist", "to_normal_const", "to_normal_days",
-          "to_normal_eve", "to_post_const", "to_post_gap2")
 
 
 def config_keys() -> tuple[str, ...]:
     """Every key the configuration file accepts."""
     keys = ["preset", "k_annual", "k_prec_annual"]
-    keys += [f"m_{n}" for n in _TRANS] + [f"v_{n}" for n in _TRANS]
+    keys += [f"m_{n}" for n in TRANS_NAMES] + [f"v_{n}" for n in TRANS_NAMES]
     keys += ["a_ar_1", "a_ar_2", "b_ar_1", "b_ar_2"]
     keys += ["m_level", "v_level", "r_level"]
     keys += ["m_weather_1", "m_weather_2", "v_weather_1", "v_weather_2",
@@ -511,8 +503,8 @@ def hyperparameters_from_config(cfg: dict) -> Hyperparameters:
     def take(key, default):
         return cfg.pop(key, default)
 
-    m_trans = np.array([take(f"m_{n}", base.m_trans[i]) for i, n in enumerate(_TRANS)])
-    v_trans = np.array([take(f"v_{n}", base.v_trans[i]) for i, n in enumerate(_TRANS)])
+    m_trans = np.array([take(f"m_{n}", base.m_trans[i]) for i, n in enumerate(TRANS_NAMES)])
+    v_trans = np.array([take(f"v_{n}", base.v_trans[i]) for i, n in enumerate(TRANS_NAMES)])
     va = take("v_annual", tuple(base.v_annual))
     va = np.atleast_1d(np.asarray(va, dtype=np.float64))
     vpa = np.stack(

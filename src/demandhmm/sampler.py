@@ -33,6 +33,16 @@ from .priors import Hyperparameters, log_prior, log_prior_grad, sample_prior
 from .states import ModelMode, log_transition_tables_adjoint
 
 
+# Fixed tuning: the leapfrog count varies by this fraction either side of
+# ``n_leapfrog``, HMC starts at this step size, random-walk blocks of more than
+# two coordinates target this acceptance rate, and each chain start tries this
+# many prior draws for a finite log posterior.
+_LEAPFROG_JITTER = 0.2
+_INIT_STEP_SIZE = 0.05
+_RWM_TARGET_ACCEPT = 0.234
+_MAX_INIT_RETRIES = 100
+
+
 class SamplingError(RuntimeError):
     """Raised when sampling cannot start or breaks down numerically."""
 
@@ -46,11 +56,7 @@ class SamplerConfig:
     algorithm: str = "hmc"              # or "adaptive-metropolis"
     seed: int = 0
     n_leapfrog: int = 16
-    leapfrog_jitter: float = 0.2
     target_accept: float = 0.8
-    init_step_size: float = 0.05
-    rwm_target_accept: float = 0.234
-    max_init_retries: int = 100
     free: list | None = None
 
     def __post_init__(self):
@@ -259,21 +265,20 @@ def _moment_overrides(u_full, space, y, cov, rng):
     return u
 
 
-def _initial_points(posterior, hyper, space, config, rngs, y=None, cov=None):
+def _initial_points(posterior, hyper, space, config, rngs, y, cov):
     """Overdispersed chain starts, retried until the posterior is finite.
 
-    Structural parameters start at prior draws; when the data is supplied the
-    location/scale blocks are overridden with moment-matched values.
+    Structural parameters start at prior draws; the location/scale blocks are
+    overridden with values moment-matched to the data.
     """
     points, values = [], []
     for c in range(config.n_chains):
         rng = rngs[c]
         ok = False
-        for _ in range(config.max_init_retries):
+        for _ in range(_MAX_INIT_RETRIES):
             emission, trans, latents = sample_prior(hyper, rng, space.mode)
             u_full = space.pack(emission, trans, latents)
-            if y is not None:
-                u_full = _moment_overrides(u_full, space, y, cov, rng)
+            u_full = _moment_overrides(u_full, space, y, cov, rng)
             u_full = space.insert_free(posterior.base_full, space.extract_free(u_full))
             u_free = space.extract_free(u_full)
             lp = posterior(u_free)
@@ -285,7 +290,7 @@ def _initial_points(posterior, hyper, space, config, rngs, y=None, cov=None):
         if not ok:
             raise SamplingError(
                 f"no finite log posterior found for chain {c} after "
-                f"{config.max_init_retries} prior draws"
+                f"{_MAX_INIT_RETRIES} prior draws"
             )
     return np.asarray(points), np.asarray(values)
 
@@ -450,13 +455,13 @@ def _run_hmc(y, cov, hyper, space, base_full, config):
         window_ends = [max(warmup - buffer, buffer + 1)]
     window_ends_set = set(window_ends)
     win_lo = buffer
-    eps = np.full(C, config.init_step_size)
+    eps = np.full(C, _INIT_STEP_SIZE)
     inv_mass = np.ones((C, D))
-    das = [_DualAveraging(config.init_step_size, config.target_accept) for _ in range(C)]
+    das = [_DualAveraging(_INIT_STEP_SIZE, config.target_accept) for _ in range(C)]
     window: list = []
 
-    l_lo = max(1, int(round(config.n_leapfrog * (1.0 - config.leapfrog_jitter))))
-    l_hi = max(l_lo, int(round(config.n_leapfrog * (1.0 + config.leapfrog_jitter))))
+    l_lo = max(1, int(round(config.n_leapfrog * (1.0 - _LEAPFROG_JITTER))))
+    l_hi = max(l_lo, int(round(config.n_leapfrog * (1.0 + _LEAPFROG_JITTER))))
 
     draws, lps, chains, iters = [], [], [], []
     accepts = np.zeros(C)
@@ -529,22 +534,10 @@ _BLOCK_GROUPS = (
 
 
 def _free_blocks(space: ParamSpace):
-    name_pos = {n: i for i, n in enumerate(space.free_names)}
-    present = set()
-    for f in space.families:
-        if space.free is None or f.name in space.free:
-            present.add(f.name)
-    blocks = []
-    for group in _BLOCK_GROUPS:
-        idx = []
-        for fam in group:
-            if fam in present:
-                for f in space.families:
-                    if f.name == fam:
-                        idx.extend(name_pos[n] for n in f.scalar_names)
-        if idx:
-            blocks.append(np.array(sorted(idx), dtype=np.int64))
-    return blocks
+    """Free-vector indices of each ``_BLOCK_GROUPS`` group that has free coordinates."""
+    family = np.array(_family_of_free(space), dtype=object)
+    blocks = [np.flatnonzero(np.isin(family, group)) for group in _BLOCK_GROUPS]
+    return [b for b in blocks if b.size]
 
 
 class _BlockAdapter:
@@ -616,7 +609,7 @@ def _run_rwm(y, cov, hyper, space, base_full, config):
     q, lp = _initial_points(posterior, hyper, space, config, chain_rngs, y, cov)
     C, D = q.shape
     blocks = _free_blocks(space)
-    adapters = [[_BlockAdapter(len(b), config.rwm_target_accept) for b in blocks] for _ in range(C)]
+    adapters = [[_BlockAdapter(len(b), _RWM_TARGET_ACCEPT) for b in blocks] for _ in range(C)]
 
     warmup = int(config.n_iterations * config.burn_in)
     climb = max(0, min(300, warmup // 3))

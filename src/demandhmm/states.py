@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,18 +64,7 @@ class TransitionParams:
     to_post_gap2: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.to_pre_const,
-                self.to_pre_dist,
-                self.to_normal_const,
-                self.to_normal_days,
-                self.to_normal_eve,
-                self.to_post_const,
-                self.to_post_gap2,
-            ],
-            dtype=np.float64,
-        )
+        return np.array([getattr(self, n) for n in TRANS_NAMES], dtype=np.float64)
 
     @classmethod
     def from_array(cls, a) -> "TransitionParams":
@@ -83,10 +72,19 @@ class TransitionParams:
         return cls(*[float(x) for x in a])
 
 
+TRANS_NAMES = tuple(f.name for f in fields(TransitionParams))
+
+
 def sigmoid(x):
     """Numerically safe logistic function; logits are clamped to +/-35."""
     x = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+def logit(x):
+    """Inverse of ``sigmoid`` on (0, 1)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.log(x) - np.log1p(-x)
 
 
 def log_sigmoid(x):

@@ -324,6 +324,29 @@ class TestInputErrors:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_forecast_horizon_below_one(self, workspace, fitted, tmp_path, horizon):
+        with open(workspace / "sim" / "data.csv", newline="") as fh:
+            last = dt.date.fromisoformat(list(csv.DictReader(fh))[-1]["date"])
+        future = tmp_path / "future_cwv.csv"
+        with open(future, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "w1", "w2"])
+            for i in range(1, 29):
+                writer.writerow([(last + dt.timedelta(days=i)).isoformat(), 8.0, 8.0])
+        out = tmp_path / "out"
+        rc = main([
+            "forecast", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "7",
+            "--out-dir", str(out), "--draws", str(fitted / "draws.csv"),
+            "--horizon", horizon, "--future-cwv", str(future),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError" and "horizon" in err["message"]
+        assert not (out / "forecast.csv").exists()
+
     def test_unexpected_exception_is_internal_error(self, workspace, tmp_path, monkeypatch):
         def broken(args):
             raise RuntimeError("handler bug")

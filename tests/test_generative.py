@@ -1,22 +1,77 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandhmm.covariates import CovariateSeries
 from demandhmm.emission import build_day_tables, build_design, stationary_variance, precision_matrix, PrecisionComponents
 from demandhmm.generative import (
+    _draw_path,
     _easter_sunday,
+    _state_walk,
     continue_simulation,
     default_truth,
     simulate,
-    simulate_path,
     sinusoidal_cwv,
     uk_holiday_calendar,
 )
-from demandhmm.states import ModelMode, transition_matrix
+from demandhmm.states import (
+    ModelMode,
+    initial_distribution,
+    log_transition_tables,
+    transition_matrix,
+)
 
 from helpers import make_cov, small_truth
+
+
+def _reference_walk(cum, s0, u):
+    """Day by day: the first state whose cumulative probability exceeds u, else 4."""
+    states = [s0]
+    for t in range(len(cum)):
+        row = cum[t, states[-1]]
+        states.append(next((k for k in range(4) if u[t + 1] < row[k]), 3))
+    return states
+
+
+def _reference_demand(tables, states, z, start=None):
+    """The VAR(1) recursion day by day, in scalar arithmetic of the same order.
+
+    ``states`` are 0-based for days 0..T; ``start`` is (y, mu) of the day
+    before day 1, or None for day 1 from the stationary law.
+    """
+    (p00, p01), (_, p11) = tables.psi
+    y = np.empty_like(z)
+    for t in range(len(z)):
+        s = states[t + 1]
+        mu = tables.mu[t, s]
+        if t == 0 and start is None:
+            v = tables.v_chol[s]
+            y[0] = mu[0] + v[0, 0] * z[0, 0], mu[1] + v[1, 0] * z[0, 0] + v[1, 1] * z[0, 1]
+            continue
+        d0, d1 = y[t - 1] - tables.mu[t - 1, states[t]] if t else start[0] - start[1]
+        e0 = z[t, 0] / math.sqrt(tables.tau1[t, s])
+        e1 = tables.phi[t, s] * e0 + z[t, 1] / math.sqrt(tables.tau2[t, s])
+        y[t] = mu[0] + (p00 * d0 + p01 * d1) + e0, mu[1] + (p01 * d0 + p11 * d1) + e1
+    return y
+
+
+@st.composite
+def _walk_problems(draw):
+    """Cumulative tables with exact 0/1 entries, holiday days and empty rows; uniforms; a start."""
+    T = draw(st.integers(1, 50))
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    lam = np.array(draw(st.lists(weight, min_size=16 * T, max_size=16 * T))).reshape(T, 4, 4)
+    lam[np.array(draw(st.lists(st.booleans(), min_size=T, max_size=T)))] = [0.0, 1.0, 0.0, 0.0]
+    total = lam.sum(axis=2, keepdims=True)
+    cum = np.cumsum(np.divide(lam, total, out=lam.copy(), where=total > 0), axis=2)
+    # uniforms that hit table entries exactly test the strict inequality
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(np.unique(cum).tolist()))
+    u = np.array(draw(st.lists(uniform, min_size=T + 1, max_size=T + 1)))
+    return cum, draw(st.integers(0, 3)), u
 
 
 def _flat_cov(T, n_val=40, p_val=40, rng=None):
@@ -83,20 +138,15 @@ class TestSimulate:
         cov = _flat_cov(1)
         design = build_design(cov, emission.k_annual, emission.k_prec_annual)
         tables = build_day_tables(emission, design)
-        lam = np.stack([transition_matrix(trans, 40, 40)])
+        cum = np.cumsum(np.stack([transition_matrix(trans, 40, 40)]), axis=2)
         l0 = np.array([1 / 3, 0.0, 1 / 3, 1 / 3])
         rng = np.random.default_rng(7)
         n_rep = 100_000
         ys = np.empty((n_rep, 2))
-        states = np.empty(2, dtype=np.int64)
-        y = np.empty((1, 2))
         for i in range(n_rep):
             u = rng.random(2)
             z = rng.standard_normal((1, 2))
-            simulate_path(
-                lam, l0, tables.mu, tables.phi, tables.tau1, tables.tau2, tables.psi,
-                tables.v_chol, u, z, False, 0, np.zeros(2), np.zeros(2), states, y,
-            )
+            _, y = _draw_path(tables, cum, l0, u, z)
             ys[i] = y[0]
         pc = PrecisionComponents(float(tables.phi[0, 3]), float(tables.tau1[0, 3]),
                                  float(tables.tau2[0, 3]))
@@ -104,6 +154,41 @@ class TestSimulate:
         sample_cov = np.cov(ys.T)
         assert np.allclose(ys.mean(axis=0), tables.mu[0, 3], atol=4 * np.sqrt(np.diag(v) / n_rep))
         assert np.abs(sample_cov - v).max() <= 0.02 * np.abs(v).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_walk_problems())
+    def test_composed_walk_matches_per_day_walk(self, problem):
+        # every day has its own map, so a wrong composition order shows
+        cum, s0, u = problem
+        assert _state_walk(cum, s0, u).tolist() == _reference_walk(cum, s0, u)
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    def test_paths_match_per_day_recursion(self, mode):
+        emission, trans, _ = small_truth()
+        trans = trans if mode is ModelMode.FOUR_STATE else None
+        cov = make_cov(dt.date(2021, 5, 1), 60,
+                       [(dt.date(2021, 5, 10), 2), (dt.date(2021, 5, 31), 3)],
+                       rng=np.random.default_rng(14))
+        tables = build_day_tables(emission, build_design(cov, emission.k_annual,
+                                                         emission.k_prec_annual))
+        cum = np.cumsum(np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode)), axis=2)
+        last_y, last_mu = np.array([3.3, 3.7]), np.array([3.25, 3.72])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            u, z = rng.random(61), rng.standard_normal((60, 2))
+            sim = simulate(emission, trans, cov, seed, mode)
+            states = sim.states - 1
+            l0 = np.cumsum(initial_distribution(int(cov.n[0]), int(cov.p[0]), mode))
+            assert states[0] == next((k for k in range(4) if u[0] < l0[k]), 3)
+            assert states.tolist() == _reference_walk(cum, states[0], u)
+            assert np.array_equal(sim.y, _reference_demand(tables, states, z))
+
+            for s0 in range(4):
+                states, y = continue_simulation(emission, trans, cov, s0 + 1, last_y, last_mu,
+                                                np.random.default_rng(seed), mode)
+                states = np.concatenate(([s0], states - 1))
+                assert states.tolist() == _reference_walk(cum, s0, u)
+                assert np.array_equal(y, _reference_demand(tables, states, z, (last_y, last_mu)))
 
     def test_transition_frequencies(self):
         emission, trans, _ = small_truth()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from demandhmm.paramspace import ParamSpace, logit
+from demandhmm.paramspace import ParamSpace
 from demandhmm.priors import default_hyperparameters, sample_prior
-from demandhmm.states import ModelMode, sigmoid
+from demandhmm.states import ModelMode, logit, sigmoid
 
 
 @pytest.fixture(scope="module")
