@@ -33,7 +33,7 @@ from .covariates import CovariateError, CovariateSeries, HolidayCalendar, build_
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, hyperparameters_to_dict
 from .sampler import PosteriorDraws
-from .states import ModelMode, logit
+from .states import ModelMode
 
 
 class DataError(ValueError):
@@ -171,22 +171,23 @@ def read_draws_csv(path) -> PosteriorDraws:
     base_full = np.asarray(meta["base_full"], dtype=np.float64)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["chain", "iter", "lp"] or tuple(header[3:]) != space.free_names:
             raise DataError(f"{path}: draws header does not match the model layout")
         chain, iteration, lp, values = [], [], [], []
         for row in reader:
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num} has {len(row)} columns, expected {len(header)}"
+                )
             chain.append(int(row[0]))
             iteration.append(int(row[1]))
             lp.append(float(row[2]))
             values.append([float(v) for v in row[3:]])
-    values = np.asarray(values, dtype=np.float64)
-    free_draws = np.empty_like(values)
-    logit_free = space._logit_mask[space.free_idx]
-    free_draws[:, ~logit_free] = values[:, ~logit_free]
-    free_draws[:, logit_free] = logit(values[:, logit_free])
+    if not values:
+        raise DataError(f"{path}: no draws")
     return PosteriorDraws(
-        free_draws=free_draws,
+        free_draws=space.free_unconstrained(values),
         logpost=np.asarray(lp),
         chain=np.asarray(chain, dtype=np.int64),
         iteration=np.asarray(iteration, dtype=np.int64),

@@ -2,9 +2,15 @@
 
 The samplers work on an unconstrained real vector. Unit-interval parameters
 (the AR eigenvalue coordinates and the holiday-effect decay factors) travel
-on the logit scale; everything else is unchanged. The layout depends on the
-harmonic counts and on the model mode: the restricted two-state model carries
-no transition coefficients and no decay parameters.
+on the logit scale; everything else is unchanged.
+
+The layout is one table of parameter families, ``_TABLE``: each family's
+name, the struct that holds it, its shape in terms of the harmonic counts and
+whether it travels on the logit scale. The scalar names (the draws.csv
+header), ``pack`` and ``unpack`` are all read off it, and
+``priors.assemble_params`` builds the structs from the unpacked values. The
+restricted two-state model carries no transition coefficients and no decay
+parameters; ``assemble_params`` pins the latter.
 
 A subset of parameter families can be declared free; the remaining families
 are pinned to a base vector. This is how conditional posteriors (for example
@@ -13,12 +19,14 @@ with only the intercepts free) are sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .emission import EmissionParams
-from .priors import HyperLatents
+from .priors import HyperLatents, assemble_params
 from .states import (
     LOGIT_CLAMP,
     TRANS_NAMES,
@@ -29,33 +37,59 @@ from .states import (
     sigmoid,
 )
 
-_COS_SIN = ("cos", "sin")
+_CS = "cos/sin"  # shape marker: an axis of length 2 whose scalars are named cos, sin
+
+
+@dataclass(frozen=True)
+class _Spec:
+    name: str               # field name in its part's struct
+    part: str               # "emission", "trans" or "latents"
+    shape: tuple            # ints, "kg"/"kp" for the harmonic counts, or _CS
+    logit: bool = False     # travels on the logit scale
+    four_state: bool = False  # absent from the two-state model
+
+
+# One entry per parameter family, in layout order (the draws.csv column order).
+_TABLE = (
+    _Spec("trans", "trans", (len(TRANS_NAMES),), four_state=True),
+    _Spec("ar_eig01", "emission", (2,), logit=True),
+    _Spec("level", "emission", (2,)),
+    _Spec("holiday", "emission", (2, 3)),
+    _Spec("annual", "emission", (2, _CS, "kg")),
+    _Spec("weekday", "emission", (2, _CS, 3)),
+    _Spec("weather", "emission", (2, 2)),
+    _Spec("decay_mean", "emission", (2,), logit=True, four_state=True),
+    _Spec("decay_prec", "emission", (), logit=True, four_state=True),
+    _Spec("prec_base", "emission", (3,)),
+    _Spec("prec_holiday", "emission", (3,)),
+    _Spec("prec_annual", "emission", (3, _CS, "kp")),
+    _Spec("mu_level", "latents", ()),
+    _Spec("mu_weather", "latents", (2,)),
+    _Spec("mu_weekday", "latents", (_CS, 3)),
+    _Spec("mu_annual", "latents", (_CS, "kg")),
+    _Spec("mu_holiday", "latents", (3,)),
+    _Spec("logit_decay_mean", "latents", (), four_state=True),
+    _Spec("mu_logit_decay", "latents", (), four_state=True),
+)
 
 
 @dataclass(frozen=True)
 class _Family:
     name: str
-    size: int
-    transform: str          # "id" or "logit"
+    part: str
+    shape: tuple[int, ...]
+    logit: bool
+    slice: slice
     scalar_names: tuple[str, ...]
 
 
-def _grid_names(fam: str, dims: tuple) -> list[str]:
-    """Names like fam_1_cos_2 for (region, cos/sin, harmonic) grids."""
-    names = []
-    if len(dims) == 3:
-        for j in range(dims[0]):
-            for m in range(dims[1]):
-                for k in range(dims[2]):
-                    names.append(f"{fam}_{j + 1}_{_COS_SIN[m]}_{k + 1}")
-    elif len(dims) == 2:
-        for a in range(dims[0]):
-            for b in range(dims[1]):
-                names.append(f"{fam}_{a + 1}_{b + 1}")
-    else:
-        for a in range(dims[0]):
-            names.append(f"{fam}_{a + 1}")
-    return names
+def _scalar_names(spec: _Spec, shape: tuple[int, ...]) -> tuple[str, ...]:
+    """``name_<index>...`` per scalar in C order: 1-based, or cos/sin on a _CS axis."""
+    if spec.part == "trans":
+        return TRANS_NAMES
+    labels = [("cos", "sin") if m == _CS else [str(i + 1) for i in range(n)]
+              for m, n in zip(spec.shape, shape)]
+    return tuple("_".join((spec.name, *idx)) for idx in itertools.product(*labels))
 
 
 class ParamSpace:
@@ -71,44 +105,20 @@ class ParamSpace:
         self.k_annual = k_annual
         self.k_prec_annual = k_prec_annual
         self.mode = mode
-        kg, kp = k_annual, k_prec_annual
+        dims = {"kg": k_annual, "kp": k_prec_annual, _CS: 2}
         fams: list[_Family] = []
-
-        def add(name, size, transform, scalar_names):
-            fams.append(_Family(name, size, transform, tuple(scalar_names)))
-
-        four = mode is ModelMode.FOUR_STATE
-        if four:
-            add("trans", 7, "id", TRANS_NAMES)
-        add("ar_eig01", 2, "logit", _grid_names("ar_eig01", (2,)))
-        add("level", 2, "id", _grid_names("level", (2,)))
-        add("holiday", 6, "id", _grid_names("holiday", (2, 3)))
-        add("annual", 4 * kg, "id", _grid_names("annual", (2, 2, kg)))
-        add("weekday", 12, "id", _grid_names("weekday", (2, 2, 3)))
-        add("weather", 4, "id", _grid_names("weather", (2, 2)))
-        if four:
-            add("decay_mean", 2, "logit", _grid_names("decay_mean", (2,)))
-            add("decay_prec", 1, "logit", ["decay_prec"])
-        add("prec_base", 3, "id", _grid_names("prec_base", (3,)))
-        add("prec_holiday", 3, "id", _grid_names("prec_holiday", (3,)))
-        add("prec_annual", 6 * kp, "id", _grid_names("prec_annual", (3, 2, kp)))
-        add("mu_level", 1, "id", ["mu_level"])
-        add("mu_weather", 2, "id", _grid_names("mu_weather", (2,)))
-        add("mu_weekday", 6, "id", [f"mu_weekday_{_COS_SIN[m]}_{k + 1}" for m in range(2) for k in range(3)])
-        add("mu_annual", 2 * kg, "id", [f"mu_annual_{_COS_SIN[m]}_{k + 1}" for m in range(2) for k in range(kg)])
-        add("mu_holiday", 3, "id", _grid_names("mu_holiday", (3,)))
-        if four:
-            add("logit_decay_mean", 1, "id", ["logit_decay_mean"])
-            add("mu_logit_decay", 1, "id", ["mu_logit_decay"])
-
+        pos = 0
+        for spec in _TABLE:
+            if spec.four_state and mode is not ModelMode.FOUR_STATE:
+                continue
+            shape = tuple(dims.get(m, m) for m in spec.shape)
+            size = math.prod(shape)
+            fams.append(_Family(spec.name, spec.part, shape, spec.logit,
+                                slice(pos, pos + size), _scalar_names(spec, shape)))
+            pos += size
         self.families = tuple(fams)
         self.family_names = tuple(f.name for f in fams)
-        offsets = {}
-        pos = 0
-        for f in fams:
-            offsets[f.name] = (pos, pos + f.size)
-            pos += f.size
-        self._offsets = offsets
+        self._by_name = {f.name: f for f in fams}
         self.full_size = pos
         self.names = tuple(n for f in fams for n in f.scalar_names)
 
@@ -120,26 +130,22 @@ class ParamSpace:
         if self.free is None:
             self.free_idx = np.arange(self.full_size)
         else:
-            idx = []
-            for f in fams:
-                if f.name in self.free:
-                    a, b = offsets[f.name]
-                    idx.extend(range(a, b))
-            self.free_idx = np.array(idx, dtype=np.int64)
+            self.free_idx = np.array(
+                [i for f in fams if f.name in self.free for i in range(f.slice.start, f.slice.stop)],
+                dtype=np.int64,
+            )
         self.free_names = tuple(self.names[i] for i in self.free_idx)
         self.size = len(self.free_idx)
 
         self._logit_mask = np.zeros(self.full_size, dtype=bool)
         for f in fams:
-            if f.transform == "logit":
-                a, b = offsets[f.name]
-                self._logit_mask[a:b] = True
+            self._logit_mask[f.slice] = f.logit
+        self._free_logit_mask = self._logit_mask[self.free_idx]
 
     # -- struct <-> full vector -------------------------------------------
 
     def slice(self, name: str) -> slice:
-        a, b = self._offsets[name]
-        return slice(a, b)
+        return self._by_name[name].slice
 
     def pack(
         self,
@@ -148,35 +154,15 @@ class ParamSpace:
         latents: HyperLatents,
     ) -> np.ndarray:
         """Unconstrained full vector from parameter structs."""
-        kg, kp = self.k_annual, self.k_prec_annual
-        if emission.k_annual != kg or emission.k_prec_annual != kp:
+        if emission.k_annual != self.k_annual or emission.k_prec_annual != self.k_prec_annual:
             raise ValueError("parameter harmonic counts do not match this space")
+        if self.mode is ModelMode.FOUR_STATE and trans is None:
+            raise ValueError("four-state space requires transition parameters")
+        structs = {"emission": emission, "latents": latents}
         u = np.empty(self.full_size)
-        four = self.mode is ModelMode.FOUR_STATE
-        if four:
-            if trans is None:
-                raise ValueError("four-state space requires transition parameters")
-            u[self.slice("trans")] = trans.as_array()
-        u[self.slice("ar_eig01")] = logit(emission.ar_eig01)
-        u[self.slice("level")] = emission.level
-        u[self.slice("holiday")] = emission.holiday.reshape(-1)
-        u[self.slice("annual")] = emission.annual.reshape(-1)
-        u[self.slice("weekday")] = emission.weekday.reshape(-1)
-        u[self.slice("weather")] = emission.weather.reshape(-1)
-        if four:
-            u[self.slice("decay_mean")] = logit(emission.decay_mean)
-            u[self.slice("decay_prec")] = logit(emission.decay_prec)
-        u[self.slice("prec_base")] = emission.prec_base
-        u[self.slice("prec_holiday")] = emission.prec_holiday
-        u[self.slice("prec_annual")] = emission.prec_annual.reshape(-1)
-        u[self.slice("mu_level")] = latents.mu_level
-        u[self.slice("mu_weather")] = latents.mu_weather
-        u[self.slice("mu_weekday")] = latents.mu_weekday.reshape(-1)
-        u[self.slice("mu_annual")] = latents.mu_annual.reshape(-1)
-        u[self.slice("mu_holiday")] = latents.mu_holiday
-        if four:
-            u[self.slice("logit_decay_mean")] = latents.logit_decay_mean
-            u[self.slice("mu_logit_decay")] = latents.mu_logit_decay
+        for f in self.families:
+            x = trans.as_array() if f.part == "trans" else getattr(structs[f.part], f.name)
+            u[f.slice] = np.ravel(logit(x) if f.logit else x)
         return u
 
     def unpack(self, u: np.ndarray):
@@ -184,34 +170,8 @@ class ParamSpace:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.full_size,):
             raise ValueError(f"expected full vector of size {self.full_size}, got {u.shape}")
-        kg, kp = self.k_annual, self.k_prec_annual
-        four = self.mode is ModelMode.FOUR_STATE
-        trans = TransitionParams.from_array(u[self.slice("trans")]) if four else None
-        emission = EmissionParams(
-            ar_eig01=np.asarray(sigmoid(u[self.slice("ar_eig01")])),
-            level=u[self.slice("level")].copy(),
-            holiday=u[self.slice("holiday")].reshape(2, 3).copy(),
-            annual=u[self.slice("annual")].reshape(2, 2, kg).copy(),
-            weekday=u[self.slice("weekday")].reshape(2, 2, 3).copy(),
-            weather=u[self.slice("weather")].reshape(2, 2).copy(),
-            decay_mean=(
-                np.asarray(sigmoid(u[self.slice("decay_mean")])) if four else np.array([0.5, 0.5])
-            ),
-            decay_prec=float(sigmoid(u[self.slice("decay_prec")])[0]) if four else 0.5,
-            prec_base=u[self.slice("prec_base")].copy(),
-            prec_holiday=u[self.slice("prec_holiday")].copy(),
-            prec_annual=u[self.slice("prec_annual")].reshape(3, 2, kp).copy(),
-        )
-        latents = HyperLatents(
-            mu_level=float(u[self.slice("mu_level")][0]),
-            mu_weather=u[self.slice("mu_weather")].copy(),
-            mu_weekday=u[self.slice("mu_weekday")].reshape(2, 3).copy(),
-            mu_annual=u[self.slice("mu_annual")].reshape(2, kg).copy(),
-            mu_holiday=u[self.slice("mu_holiday")].copy(),
-            logit_decay_mean=float(u[self.slice("logit_decay_mean")][0]) if four else 0.0,
-            mu_logit_decay=float(u[self.slice("mu_logit_decay")][0]) if four else 0.0,
-        )
-        return emission, trans, latents
+        natural = self.constrained_values(u)
+        return assemble_params({f.name: natural[f.slice].reshape(f.shape) for f in self.families}, self.mode)
 
     # -- free subvector ----------------------------------------------------
 
@@ -248,11 +208,22 @@ class ParamSpace:
 
     def constrained_values(self, u_full: np.ndarray) -> np.ndarray:
         """Natural-space value of every scalar, in layout order."""
-        out = np.asarray(u_full, dtype=np.float64).copy()
-        out[self._logit_mask] = sigmoid(out[self._logit_mask])
-        return out
+        return _on_mask(u_full, self._logit_mask, sigmoid)
 
     def unconstrained_from_values(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(values, dtype=np.float64).copy()
-        out[self._logit_mask] = logit(out[self._logit_mask])
-        return out
+        return _on_mask(values, self._logit_mask, logit)
+
+    def free_constrained(self, u_free: np.ndarray) -> np.ndarray:
+        """Natural-space values of free-coordinate rows, shape (..., size)."""
+        return _on_mask(u_free, self._free_logit_mask, sigmoid)
+
+    def free_unconstrained(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`free_constrained`."""
+        return _on_mask(values, self._free_logit_mask, logit)
+
+
+def _on_mask(x, mask: np.ndarray, fn) -> np.ndarray:
+    """Copy of ``x`` with ``fn`` applied to the last-axis entries selected by ``mask``."""
+    out = np.array(x, dtype=np.float64)
+    out[..., mask] = fn(out[..., mask])
+    return out

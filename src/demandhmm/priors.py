@@ -20,6 +20,7 @@ capped at 1 to keep the implied transition-probability priors unimodal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -402,62 +403,82 @@ def sample_prior(
     mode: ModelMode = ModelMode.FOUR_STATE,
 ):
     """One exact draw of (EmissionParams, TransitionParams | None, HyperLatents)."""
-    four = mode is ModelMode.FOUR_STATE
     d = sample_prior_batch(hyper, rng, 1, mode)
-    trans = TransitionParams.from_array(d["trans"][0]) if four else None
-    emission = EmissionParams(
-        ar_eig01=d["ar_eig01"][0],
-        level=d["level"][0],
-        holiday=d["holiday"][0],
-        annual=d["annual"][0],
-        weekday=d["weekday"][0],
-        weather=d["weather"][0],
-        decay_mean=d["decay_mean"][0] if four else np.array([0.5, 0.5]),
-        decay_prec=float(d["decay_prec"][0]) if four else 0.5,
-        prec_base=d["prec_base"][0],
-        prec_holiday=d["prec_holiday"][0],
-        prec_annual=d["prec_annual"][0],
-    )
-    latents = HyperLatents(
-        mu_level=float(d["mu_level"][0]),
-        mu_weather=d["mu_weather"][0],
-        mu_weekday=d["mu_weekday"][0],
-        mu_annual=d["mu_annual"][0],
-        mu_holiday=d["mu_holiday"][0],
-        logit_decay_mean=float(d["logit_decay_mean"][0]) if four else 0.0,
-        mu_logit_decay=float(d["mu_logit_decay"][0]) if four else 0.0,
-    )
-    return emission, trans, latents
+    return assemble_params({name: x[0] for name, x in d.items()}, mode)
+
+
+def assemble_params(values: dict, mode: ModelMode = ModelMode.FOUR_STATE):
+    """(EmissionParams, TransitionParams | None, HyperLatents) from natural values.
+
+    ``values`` maps family names (the struct field names, plus ``trans``) to
+    arrays of the field's shape; 0-d values become floats. The two-state model
+    has no transition coefficients, and its decay factors are pinned at 1/2
+    (logit 0), freshly built on each call.
+    """
+    if mode is ModelMode.FOUR_STATE:
+        trans = TransitionParams.from_array(values["trans"])
+    else:
+        trans = None
+        values = dict(values, decay_mean=np.array([0.5, 0.5]), decay_prec=0.5,
+                      logit_decay_mean=0.0, mu_logit_decay=0.0)
+
+    def struct(cls):
+        return cls(**{name: _field_value(values[name]) for name in _FIELD_NAMES[cls]})
+
+    return struct(EmissionParams), trans, struct(HyperLatents)
+
+
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (EmissionParams, HyperLatents)}
+
+
+def _field_value(x):
+    """Arrays stay as they are; 0-d values become floats."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 # ---------------------------------------------------------------------------
 # Flat configuration file
 
 
-_VECTOR_KEYS = {"v_annual", "v_prec_annual_1", "v_prec_annual_2", "v_prec_annual_3"}
+# Fields whose last axis is the harmonic: each row is one comma-separated list.
+_HARMONIC_FIELDS = ("v_annual", "v_prec_annual")
+
+
+def _config_layout() -> list[tuple[str, tuple[str, ...]]]:
+    """``(field, keys)`` for every ``Hyperparameters`` field after the harmonic counts.
+
+    The harmonic axis of a ``_HARMONIC_FIELDS`` entry is one list value. Past
+    that, a scalar field is its own key, ``m_trans``/``v_trans`` take one key per
+    transition coefficient (``m_to_pre_const``, ...) and other vectors take
+    suffixes ``_1..n``.
+    """
+    shapes = default_hyperparameters()
+    layout = []
+    for f in fields(Hyperparameters)[2:]:
+        shape = np.shape(getattr(shapes, f.name))
+        if f.name in _HARMONIC_FIELDS:
+            shape = shape[:-1]
+        if not shape:
+            keys = (f.name,)
+        elif f.name in ("m_trans", "v_trans"):
+            keys = tuple(f.name.replace("trans", n) for n in TRANS_NAMES)
+        else:
+            keys = tuple(f"{f.name}_{i + 1}" for i in range(shape[0]))
+        layout.append((f.name, keys))
+    return layout
 
 
 def config_keys() -> tuple[str, ...]:
     """Every key the configuration file accepts."""
-    keys = ["preset", "k_annual", "k_prec_annual"]
-    keys += [f"m_{n}" for n in TRANS_NAMES] + [f"v_{n}" for n in TRANS_NAMES]
-    keys += ["a_ar_1", "a_ar_2", "b_ar_1", "b_ar_2"]
-    keys += ["m_level", "v_level", "r_level"]
-    keys += ["m_weather_1", "m_weather_2", "v_weather_1", "v_weather_2",
-             "r_weather_1", "r_weather_2"]
-    keys += ["v_weekday", "r_weekday", "v_annual", "r_annual"]
-    keys += ["v_holiday", "c_holiday", "r_holiday"]
-    keys += ["m_decay", "v_decay", "r_decay_1", "r_decay_2"]
-    keys += [f"m_prec_base_{i}" for i in (1, 2, 3)]
-    keys += [f"v_prec_base_{i}" for i in (1, 2, 3)]
-    keys += [f"v_prec_holiday_{i}" for i in (1, 2, 3)]
-    keys += [f"v_prec_annual_{i}" for i in (1, 2, 3)]
-    return tuple(keys)
+    return ("preset", "k_annual", "k_prec_annual") + tuple(
+        key for _, keys in _config_layout() for key in keys
+    )
 
 
 def parse_config(path) -> dict:
     """Parse a ``key = value`` file; values are numbers or comma-separated lists."""
     known = set(config_keys())
+    list_keys = {key for name, keys in _config_layout() if name in _HARMONIC_FIELDS for key in keys}
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -473,7 +494,7 @@ def parse_config(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             if key == "preset":
                 out[key] = value
-            elif "," in value or key in _VECTOR_KEYS:
+            elif "," in value or key in list_keys:
                 try:
                     out[key] = tuple(float(v) for v in value.split(","))
                 except ValueError as exc:
@@ -494,57 +515,33 @@ def hyperparameters_from_config(cfg: dict) -> Hyperparameters:
     """
     cfg = dict(cfg)
     preset = cfg.pop("preset", "paper-like")
-    kg = int(cfg.pop("k_annual", 6))
-    kp = int(cfg.pop("k_prec_annual", 12))
+    kg = _harmonic_count(cfg, "k_annual", 6)
+    kp = _harmonic_count(cfg, "k_prec_annual", 12)
     base = default_hyperparameters(preset, k_annual=kg, k_prec_annual=kp)
-    if not cfg:
-        return base
-
-    def take(key, default):
-        return cfg.pop(key, default)
-
-    m_trans = np.array([take(f"m_{n}", base.m_trans[i]) for i, n in enumerate(TRANS_NAMES)])
-    v_trans = np.array([take(f"v_{n}", base.v_trans[i]) for i, n in enumerate(TRANS_NAMES)])
-    va = take("v_annual", tuple(base.v_annual))
-    va = np.atleast_1d(np.asarray(va, dtype=np.float64))
-    vpa = np.stack(
-        [
-            np.atleast_1d(np.asarray(take(f"v_prec_annual_{i + 1}", tuple(base.v_prec_annual[i])), dtype=np.float64))
-            for i in range(3)
-        ]
-    )
-    hyper = Hyperparameters(
-        k_annual=kg,
-        k_prec_annual=kp,
-        m_trans=m_trans,
-        v_trans=v_trans,
-        a_ar=np.array([take("a_ar_1", base.a_ar[0]), take("a_ar_2", base.a_ar[1])]),
-        b_ar=np.array([take("b_ar_1", base.b_ar[0]), take("b_ar_2", base.b_ar[1])]),
-        m_level=take("m_level", base.m_level),
-        v_level=take("v_level", base.v_level),
-        r_level=take("r_level", base.r_level),
-        m_weather=np.array([take("m_weather_1", base.m_weather[0]), take("m_weather_2", base.m_weather[1])]),
-        v_weather=np.array([take("v_weather_1", base.v_weather[0]), take("v_weather_2", base.v_weather[1])]),
-        r_weather=np.array([take("r_weather_1", base.r_weather[0]), take("r_weather_2", base.r_weather[1])]),
-        v_weekday=take("v_weekday", base.v_weekday),
-        r_weekday=take("r_weekday", base.r_weekday),
-        v_annual=va,
-        r_annual=take("r_annual", base.r_annual),
-        v_holiday=take("v_holiday", base.v_holiday),
-        c_holiday=take("c_holiday", base.c_holiday),
-        r_holiday=take("r_holiday", base.r_holiday),
-        m_decay=take("m_decay", base.m_decay),
-        v_decay=take("v_decay", base.v_decay),
-        r_decay_1=take("r_decay_1", base.r_decay_1),
-        r_decay_2=take("r_decay_2", base.r_decay_2),
-        m_prec_base=np.array([take(f"m_prec_base_{i + 1}", base.m_prec_base[i]) for i in range(3)]),
-        v_prec_base=np.array([take(f"v_prec_base_{i + 1}", base.v_prec_base[i]) for i in range(3)]),
-        v_prec_holiday=np.array([take(f"v_prec_holiday_{i + 1}", base.v_prec_holiday[i]) for i in range(3)]),
-        v_prec_annual=vpa,
-    )
+    values = {"k_annual": kg, "k_prec_annual": kp}
+    for name, keys in _config_layout():
+        default = getattr(base, name)
+        if name in _HARMONIC_FIELDS:
+            rows = [
+                np.atleast_1d(np.asarray(cfg.pop(key, tuple(row)), dtype=np.float64))
+                for key, row in zip(keys, np.atleast_2d(default))
+            ]
+            values[name] = np.stack(rows) if default.ndim == 2 else rows[0]
+        elif np.ndim(default) == 0:
+            values[name] = cfg.pop(name, default)
+        else:
+            values[name] = np.array([cfg.pop(key, d) for key, d in zip(keys, default)])
+    hyper = Hyperparameters(**values)
     if cfg:
         raise ConfigError(f"unknown configuration keys: {sorted(cfg)}")
     return hyper
+
+
+def _harmonic_count(cfg: dict, key: str, default: int) -> int:
+    value = cfg.pop(key, default)
+    if not isinstance(value, numbers.Real) or not float(value).is_integer() or value < 1:
+        raise ConfigError(f"{key} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def load_hyperparameters(path) -> Hyperparameters:

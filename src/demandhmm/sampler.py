@@ -101,10 +101,7 @@ class PosteriorDraws:
 
     def constrained(self) -> np.ndarray:
         """(M, d) natural-space values of the free coordinates."""
-        out = np.empty_like(self.free_draws)
-        for i in range(self.n_draws):
-            out[i] = self.space.constrained_values(self.full_vector(i))[self.space.free_idx]
-        return out
+        return self.space.free_constrained(self.free_draws)
 
     def by_chain(self) -> np.ndarray:
         """(n_chains, n_per_chain, d) view; requires balanced chains."""
@@ -361,11 +358,8 @@ def _ascend(posterior, q, space):
 
 def _family_of_free(space: ParamSpace):
     """Family name of each free coordinate, in free-vector order."""
-    fam_by_name = {}
-    for f in space.families:
-        for n in f.scalar_names:
-            fam_by_name[n] = f.name
-    return [fam_by_name[n] for n in space.free_names]
+    family = [f.name for f in space.families for _ in f.scalar_names]
+    return [family[i] for i in space.free_idx]
 
 
 def _adam_phase(posterior, q, n_steps: int, lr: float, mask: np.ndarray):

@@ -347,6 +347,43 @@ class TestInputErrors:
         assert err["type"] == "DataError" and "horizon" in err["message"]
         assert not (out / "forecast.csv").exists()
 
+    @pytest.mark.parametrize("damage", ["no_rows", "short_row"])
+    def test_malformed_draws_file(self, workspace, fitted, tmp_path, damage):
+        lines = (fitted / "draws.csv").read_text().splitlines()
+        if damage == "no_rows":
+            lines = lines[:1]
+        else:
+            lines[2] = ",".join(lines[2].split(",")[:-3])
+        bad = tmp_path / "draws.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "draws_meta.json").write_bytes((fitted / "draws_meta.json").read_bytes())
+        out = tmp_path / "out"
+        rc = main([
+            "smooth", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "1",
+            "--out-dir", str(out), "--draws", str(bad),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError" and str(bad) in err["message"]
+        if damage == "short_row":
+            assert "line 3" in err["message"]
+
+    @pytest.mark.parametrize("line", ["k_annual = 2.7", "k_prec_annual = 0"])
+    def test_bad_harmonic_count(self, workspace, tmp_path, line):
+        config = tmp_path / "config.txt"
+        config.write_text(f"preset = paper-like\n{line}\n")
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(config), "--seed", "11",
+            "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "ConfigError" and line.split()[0] in err["message"]
+
     def test_unexpected_exception_is_internal_error(self, workspace, tmp_path, monkeypatch):
         def broken(args):
             raise RuntimeError("handler bug")

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,62 @@ class TestConfigFile:
         path.write_text("m_level 3\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path)
+
+    def test_config_keys_pinned(self):
+        assert config_keys() == (
+            "preset", "k_annual", "k_prec_annual",
+            "m_to_pre_const", "m_to_pre_dist", "m_to_normal_const", "m_to_normal_days",
+            "m_to_normal_eve", "m_to_post_const", "m_to_post_gap2",
+            "v_to_pre_const", "v_to_pre_dist", "v_to_normal_const", "v_to_normal_days",
+            "v_to_normal_eve", "v_to_post_const", "v_to_post_gap2",
+            "a_ar_1", "a_ar_2", "b_ar_1", "b_ar_2",
+            "m_level", "v_level", "r_level",
+            "m_weather_1", "m_weather_2", "v_weather_1", "v_weather_2",
+            "r_weather_1", "r_weather_2",
+            "v_weekday", "r_weekday", "v_annual", "r_annual",
+            "v_holiday", "c_holiday", "r_holiday",
+            "m_decay", "v_decay", "r_decay_1", "r_decay_2",
+            "m_prec_base_1", "m_prec_base_2", "m_prec_base_3",
+            "v_prec_base_1", "v_prec_base_2", "v_prec_base_3",
+            "v_prec_holiday_1", "v_prec_holiday_2", "v_prec_holiday_3",
+            "v_prec_annual_1", "v_prec_annual_2", "v_prec_annual_3",
+        )
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Configuration file", 1)[1].split("```")[1]
+        assert tuple(block.replace(",", " ").split()) == config_keys()
+
+    def test_overrides_land_in_their_fields(self):
+        h = hyperparameters_from_config({
+            "preset": "weak", "k_annual": 2, "k_prec_annual": 3,
+            "v_to_normal_eve": 0.25, "b_ar_2": 3.0, "r_weather_1": 0.75, "r_decay_2": 0.125,
+            "v_prec_holiday_3": 4.0, "v_annual": (0.5, 0.25), "v_prec_annual_2": (3.0, 2.0, 1.0),
+        })
+        base = default_hyperparameters("weak", 2, 3)
+        assert h.v_trans[4] == 0.25 and h.b_ar.tolist() == [base.b_ar[0], 3.0]
+        assert h.r_weather.tolist() == [0.75, base.r_weather[1]] and h.r_decay_2 == 0.125
+        assert h.v_prec_holiday.tolist() == [1.0, 1.0, 4.0]
+        assert h.v_annual.tolist() == [0.5, 0.25]
+        assert h.v_prec_annual[1].tolist() == [3.0, 2.0, 1.0]
+        assert np.array_equal(h.v_prec_annual[[0, 2]], base.v_prec_annual[[0, 2]])
+        assert h.m_trans.tolist() == base.m_trans.tolist()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k_annual", 2.7), ("k_prec_annual", 0), ("k_annual", -1.0), ("k_prec_annual", (2.0, 3.0)),
+         ("k_annual", float("nan"))],
+    )
+    def test_harmonic_counts_must_be_whole_and_positive(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be a whole number >= 1"):
+            hyperparameters_from_config({key: value})
+
+    def test_whole_float_harmonic_count_accepted(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("k_annual = 2.0\nk_prec_annual = 1\n")
+        h = load_hyperparameters(path)
+        assert (h.k_annual, h.k_prec_annual) == (2, 1)
+        assert type(h.k_annual) is int and h.v_prec_annual.shape == (3, 1)
 
     def test_every_documented_key_parses(self, tmp_path):
         h = default_hyperparameters("paper-like")
