@@ -162,13 +162,34 @@ def _meta_path(path):
     return root + "_meta.json"
 
 
+# Each sidecar key with the test its value must pass (JSON booleans are not ints).
+_META_KEYS = {
+    "mode": lambda v: v in [m.value for m in ModelMode],
+    "k_annual": lambda v: type(v) is int and v >= 1,
+    "k_prec_annual": lambda v: type(v) is int and v >= 1,
+    "free": lambda v: v is None or (type(v) is list and all(type(f) is str for f in v)),
+    "base_full": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+}
+
+
 def read_draws_csv(path) -> PosteriorDraws:
-    with open(_meta_path(path)) as fh:
+    meta_path = _meta_path(path)
+    with open(meta_path) as fh:
         meta = json.load(fh)
-    space = ParamSpace(
-        meta["k_annual"], meta["k_prec_annual"], ModelMode(meta["mode"]), free=meta["free"]
-    )
+    for key, valid in _META_KEYS.items():
+        if not isinstance(meta, dict) or key not in meta:
+            raise DataError(f"{meta_path}: missing key {key!r}")
+        if not valid(meta[key]):
+            raise DataError(f"{meta_path}: bad value for {key!r}")
+    try:
+        space = ParamSpace(
+            meta["k_annual"], meta["k_prec_annual"], ModelMode(meta["mode"]), free=meta["free"]
+        )
+    except ValueError as exc:  # an unknown free family
+        raise DataError(f"{meta_path}: bad value for 'free': {exc}") from exc
     base_full = np.asarray(meta["base_full"], dtype=np.float64)
+    if base_full.size != space.full_size:
+        raise DataError(f"{meta_path}: bad value for 'base_full': expected {space.full_size} numbers")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariates import CovariateSeries
+from .diagnostics import json_number
 from .emission import build_day_tables, build_design
 from .filtering import terminal_log_distribution
 from .generative import continue_simulation, simulate
@@ -43,37 +44,28 @@ class PpcSummary:
     outside: np.ndarray             # (T, 2) bool
     gap: np.ndarray                 # (T,)
 
-    @property
-    def bucket_fraction(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return self.bucket_outside / self.bucket_count
-
     def fraction_for(self, bucket: str, region: int | None = None) -> float:
-        """Exceedance fraction for a bucket label, pooled unless a region is given."""
+        """Exceedance fraction for a bucket label, pooled unless a region is given; NaN if no days."""
         i = self.bucket_labels.index(bucket)
-        if region is None:
-            return float(self.bucket_outside[i].sum() / self.bucket_count[i].sum())
-        return float(self.bucket_outside[i, region] / self.bucket_count[i, region])
+        cols = slice(None) if region is None else region
+        with np.errstate(invalid="ignore"):
+            return float(self.bucket_outside[i, cols].sum() / self.bucket_count[i, cols].sum())
 
     def to_dict(self) -> dict:
-        frac = self.bucket_fraction
+        """JSON-ready summary; the fractions of a bucket with no days are None."""
         return {
             "buckets": [
                 {
                     "gap": label,
-                    "region_1": {
-                        "n_days": int(self.bucket_count[i, 0]),
-                        "n_outside": int(self.bucket_outside[i, 0]),
-                        "fraction_outside": float(frac[i, 0]),
+                    **{
+                        f"region_{j + 1}": {
+                            "n_days": int(self.bucket_count[i, j]),
+                            "n_outside": int(self.bucket_outside[i, j]),
+                            "fraction_outside": json_number(self.fraction_for(label, j)),
+                        }
+                        for j in range(2)
                     },
-                    "region_2": {
-                        "n_days": int(self.bucket_count[i, 1]),
-                        "n_outside": int(self.bucket_outside[i, 1]),
-                        "fraction_outside": float(frac[i, 1]),
-                    },
-                    "pooled_fraction_outside": float(
-                        self.bucket_outside[i].sum() / max(self.bucket_count[i].sum(), 1)
-                    ),
+                    "pooled_fraction_outside": json_number(self.fraction_for(label)),
                 }
                 for i, label in enumerate(self.bucket_labels)
             ]

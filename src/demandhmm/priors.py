@@ -12,6 +12,9 @@ Marginal moments implied by the decay hierarchy (logit scale):
 ``Cor = sqrt(r_decay_1) * r_decay_2`` between a mean decay and the precision
 decay.
 
+The prior is declared once, as a factor table cached per ``Hyperparameters``;
+:func:`log_prior`, :func:`log_prior_grad` and :func:`sample_prior_batch` walk it.
+
 Hyperparameters are plain data, configurable from a flat ``key = value`` text
 file; unknown keys are rejected. Transition-coefficient prior variances are
 capped at 1 to keep the implied transition-probability priors unimodal.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -126,17 +129,11 @@ class Hyperparameters:
         return self.v_holiday * ((1.0 - c) * np.eye(3) + c * np.ones((3, 3)))
 
     @cached_property
-    def _holiday_precisions(self) -> tuple:
-        """``((precision, log det covariance), ...)`` of the regions' holiday
-        effects around their latent mean, then of that mean around 0.
-
-        The covariances are constant, so they are factorised once per instance.
-        """
-        v_beta = self.holiday_cov()
-        return tuple(
-            (np.linalg.inv(cov), np.linalg.slogdet(cov)[1])
-            for cov in ((1.0 - self.r_holiday) * v_beta, self.r_holiday * v_beta)
-        )
+    def _factor_tables(self) -> dict:
+        """The prior's factor table per ``ModelMode``, built once per instance."""
+        table = _factor_table(self)
+        two_state = tuple(f for f in table if f[0] not in _FOUR_STATE_ONLY)
+        return {ModelMode.FOUR_STATE: table, ModelMode.TWO_STATE: two_state}
 
 
 def default_hyperparameters(
@@ -188,61 +185,114 @@ def default_hyperparameters(
 
 
 # ---------------------------------------------------------------------------
-# Density evaluation
+# The factor table
 
 
-def _norm_lpdf(x, m, v) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(-0.5 * (LOG_2PI + np.log(v)) - 0.5 * (x - m) ** 2 / v))
+class _Normal:
+    """Independent normals; the variance broadcasts against x from the right."""
+
+    def __init__(self, var):
+        self.var = np.asarray(var, dtype=np.float64)
+        self.sd, self.norm = np.sqrt(self.var), -0.5 * (LOG_2PI + np.log(self.var))
+
+    def logpdf(self, x, m) -> float:
+        return float(np.sum(self.norm - 0.5 * (x - m) ** 2 / self.var))
+
+    def score(self, x, m):
+        return (m - x) / self.var
+
+    def draw(self, rng, m, size):
+        return rng.normal(m, self.sd, size=size)
 
 
-def _beta_lpdf(x: float, a: float, b: float) -> float:
+class _Beta:
+    """Independent betas on the unit interval; they take no mean."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.log_beta = np.array([math.lgamma(i) + math.lgamma(j) - math.lgamma(i + j)
+                                  for i, j in zip(a, b)])
+
+    def logpdf(self, x, m) -> float:
+        log_kernel = (self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x)
+        return float(np.sum(log_kernel - self.log_beta))
+
+    def score(self, x, m):
+        return (self.a - 1.0) / x - (self.b - 1.0) / (1.0 - x)
+
+    def draw(self, rng, m, size):
+        return rng.beta(self.a, self.b, size=size)
+
+
+class _Normal3:
+    """Normal 3-vectors along the last axis, all with one covariance."""
+
+    def __init__(self, cov):
+        self.prec, self.chol = np.linalg.inv(cov), np.linalg.cholesky(cov)
+        self.norm = -1.5 * LOG_2PI - 0.5 * np.linalg.slogdet(cov)[1]
+
+    def logpdf(self, x, m) -> float:
+        # d P d as one product per vector: far out, elementwise terms overflow to inf - inf
+        return sum(float(self.norm - 0.5 * (d @ self.prec @ d)) for d in np.reshape(x - m, (-1, 3)))
+
+    def score(self, x, m):
+        # inv(cov) is symmetric only up to rounding: one vector as P d, stacked rows as d P
+        d = m - x
+        return self.prec @ d if d.ndim == 1 else d @ self.prec
+
+    def draw(self, rng, m, size):
+        return m + rng.standard_normal(size) @ self.chol.T
+
+
+_FOUR_STATE_ONLY = ("trans", "mu_logit_decay", "logit_decay_mean", "decay_prec", "decay_mean")
+_LOGIT_FAMILIES = ("decay_mean", "decay_prec")  # declared on the logit scale
+
+
+def _factor_table(h: Hyperparameters) -> tuple:
+    """The four-state prior as ``(family, shape, parent, fixed mean, law)`` factors.
+
+    Entries are in draw order, parents first. A factor's mean is its parent
+    family's value, broadcast against it from the right, or else the fixed
+    mean. The decay families enter on the logit scale.
+    """
+    kg, kp = h.k_annual, h.k_prec_annual
+    v, r1, r2 = h.v_decay, h.r_decay_1, h.r_decay_2
+    v_beta = h.holiday_cov()
+    decay_mid = _Normal((1.0 - r2) * r1 * v)
     return (
-        (a - 1.0) * math.log(x)
-        + (b - 1.0) * math.log1p(-x)
-        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        ("trans", (len(TRANS_NAMES),), None, h.m_trans, _Normal(h.v_trans)),
+        ("ar_eig01", (2,), None, None, _Beta(h.a_ar, h.b_ar)),
+        ("mu_level", (), None, h.m_level, _Normal(h.r_level * h.v_level)),
+        ("level", (2,), "mu_level", None, _Normal((1.0 - h.r_level) * h.v_level)),
+        ("mu_weather", (2,), None, h.m_weather, _Normal(h.r_weather * h.v_weather)),
+        ("weather", (2, 2), "mu_weather", None, _Normal((1.0 - h.r_weather) * h.v_weather)),
+        ("mu_weekday", (2, 3), None, 0.0, _Normal(h.r_weekday * h.v_weekday)),
+        ("weekday", (2, 2, 3), "mu_weekday", None, _Normal((1.0 - h.r_weekday) * h.v_weekday)),
+        ("mu_annual", (2, kg), None, 0.0, _Normal(h.r_annual * h.v_annual)),
+        ("annual", (2, 2, kg), "mu_annual", None, _Normal((1.0 - h.r_annual) * h.v_annual)),
+        ("mu_holiday", (3,), None, 0.0, _Normal3(h.r_holiday * v_beta)),
+        ("holiday", (2, 3), "mu_holiday", None, _Normal3((1.0 - h.r_holiday) * v_beta)),
+        ("mu_logit_decay", (), None, h.m_decay, _Normal(r1 * r2 * v)),
+        ("logit_decay_mean", (), "mu_logit_decay", None, decay_mid),
+        ("decay_prec", (), "mu_logit_decay", None, decay_mid),
+        ("decay_mean", (2,), "logit_decay_mean", None, _Normal((1.0 - r1) * v)),
+        ("prec_base", (3,), None, h.m_prec_base, _Normal(h.v_prec_base)),
+        ("prec_holiday", (3,), None, 0.0, _Normal(h.v_prec_holiday)),
+        ("prec_annual", (3, 2, kp), None, 0.0, _Normal(h.v_prec_annual[:, None, :])),
     )
 
 
-def _mvn3_lpdf(x, m, precision, logdet) -> float:
-    d = np.asarray(x) - m
-    quad = d @ precision @ d
-    return float(-1.5 * LOG_2PI - 0.5 * logdet - 0.5 * quad)
+def _table_values(emission, trans, latents) -> dict:
+    """Every family's value on the scale the table declares it on."""
+    values = {**vars(emission), **vars(latents)}
+    values["trans"] = None if trans is None else trans.as_array()
+    for name in _LOGIT_FAMILIES:
+        values[name] = logit(values[name])
+    return values
 
 
-def _prior_factors(emission, trans, latents, hyper, mode):
-    """The prior's normal factors as ``(x_family, x, mean_family, mean, variance)``.
-
-    ``mean_family`` is None for a fixed mean; means and variances broadcast
-    against ``x`` from the right. The decay factors enter on the logit scale.
-    """
-    h = hyper
-    rw, vw = h.r_weather, h.v_weather
-    v_wd, v_ann = h.v_weekday, h.v_annual
-    factors = [
-        ("level", emission.level, "mu_level", latents.mu_level, (1.0 - h.r_level) * h.v_level),
-        ("mu_level", latents.mu_level, None, h.m_level, h.r_level * h.v_level),
-        ("weather", emission.weather, "mu_weather", latents.mu_weather, (1.0 - rw) * vw),
-        ("mu_weather", latents.mu_weather, None, h.m_weather, rw * vw),
-        ("weekday", emission.weekday, "mu_weekday", latents.mu_weekday, (1.0 - h.r_weekday) * v_wd),
-        ("mu_weekday", latents.mu_weekday, None, 0.0, h.r_weekday * v_wd),
-        ("annual", emission.annual, "mu_annual", latents.mu_annual, (1.0 - h.r_annual) * v_ann),
-        ("mu_annual", latents.mu_annual, None, 0.0, h.r_annual * v_ann),
-        ("prec_base", emission.prec_base, None, h.m_prec_base, h.v_prec_base),
-        ("prec_holiday", emission.prec_holiday, None, 0.0, h.v_prec_holiday),
-        ("prec_annual", emission.prec_annual, None, 0.0, h.v_prec_annual[:, None, :]),
-    ]
-    if mode is ModelMode.FOUR_STATE:
-        v, r1, r2 = h.v_decay, h.r_decay_1, h.r_decay_2
-        ldm, mld = latents.logit_decay_mean, latents.mu_logit_decay
-        factors += [
-            ("trans", trans.as_array(), None, h.m_trans, h.v_trans),
-            ("decay_mean", logit(emission.decay_mean), "logit_decay_mean", ldm, (1.0 - r1) * v),
-            ("logit_decay_mean", ldm, "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
-            ("decay_prec", logit(emission.decay_prec), "mu_logit_decay", mld, (1.0 - r2) * r1 * v),
-            ("mu_logit_decay", mld, None, h.m_decay, r1 * r2 * v),
-        ]
-    return factors
+# ---------------------------------------------------------------------------
+# Density, gradient and exact sampling
 
 
 def log_prior(
@@ -268,17 +318,12 @@ def log_prior(
         if np.any(rho <= 0.0) or np.any(rho >= 1.0):
             return -np.inf
 
+    values = _table_values(emission, trans, latents)
     lp = 0.0
-    regions, mean = hyper._holiday_precisions
     # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf
     with np.errstate(over="ignore"):
-        for _, x, _, m, v in _prior_factors(emission, trans, latents, hyper, mode):
-            lp += _norm_lpdf(x, m, v)
-        for i in range(2):
-            lp += _beta_lpdf(float(ar[i]), float(hyper.a_ar[i]), float(hyper.b_ar[i]))
-        for j in range(2):
-            lp += _mvn3_lpdf(emission.holiday[j], latents.mu_holiday, *regions)
-        lp += _mvn3_lpdf(latents.mu_holiday, 0.0, *mean)
+        for name, _, parent, mean, law in hyper._factor_tables[mode]:
+            lp += law.logpdf(values[name], mean if parent is None else values[parent])
     if four:
         # change of measure from logits to the (0, 1) decay values themselves
         lp -= float(np.sum(np.log(rho) + np.log1p(-rho)))
@@ -298,21 +343,18 @@ def log_prior_grad(
     plus ``trans``; each entry has the shape of that field, on the natural
     scale the density is taken in.
     """
+    values = _table_values(emission, trans, latents)
     g = {}
-    for name, x, mean_name, m, v in _prior_factors(emission, trans, latents, hyper, mode):
-        d = (np.asarray(x) - m) / v
-        g[name] = g.get(name, 0.0) - d
-        if mean_name is not None:
-            g[mean_name] = g.get(mean_name, 0.0) + d.reshape((-1,) + np.shape(m)).sum(axis=0)
-    ar = emission.ar_eig01
-    g["ar_eig01"] = (hyper.a_ar - 1.0) / ar - (hyper.b_ar - 1.0) / (1.0 - ar)
-    (prec_regions, _), (prec_mean, _) = hyper._holiday_precisions
-    pd = (emission.holiday - latents.mu_holiday) @ prec_regions
-    g["holiday"] = -pd
-    g["mu_holiday"] = pd.sum(axis=0) - prec_mean @ latents.mu_holiday
+    # children first, so each parent has collected its children's terms
+    for name, _, parent, mean, law in reversed(hyper._factor_tables[mode]):
+        m = mean if parent is None else values[parent]
+        s = law.score(values[name], m)
+        g[name] = g.get(name, 0.0) + s
+        if parent is not None:
+            g[parent] = g.get(parent, 0.0) - s.reshape((-1,) + np.shape(m)).sum(axis=0)
     if mode is ModelMode.FOUR_STATE:
         # d logit(rho) / d rho = 1 / (rho (1 - rho)), plus the change of measure
-        for name in ("decay_mean", "decay_prec"):
+        for name in _LOGIT_FAMILIES:
             rho = getattr(emission, name)
             g[name] = (g[name] + 2.0 * rho - 1.0) / (rho * (1.0 - rho))
     return g
@@ -327,73 +369,20 @@ def sample_prior_batch(
     """``n`` exact prior draws as a dict of arrays with leading dimension n.
 
     Used directly for Monte Carlo checks of the prior's marginal moments;
-    :func:`sample_prior` is the single-draw structured view.
+    :func:`sample_prior` is the single-draw structured view. The decay
+    logits are also returned together, as ``logit_decay`` (n, 3).
     """
-    four = mode is ModelMode.FOUR_STATE
-    kg, kp = hyper.k_annual, hyper.k_prec_annual
     out = {}
-
-    if four:
-        out["trans"] = rng.normal(hyper.m_trans, np.sqrt(hyper.v_trans), size=(n, 7))
-
-    out["ar_eig01"] = rng.beta(hyper.a_ar, hyper.b_ar, size=(n, 2))
-
-    mu_level = rng.normal(hyper.m_level, math.sqrt(hyper.r_level * hyper.v_level), size=n)
-    out["mu_level"] = mu_level
-    out["level"] = rng.normal(
-        mu_level[:, None], math.sqrt((1.0 - hyper.r_level) * hyper.v_level), size=(n, 2)
-    )
-
-    mu_weather = rng.normal(hyper.m_weather, np.sqrt(hyper.r_weather * hyper.v_weather), size=(n, 2))
-    out["mu_weather"] = mu_weather
-    out["weather"] = rng.normal(
-        mu_weather[:, None, :],
-        np.sqrt((1.0 - hyper.r_weather) * hyper.v_weather)[None, None, :],
-        size=(n, 2, 2),
-    )
-
-    mu_weekday = rng.normal(0.0, math.sqrt(hyper.r_weekday * hyper.v_weekday), size=(n, 2, 3))
-    out["mu_weekday"] = mu_weekday
-    out["weekday"] = rng.normal(
-        mu_weekday[:, None], math.sqrt((1.0 - hyper.r_weekday) * hyper.v_weekday), size=(n, 2, 2, 3)
-    )
-
-    mu_annual = rng.normal(
-        0.0, np.sqrt(hyper.r_annual * hyper.v_annual)[None, :], size=(n, 2, kg)
-    )
-    out["mu_annual"] = mu_annual
-    out["annual"] = rng.normal(
-        mu_annual[:, None],
-        np.sqrt((1.0 - hyper.r_annual) * hyper.v_annual)[None, None, None, :],
-        size=(n, 2, 2, kg),
-    )
-
-    v_beta = hyper.holiday_cov()
-    chol_hyper = np.linalg.cholesky(hyper.r_holiday * v_beta)
-    chol_cond = np.linalg.cholesky((1.0 - hyper.r_holiday) * v_beta)
-    mu_holiday = rng.standard_normal((n, 3)) @ chol_hyper.T
-    out["mu_holiday"] = mu_holiday
-    out["holiday"] = (
-        mu_holiday[:, None, :] + rng.standard_normal((n, 2, 3)) @ chol_cond.T
-    )
-
-    if four:
-        v, r1, r2 = hyper.v_decay, hyper.r_decay_1, hyper.r_decay_2
-        mu_ld = rng.normal(hyper.m_decay, math.sqrt(r1 * r2 * v), size=n)
-        ld_mean = rng.normal(mu_ld, math.sqrt((1.0 - r2) * r1 * v))
-        ld_prec = rng.normal(mu_ld, math.sqrt((1.0 - r2) * r1 * v))
-        lrho = rng.normal(ld_mean[:, None], math.sqrt((1.0 - r1) * v), size=(n, 2))
-        out["mu_logit_decay"] = mu_ld
-        out["logit_decay_mean"] = ld_mean
-        out["logit_decay"] = np.concatenate([lrho, ld_prec[:, None]], axis=1)
-        out["decay_mean"] = 1.0 / (1.0 + np.exp(-lrho))
-        out["decay_prec"] = 1.0 / (1.0 + np.exp(-ld_prec))
-
-    out["prec_base"] = rng.normal(hyper.m_prec_base, np.sqrt(hyper.v_prec_base), size=(n, 3))
-    out["prec_holiday"] = rng.normal(0.0, np.sqrt(hyper.v_prec_holiday), size=(n, 3))
-    out["prec_annual"] = rng.normal(
-        0.0, np.sqrt(hyper.v_prec_annual)[None, :, None, :], size=(n, 3, 2, kp)
-    )
+    for name, shape, parent, mean, law in hyper._factor_tables[mode]:
+        if parent is not None:
+            p = out[parent]
+            # the parent's axes line up with the child's trailing axes
+            mean = p.reshape(p.shape[:1] + (1,) * (len(shape) + 1 - p.ndim) + p.shape[1:])
+        out[name] = law.draw(rng, mean, (n,) + shape)
+    if mode is ModelMode.FOUR_STATE:
+        out["logit_decay"] = np.concatenate([out["decay_mean"], out["decay_prec"][:, None]], axis=1)
+        for name in _LOGIT_FAMILIES:
+            out[name] = 1.0 / (1.0 + np.exp(-out[name]))
     return out
 
 
@@ -476,7 +465,10 @@ def config_keys() -> tuple[str, ...]:
 
 
 def parse_config(path) -> dict:
-    """Parse a ``key = value`` file; values are numbers or comma-separated lists."""
+    """Parse a ``key = value`` file.
+
+    Values are numbers; the ``_HARMONIC_FIELDS`` keys take comma-separated lists.
+    """
     known = set(config_keys())
     list_keys = {key for name, keys in _config_layout() if name in _HARMONIC_FIELDS for key in keys}
     out = {}
@@ -494,16 +486,12 @@ def parse_config(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             if key == "preset":
                 out[key] = value
-            elif "," in value or key in list_keys:
-                try:
-                    out[key] = tuple(float(v) for v in value.split(","))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad list for {key!r}") from exc
-            else:
-                try:
-                    out[key] = float(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad number for {key!r}") from exc
+                continue
+            try:
+                out[key] = tuple(map(float, value.split(","))) if key in list_keys else float(value)
+            except ValueError as exc:
+                kind = "list" if key in list_keys else "number"
+                raise ConfigError(f"{path}:{lineno}: bad {kind} for {key!r}") from exc
     return out
 
 

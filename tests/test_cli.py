@@ -384,6 +384,44 @@ class TestInputErrors:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["type"] == "ConfigError" and line.split()[0] in err["message"]
 
+    def test_comma_list_for_scalar_key(self, workspace, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("preset = paper-like\nk_annual = 2\nk_prec_annual = 2\nm_level = 1, 2\n")
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(config), "--seed", "11",
+            "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "ConfigError" and "bad number for 'm_level'" in err["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("free", None), ("mode", None), ("base_full", None),
+        ("k_annual", "two"), ("mode", "three_state"), ("free", ["levels"]), ("base_full", [0.0, 1.0]),
+    ])
+    def test_malformed_draws_meta(self, workspace, fitted, tmp_path, key, value):
+        # value None drops the key
+        meta = json.loads((fitted / "draws_meta.json").read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        (tmp_path / "draws_meta.json").write_text(json.dumps(meta))
+        (tmp_path / "draws.csv").write_bytes((fitted / "draws.csv").read_bytes())
+        out = tmp_path / "out"
+        rc = main([
+            "smooth", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "1",
+            "--out-dir", str(out), "--draws", str(tmp_path / "draws.csv"),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError"
+        assert str(tmp_path / "draws_meta.json") in err["message"] and repr(key) in err["message"]
+
     def test_unexpected_exception_is_internal_error(self, workspace, tmp_path, monkeypatch):
         def broken(args):
             raise RuntimeError("handler bug")

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ class TestCoverage:
         assert {b["gap"] for b in doc["buckets"]} == {"0", "1", "2", "3", "10+"}
         for b in doc["buckets"]:
             assert 0.0 <= b["pooled_fraction_outside"] <= 1.0
+
+    def test_empty_buckets_are_null(self):
+        # March with no holiday within three days: the gap 0-3 buckets hold no days
+        cov = make_cov(dt.date(2021, 3, 1), 30, [], rng=np.random.default_rng(1))
+        y = simulate(*small_truth()[:2], cov, seed=5).y
+        reps = posterior_predictive_replicates(_make_draws([small_truth()] * 40), y, cov,
+                                               ModelMode.FOUR_STATE, seed=12)
+        doc = json.loads(json.dumps(coverage_by_gap(reps, y, cov).to_dict(), allow_nan=False))
+        for b in doc["buckets"][:4]:
+            assert b["region_1"]["n_days"] == 0
+            assert b["region_1"]["fraction_outside"] is None is b["pooled_fraction_outside"]
+        assert 0.0 <= doc["buckets"][-1]["pooled_fraction_outside"] <= 1.0
 
 
 class TestForecast:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -8,11 +9,13 @@ from scipy import stats
 from demandhmm.priors import (
     ConfigError,
     Hyperparameters,
+    assemble_params,
     config_keys,
     default_hyperparameters,
     hyperparameters_from_config,
     load_hyperparameters,
     log_prior,
+    log_prior_grad,
     parse_config,
     sample_prior,
     sample_prior_batch,
@@ -106,6 +109,12 @@ class TestConfigFile:
         path = tmp_path / "config.txt"
         path.write_text("m_level = three\n")
         with pytest.raises(ConfigError, match="bad number"):
+            parse_config(path)
+
+    def test_comma_list_only_for_harmonic_keys(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("k_annual = 2\nv_annual = 0.5, 0.25\nm_level = 1, 2\n")
+        with pytest.raises(ConfigError, match="3: bad number for 'm_level'"):
             parse_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -283,6 +292,26 @@ class TestLogPrior:
         nudged = emission.replace(level=emission.level + 1e-9)
         assert log_prior(nudged, trans, latents, hyper) == pytest.approx(base, abs=1e-6)
 
+    @pytest.mark.parametrize("preset", ["weak", "paper-like"])
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    def test_gradient_matches_finite_differences(self, preset, mode):
+        hyper = default_hyperparameters(preset, k_annual=3, k_prec_annual=4)
+        draw = sample_prior_batch(hyper, np.random.default_rng(12), 1, mode)
+        values = {name: np.array(x[0]) for name, x in draw.items()}
+        grad = log_prior_grad(*assemble_params(values, mode), hyper, mode)
+        assert set(grad) == set(values) - {"logit_decay"}
+        h = 1e-6
+        for name, g in grad.items():
+            fd = np.empty(values[name].shape)
+            for i in np.ndindex(fd.shape):
+                lp = []
+                for step in (h, -h):
+                    moved = values[name].copy()
+                    moved[i] += step
+                    lp.append(log_prior(*assemble_params({**values, name: moved}, mode), hyper, mode))
+                fd[i] = (lp[0] - lp[1]) / (2 * h)
+            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6, err_msg=name)
+
     def test_two_state_mode_skips_transition_blocks(self, hyper):
         rng = np.random.default_rng(3)
         emission, trans, latents = sample_prior(hyper, rng, ModelMode.TWO_STATE)
@@ -298,6 +327,20 @@ class TestSamplePrior:
         assert np.array_equal(a[0].annual, b[0].annual)
         assert a[1] == b[1]
         assert np.array_equal(a[2].mu_holiday, b[2].mu_holiday)
+
+    @pytest.mark.parametrize("mode, digest", [
+        (ModelMode.FOUR_STATE, "c53b40a376284876df1bcd686af7506d714989ff312116d072aa4706277f019e"),
+        (ModelMode.TWO_STATE, "d801fdab9fa2c81d4f0209ce21306bf861f1fca2cf8571eb8d8924c79ade6c8d"),
+    ])
+    def test_draw_stream_pinned(self, hyper, mode, digest):
+        # every key, shape, dtype and bit of three draws from seed 0
+        d = sample_prior_batch(hyper, np.random.default_rng(0), 3, mode)
+        h = hashlib.sha256()
+        for name in sorted(d):
+            x = np.ascontiguousarray(d[name])
+            h.update(f"{name}{x.shape}{x.dtype.str}".encode())
+            h.update(x.tobytes())
+        assert h.hexdigest() == digest
 
     def test_supports(self, hyper):
         rng = np.random.default_rng(5)
