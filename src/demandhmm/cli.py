@@ -187,9 +187,11 @@ def _cmd_simulate(args) -> int:
         emission, trans, latents = default_truth(hyper.k_annual, hyper.k_prec_annual)
     else:
         with open(args.params) as fh:
-            emission, trans, latents = _params_from_json(
-                json.load(fh), hyper.k_annual, hyper.k_prec_annual, mode
-            )
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{args.params}: not valid JSON: {exc}") from exc
+        emission, trans, latents = _params_from_json(doc, hyper.k_annual, hyper.k_prec_annual, mode)
     sim = simulate(emission, trans, cov, np.random.SeedSequence([args.seed, 0]), mode)
 
     data_path = os.path.join(args.out_dir, "data.csv")

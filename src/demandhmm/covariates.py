@@ -138,6 +138,8 @@ class CovariateSeries:
     day_of_year: np.ndarray             # (T,) int64 in 1..366
     t_index: np.ndarray                 # (T,) int64 Fourier clock
     epoch: dt.date = field(repr=False, default=None)
+    # emission.build_design's results, keyed by harmonic counts; a copy starts empty
+    _designs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def T(self) -> int:

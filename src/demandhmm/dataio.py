@@ -175,7 +175,10 @@ _META_KEYS = {
 def read_draws_csv(path) -> PosteriorDraws:
     meta_path = _meta_path(path)
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{meta_path}: not valid JSON: {exc}") from exc
     for key, valid in _META_KEYS.items():
         if not isinstance(meta, dict) or key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")

@@ -305,17 +305,22 @@ def _fourier_design(t_index: np.ndarray, period: float, k: int) -> np.ndarray:
 
 
 def build_design(cov: CovariateSeries, k_annual: int, k_prec_annual: int) -> DesignMatrices:
-    t = cov.t_index.astype(np.float64)
-    return DesignMatrices(
-        f_annual=_fourier_design(t, 365.25, k_annual),
-        f_prec=_fourier_design(t, 365.25, k_prec_annual),
-        f_week=_fourier_design(t, 7.0, 3),
-        r_index=(cov.r[1:] - 1).astype(np.int64),
-        n=cov.n[1:].astype(np.float64),
-        gap=cov.gap[1:].astype(np.float64),
-        w=cov.w,
-        w_tilde=cov.w_tilde,
-    )
+    """The design of ``cov`` for these harmonic counts, built once and kept on the series."""
+    key = (k_annual, k_prec_annual)
+    design = cov._designs.get(key)
+    if design is None:
+        t = cov.t_index.astype(np.float64)
+        design = cov._designs[key] = DesignMatrices(
+            f_annual=_fourier_design(t, 365.25, k_annual),
+            f_prec=_fourier_design(t, 365.25, k_prec_annual),
+            f_week=_fourier_design(t, 7.0, 3),
+            r_index=(cov.r[1:] - 1).astype(np.int64),
+            n=cov.n[1:].astype(np.float64),
+            gap=cov.gap[1:].astype(np.float64),
+            w=cov.w,
+            w_tilde=cov.w_tilde,
+        )
+    return design
 
 
 @dataclass(frozen=True)
@@ -419,6 +424,11 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTable
         v_logdet=v_logdet,
         v_chol=v_chol,
     )
+
+
+def day_tables(params: EmissionParams, cov: CovariateSeries) -> DayTables:
+    """``build_day_tables`` of ``params`` over the design of ``cov``."""
+    return build_day_tables(params, build_design(cov, params.k_annual, params.k_prec_annual))
 
 
 def day_tables_adjoint(

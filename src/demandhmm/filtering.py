@@ -21,8 +21,9 @@ uses the tree:
 
 ``forward_filter`` and ``backward_smooth`` are the sequential reference: a
 logsumexp over one state per day, returning the per-day messages. Tests and
-the benchmark's reference check compare the tree against them, and they
-name the first day of zero likelihood.
+the benchmark's reference check compare the tree against them, and the
+filter's recursion names the first day of zero likelihood. Functions given
+``EmissionParams`` build their ``DayTables`` with ``emission.day_tables``.
 
 Rao-Blackwell averaging of the per-draw smoothed marginals over posterior
 draws yields the reported state probabilities.
@@ -35,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariates import CovariateSeries
-from .emission import (
-    LOG_2PI,
-    DayTables,
-    DesignMatrices,
-    EmissionParams,
-    build_day_tables,
-    build_design,
-)
+from .emission import LOG_2PI, DayTables, EmissionParams, day_tables
 from .states import (
     PAIR_CUR,
     PAIR_PREV,
@@ -187,31 +181,11 @@ def _log_kernels_adjoint(g, tables, d0, d1, e0, u2, phi, tau1, tau2):
     return -np.stack([g_d0, g_d1]), g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, -0.5 * g0
 
 
-def _tables_for(cov, emission, design, tables):
-    if tables is None:
-        if design is None:
-            design = build_design(cov, emission.k_annual, emission.k_prec_annual)
-        tables = build_day_tables(emission, design)
-    return tables
-
-
-def forward_filter(
-    y: np.ndarray,
-    cov: CovariateSeries,
-    emission: EmissionParams,
-    trans: TransitionParams | None,
-    mode: ModelMode = ModelMode.FOUR_STATE,
-    design: DesignMatrices | None = None,
-    tables: DayTables | None = None,
-):
-    """Run the filter; returns ``(log_likelihood, ForwardMessages)``.
-
-    A series of zero likelihood gives ``-inf`` and all-(-inf) messages.
-    """
-    y = _validate(y, cov)
-    logk = log_kernels(y, cov, _tables_for(cov, emission, design, tables), trans, mode)
-    T = y.shape[0]
-    # filt[t] is the normalised log filtered distribution of the state on day t
+def _filter_recursion(logk: np.ndarray):
+    """Normalised log filtered distributions (T+1, 4) of the states on days 0..T
+    and log increments (T,) of the (T, 4, 4) log kernels; from the first day
+    of zero likelihood on, the increments are -inf and the recursion stops."""
+    T = logk.shape[0]
     filt = np.zeros((T + 1, 4))   # row 0 of the kernels holds the anchor distribution
     lognorm = np.full(T, -np.inf)
     logk_cb = logk.transpose(0, 2, 1)
@@ -220,10 +194,30 @@ def forward_filter(
         joint = _logsumexp(f + logk_cb[t], axis=1)
         step = _logsumexp(joint)
         if step == -np.inf:
-            return -np.inf, ForwardMessages(np.full((T, 11), -np.inf), lognorm, -np.inf)
+            break
         f = joint - step
         filt[t + 1] = f
         lognorm[t] = step
+    return filt, lognorm
+
+
+def forward_filter(
+    y: np.ndarray,
+    cov: CovariateSeries,
+    emission: EmissionParams,
+    trans: TransitionParams | None,
+    mode: ModelMode = ModelMode.FOUR_STATE,
+):
+    """Run the filter; returns ``(log_likelihood, ForwardMessages)``.
+
+    A series of zero likelihood gives ``-inf`` and all-(-inf) messages.
+    """
+    y = _validate(y, cov)
+    logk = log_kernels(y, cov, day_tables(emission, cov), trans, mode)
+    T = y.shape[0]
+    filt, lognorm = _filter_recursion(logk)
+    if lognorm[-1] == -np.inf:   # the recursion stopped at a day of zero likelihood
+        return -np.inf, ForwardMessages(np.full((T, 11), -np.inf), lognorm, -np.inf)
     loglik = float(lognorm.sum())
     alpha = filt[:-1, :, None] + logk - lognorm[:, None, None]
     return loglik, ForwardMessages(alpha[:, _PAIR_A, _PAIR_B], lognorm, loglik)
@@ -318,42 +312,35 @@ def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPoint
     )
 
 
-def _nonzero_likelihood_tape(y, cov, emission, trans, mode, tables):
+def _nonzero_likelihood_tape(y, cov, tables, trans, mode):
     """``log_likelihood_tape`` of validated ``y``; on zero likelihood, raises
     ``FloatingPointError`` naming the first such day, found by the sequential filter."""
     loglik, tape = log_likelihood_tape(y, cov, tables, trans, mode)
     if loglik == -np.inf:
-        _, messages = forward_filter(y, cov, emission, trans, mode, tables=tables)
-        raise _zero_likelihood(messages.lognorm, cov)
+        _, lognorm = _filter_recursion(log_kernels(y, cov, tables, trans, mode))
+        raise _zero_likelihood(lognorm, cov)
     return tape
 
 
-def log_likelihood(
-    y, cov, emission, trans, mode=ModelMode.FOUR_STATE, design=None
-) -> float:
+def log_likelihood(y, cov, emission, trans, mode=ModelMode.FOUR_STATE) -> float:
     """Observed-data log likelihood by the tree product; ``-inf`` if it is zero."""
     y = _validate(y, cov)
-    return log_likelihood_tape(y, cov, _tables_for(cov, emission, design, None), trans, mode)[0]
+    return log_likelihood_tape(y, cov, day_tables(emission, cov), trans, mode)[0]
 
 
 def terminal_log_distribution(
     y: np.ndarray,
     cov: CovariateSeries,
-    emission: EmissionParams,
+    tables: DayTables,
     trans: TransitionParams | None,
     mode: ModelMode = ModelMode.FOUR_STATE,
-    design: DesignMatrices | None = None,
-    tables: DayTables | None = None,
 ) -> np.ndarray:
     """Normalised log filtered distribution (4,) of the state on the last day.
 
     Raises ``FloatingPointError`` naming the first day of zero likelihood
     when the series has none.
     """
-    tables = _tables_for(cov, emission, design, tables)
-    loglik, product, _, _ = _nonzero_likelihood_tape(
-        _validate(y, cov), cov, emission, trans, mode, tables
-    )
+    loglik, product, _, _ = _nonzero_likelihood_tape(_validate(y, cov), cov, tables, trans, mode)
     return _logsumexp(product, axis=0) - loglik
 
 
@@ -380,8 +367,6 @@ def backward_smooth(
     emission: EmissionParams,
     trans: TransitionParams | None,
     mode: ModelMode = ModelMode.FOUR_STATE,
-    design: DesignMatrices | None = None,
-    tables: DayTables | None = None,
 ) -> SmoothedStates:
     """Smoothed state marginals for days 0..T from stored forward messages.
 
@@ -394,7 +379,7 @@ def backward_smooth(
         raise ValueError("forward messages do not match the series length")
     if messages.log_likelihood == -np.inf:
         raise _zero_likelihood(messages.lognorm, cov)
-    logk = log_kernels(y, cov, _tables_for(cov, emission, design, tables), trans, mode)
+    logk = log_kernels(y, cov, day_tables(emission, cov), trans, mode)
     pair = _smoothed_pairs(messages, logk)
     probs = np.empty((T + 1, 4))
     probs[0] = pair[0].sum(axis=1)
@@ -403,9 +388,7 @@ def backward_smooth(
     return SmoothedStates(probs=probs)
 
 
-def smooth_states(
-    y, cov, emission, trans, mode=ModelMode.FOUR_STATE, design=None
-):
+def smooth_states(y, cov, emission, trans, mode=ModelMode.FOUR_STATE):
     """Smoothed state marginals from the tree's reverse pass; returns
     ``(loglik, SmoothedStates)``.
 
@@ -415,8 +398,8 @@ def smooth_states(
     series has none.
     """
     y = _validate(y, cov)
-    tables = _tables_for(cov, emission, design, None)
-    loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, emission, trans, mode, tables)
+    tables = day_tables(emission, cov)
+    loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, tables, trans, mode)
     xi = _tree_adjoint(levels, np.exp(top - loglik))   # (b, c, T) pair marginals
     probs = np.empty((y.shape[0] + 1, 4))
     probs[0] = _sum4(xi[:, :, 0], 1)
@@ -425,7 +408,7 @@ def smooth_states(
     return loglik, SmoothedStates(probs=probs)
 
 
-def rao_blackwell_states(draws, y, cov, design=None) -> SmoothedStates:
+def rao_blackwell_states(draws, y, cov) -> SmoothedStates:
     """Average per-draw smoothed marginals over retained posterior draws.
 
     ``draws`` is a ``sampler.PosteriorDraws``; the model mode travels with it.
@@ -433,14 +416,11 @@ def rao_blackwell_states(draws, y, cov, design=None) -> SmoothedStates:
     if draws.n_draws < 1:
         raise ValueError("at least one posterior draw is required")
     y = _validate(y, cov)
-    if design is None:
-        space = draws.space
-        design = build_design(cov, space.k_annual, space.k_prec_annual)
     total = np.zeros((y.shape[0] + 1, 4))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
         try:
-            _, smoothed = smooth_states(y, cov, emission, trans, draws.mode, design)
+            _, smoothed = smooth_states(y, cov, emission, trans, draws.mode)
         except FloatingPointError as exc:
             raise FloatingPointError(f"draw {i}: {exc}") from exc
         total += smoothed.probs

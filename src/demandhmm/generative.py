@@ -25,7 +25,7 @@ from .covariates import (
     CovariateSeries,
     HolidayCalendar,
 )
-from .emission import DayTables, EmissionParams, build_day_tables, build_design
+from .emission import DayTables, EmissionParams, day_tables
 from .priors import HyperLatents
 from .states import ModelMode, TransitionParams, initial_distribution, log_transition_tables
 
@@ -76,8 +76,7 @@ def continue_simulation(
 
 def _path_tables(emission, trans, cov, mode):
     """Day tables and cumulative transition probabilities (T, 4, 4) over ``cov``."""
-    design = build_design(cov, emission.k_annual, emission.k_prec_annual)
-    tables = build_day_tables(emission, design)
+    tables = day_tables(emission, cov)
     lam = np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode))
     return tables, np.cumsum(lam, axis=2)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .covariates import CovariateSeries
 from .diagnostics import json_number
-from .emission import build_day_tables, build_design
+from .emission import day_tables
 from .filtering import terminal_log_distribution
 from .generative import continue_simulation, simulate
 from .sampler import PosteriorDraws
@@ -166,17 +166,14 @@ def forecast(
             f"(expected anchor {cov.dates[-1]}, got {future_cov.day0})"
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
-    design = build_design(cov, draws.space.k_annual, draws.space.k_prec_annual)
     h = future_cov.T
     paths = np.empty((draws.n_draws, h, 2))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
-        tables = build_day_tables(emission, design)
+        tables = day_tables(emission, cov)
         try:
             # the last filtered distribution is the last smoothed one
-            log_last = terminal_log_distribution(
-                y, cov, emission, trans, draws.mode, design, tables
-            )
+            log_last = terminal_log_distribution(y, cov, tables, trans, draws.mode)
         except FloatingPointError as exc:
             raise FloatingPointError(f"draw {i}: {exc}") from exc
         last_probs = np.exp(log_last)

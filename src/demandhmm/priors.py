@@ -92,6 +92,9 @@ class Hyperparameters:
             if np.any(x <= 0.0) or np.any(x >= 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1)")
 
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
         if self.m_trans.shape != (7,) or self.v_trans.shape != (7,):
             raise ConfigError("transition prior moments must have length 7")
         pos("v_trans", self.v_trans)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .covariates import CovariateSeries
-from .emission import build_day_tables, build_design, day_tables_adjoint
+from .emission import build_design, day_tables, day_tables_adjoint
 from .filtering import _validate, log_likelihood_adjoint, log_likelihood_tape
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, log_prior, log_prior_grad, sample_prior
@@ -167,7 +167,6 @@ class NumpyPosterior:
         self.base_full = (
             np.zeros(space.full_size) if base_full is None else np.asarray(base_full, dtype=np.float64)
         )
-        self.design = build_design(cov, space.k_annual, space.k_prec_annual)
 
     def _forward(self, u_free: np.ndarray):
         """``(value, state)``; ``state`` is what the gradient needs, None at -inf."""
@@ -178,7 +177,7 @@ class NumpyPosterior:
         if not np.isfinite(lp):
             return -np.inf, None
         try:
-            tables = build_day_tables(emission, self.design)
+            tables = day_tables(emission, self.cov)
             loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans, mode)
         except (ValueError, FloatingPointError):
             return -np.inf, None
@@ -194,7 +193,8 @@ class NumpyPosterior:
         mode = self.space.mode
         g_tables, g_loglam = log_likelihood_adjoint(tape, tables)
         grads = log_prior_grad(emission, trans, latents, self.hyper, mode)
-        for name, g in day_tables_adjoint(emission, self.design, tables, *g_tables).items():
+        design = build_design(self.cov, emission.k_annual, emission.k_prec_annual)
+        for name, g in day_tables_adjoint(emission, design, tables, *g_tables).items():
             grads[name] = grads.get(name, 0.0) + g
         if mode is ModelMode.FOUR_STATE:
             n, p = self.cov.n[1:], self.cov.p[1:]

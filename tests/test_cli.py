@@ -324,6 +324,20 @@ class TestInputErrors:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "ConfigError"
 
+    def test_params_file_not_json(self, workspace, tmp_path):
+        (tmp_path / "params.json").write_text("{not json")
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "11",
+            "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+            "--params", str(tmp_path / "params.json"),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "ConfigError"
+        assert str(tmp_path / "params.json") in err["message"] and "not valid JSON" in err["message"]
+
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_forecast_horizon_below_one(self, workspace, fitted, tmp_path, horizon):
         with open(workspace / "sim" / "data.csv", newline="") as fh:
@@ -384,6 +398,20 @@ class TestInputErrors:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["type"] == "ConfigError" and line.split()[0] in err["message"]
 
+    def test_non_finite_hyperparameters(self, workspace, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("preset = paper-like\nv_level = nan\nm_level = inf\n")
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(config), "--seed", "11",
+            "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "ConfigError" and "m_level must be finite" in err["message"]
+        assert not (out / "data.csv").exists()
+
     def test_comma_list_for_scalar_key(self, workspace, tmp_path):
         config = tmp_path / "config.txt"
         config.write_text("preset = paper-like\nk_annual = 2\nk_prec_annual = 2\nm_level = 1, 2\n")
@@ -400,15 +428,16 @@ class TestInputErrors:
     @pytest.mark.parametrize("key, value", [
         ("free", None), ("mode", None), ("base_full", None),
         ("k_annual", "two"), ("mode", "three_state"), ("free", ["levels"]), ("base_full", [0.0, 1.0]),
+        (None, "{not json"),
     ])
     def test_malformed_draws_meta(self, workspace, fitted, tmp_path, key, value):
-        # value None drops the key
+        # value None drops the key; key None writes the value as the whole file
         meta = json.loads((fitted / "draws_meta.json").read_text())
         if value is None:
             del meta[key]
-        else:
+        elif key is not None:
             meta[key] = value
-        (tmp_path / "draws_meta.json").write_text(json.dumps(meta))
+        (tmp_path / "draws_meta.json").write_text(value if key is None else json.dumps(meta))
         (tmp_path / "draws.csv").write_bytes((fitted / "draws.csv").read_bytes())
         out = tmp_path / "out"
         rc = main([
@@ -420,7 +449,8 @@ class TestInputErrors:
         assert rc == 2
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["type"] == "DataError"
-        assert str(tmp_path / "draws_meta.json") in err["message"] and repr(key) in err["message"]
+        assert str(tmp_path / "draws_meta.json") in err["message"]
+        assert (repr(key) if key is not None else "not valid JSON") in err["message"]
 
     def test_unexpected_exception_is_internal_error(self, workspace, tmp_path, monkeypatch):
         def broken(args):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -335,6 +336,19 @@ class TestDayTables:
             assert tables.v_inv[s] == pytest.approx(np.linalg.inv(v), rel=1e-10)
             assert tables.v_logdet[s] == pytest.approx(math.log(np.linalg.det(v)), abs=1e-10)
             assert tables.v_chol[s] @ tables.v_chol[s].T == pytest.approx(v, abs=1e-12)
+
+    def test_design_kept_per_series_and_counts(self):
+        cov = make_cov(dt.date(2021, 4, 1), 8, [], rng=np.random.default_rng(11))
+        design = build_design(cov, 2, 2)
+        assert build_design(cov, 2, 2) is design
+        assert build_design(cov, 3, 2) is not design
+        assert build_design(cov, 2, 3) is not design
+        assert build_design(cov, 3, 2) is build_design(cov, 3, 2)
+        copy = dataclasses.replace(cov)
+        again = build_design(copy, 2, 2)
+        assert again is not design
+        assert np.array_equal(again.f_annual, design.f_annual)
+        assert "_designs" not in repr(cov)
 
     def test_design_harmonic_count_checked(self):
         rng = np.random.default_rng(10)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from demandhmm.emission import build_day_tables, build_design, log_emission_density
+from demandhmm.emission import build_day_tables, build_design, day_tables, log_emission_density
 from demandhmm.filtering import (
     _smoothed_pairs,
     backward_smooth,
@@ -121,7 +121,7 @@ class TestMessages:
         for i, (_, b) in enumerate(AUGMENTED_PAIRS):
             filtered[b - 1] += math.exp(msgs.log_messages[-1, i])
         assert smoothed.probs[-1] == pytest.approx(filtered, abs=1e-12)
-        terminal = np.exp(terminal_log_distribution(y, cov, emission, trans))
+        terminal = np.exp(terminal_log_distribution(y, cov, day_tables(emission, cov), trans))
         assert terminal == pytest.approx(filtered, abs=1e-12)
 
     def test_information_bound(self, setup):

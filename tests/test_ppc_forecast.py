@@ -1,9 +1,12 @@
+import dataclasses
 import datetime as dt
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from demandhmm import emission as emission_module
 from demandhmm.emission import build_day_tables, build_design, mean_vector
 from demandhmm.filtering import smooth_states
 from demandhmm.generative import simulate
@@ -43,6 +46,11 @@ def _jittered_params(n, rng, psi_zero=False, **overrides):
             e = e.replace(ar_eig01=np.array([0.5, 0.5]))
         out.append((e, trans, latents))
     return out
+
+
+def _digest(x: np.ndarray) -> str:
+    x = np.ascontiguousarray(x)
+    return hashlib.sha256(f"{x.shape}{x.dtype.str}".encode() + x.tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +111,19 @@ class TestReplicates:
         resid_sd = np.exp(-np.array([6.4, 6.7]) / 2).max()
         tol = 5 * np.sqrt((mus.var(axis=0).max() + resid_sd**2) / len(params))
         assert reps[:, hol_t - 1, :].mean(axis=0) == pytest.approx(mus.mean(axis=0), abs=tol)
+
+    @pytest.mark.parametrize("mode, digest", [
+        (ModelMode.FOUR_STATE, "91b6018e7974c89e205c6e6799fb128fbabd5974160e7b637a3bab608d9d7e1c"),
+        (ModelMode.TWO_STATE, "e3062ef0d71b2ce7c7b92542cd60f895f137e913ef9db40f398c364b5d673166"),
+    ])
+    def test_replicates_pinned(self, scene, mode, digest):
+        # shape, dtype and every bit of five replicates from seed 8
+        cov, y = scene
+        params = _jittered_params(5, np.random.default_rng(40))
+        if mode is ModelMode.TWO_STATE:
+            params = [(e, None, l) for e, _, l in params]
+        reps = posterior_predictive_replicates(_make_draws(params, mode=mode), y, cov, mode, seed=8)
+        assert _digest(reps) == digest
 
 
 class TestCoverage:
@@ -247,6 +268,20 @@ class TestForecast:
         with pytest.raises(FloatingPointError, match=r"^draw 0: .*day 6 \(2021-02-06\)"):
             forecast(draws, bad, cov, self._future(cov, 3), seed=6)
 
+    @pytest.mark.parametrize("mode, digest", [
+        (ModelMode.FOUR_STATE, "0b2afa527bee3806449fd7750ac250abb517326eb4f78000f8737b608388ad14"),
+        (ModelMode.TWO_STATE, "2dc9948708ddfa7265f6ba89221bf7665cfe1b5ca46375efe3a5a03425136a1c"),
+    ])
+    def test_paths_pinned(self, scene, mode, digest):
+        # shape, dtype and every bit of five 10-day paths from seed 9
+        cov, y = scene
+        params = _jittered_params(5, np.random.default_rng(41))
+        if mode is ModelMode.TWO_STATE:
+            params = [(e, None, l) for e, _, l in params]
+        future = self._future(cov, 10, [(cov.dates[-1] + dt.timedelta(days=4), 2)])
+        paths = forecast(_make_draws(params, mode=mode), y, cov, future, seed=9)
+        assert _digest(paths) == digest
+
     def test_long_horizon_drift_to_seasonal_path(self, scene):
         cov, y = scene
         emission, trans, latents = small_truth()
@@ -261,3 +296,47 @@ class TestForecast:
         sd = np.exp(-6.4 / 2)
         # after 60 days the AR memory is gone; the mean sits on the mu path
         assert np.abs(dev[-1]).max() <= 6 * sd / np.sqrt(len(params)) + 1e-3
+
+
+class TestDesignReuse:
+    """Designs come from the series' cache: one build per series and harmonic counts."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        designs, tables = [], []
+        make_design, make_tables = emission_module.DesignMatrices, emission_module.build_day_tables
+
+        def counted_design(**kw):
+            designs.append(make_design(**kw))
+            return designs[-1]
+
+        def counted_tables(params, design):
+            tables.append(design)
+            return make_tables(params, design)
+
+        monkeypatch.setattr(emission_module, "DesignMatrices", counted_design)
+        monkeypatch.setattr(emission_module, "build_day_tables", counted_tables)
+        return designs, tables
+
+    def test_replicates_build_one_design(self, scene, built):
+        cov, y = scene
+        cov = dataclasses.replace(cov)   # a copy starts with no designs
+        draws = _make_draws(_jittered_params(40, np.random.default_rng(42)))
+        posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=1)
+        designs, tables = built
+        assert len(designs) == 1
+        assert [id(d) for d in tables] == [id(designs[0])] * 40
+
+    def test_forecast_builds_each_window_once(self, scene, built):
+        cov, y = scene
+        cov = dataclasses.replace(cov)
+        future = TestForecast()._future(cov, 7)
+        draws = _make_draws(_jittered_params(6, np.random.default_rng(43)))
+        forecast(draws, y, cov, future, seed=1)
+        designs, tables = built
+        assert len(designs) == 2
+        observed = build_design(cov, 2, 2)
+        ahead = build_design(future, 2, 2)
+        assert {id(d) for d in designs} == {id(observed), id(ahead)}
+        # per draw: the observed window's tables, then the future's
+        assert [id(d) for d in tables] == [id(observed), id(ahead)] * 6

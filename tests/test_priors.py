@@ -172,6 +172,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"{key} must be a whole number >= 1"):
             hyperparameters_from_config({key: value})
 
+    @pytest.mark.parametrize("line, name", [
+        ("v_level = nan", "v_level"), ("m_level = inf", "m_level"),
+        ("r_holiday = nan", "r_holiday"), ("m_prec_base_2 = -inf", "m_prec_base"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, line, name):
+        path = tmp_path / "config.txt"
+        path.write_text(f"preset = paper-like\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            load_hyperparameters(path)
+
     def test_whole_float_harmonic_count_accepted(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("k_annual = 2.0\nk_prec_annual = 1\n")
