@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=10)
     p.add_argument("--backend", default="hmc", choices=["hmc", "adaptive-metropolis"])
     p.add_argument("--leapfrog", type=int, default=16)
-    p.add_argument("--target-accept", type=float, default=0.8)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when the R-hat threshold is breached")
     p.add_argument("--rhat-threshold", type=float, default=1.05)
@@ -102,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppc", help="posterior predictive coverage by holiday distance")
     _add_common(p)
     p.add_argument("--draws", required=True)
-    p.add_argument("--mode", default="four_state", choices=["four_state", "two_state"])
 
     p = sub.add_parser("report", help="plot-ready summaries from previous outputs")
     p.add_argument("--out-dir", required=True)
@@ -192,7 +190,8 @@ def _cmd_simulate(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"{args.params}: not valid JSON: {exc}") from exc
         emission, trans, latents = _params_from_json(doc, hyper.k_annual, hyper.k_prec_annual, mode)
-    sim = simulate(emission, trans, cov, np.random.SeedSequence([args.seed, 0]), mode)
+    sim_trans = trans if mode is ModelMode.FOUR_STATE else None
+    sim = simulate(emission, sim_trans, cov, np.random.SeedSequence([args.seed, 0]))
 
     data_path = os.path.join(args.out_dir, "data.csv")
     dataio.write_demand_csv(data_path, dates, np.exp(sim.y), cwv)
@@ -218,7 +217,6 @@ def _cmd_fit(args) -> int:
         algorithm=args.backend,
         seed=args.seed,
         n_leapfrog=args.leapfrog,
-        target_accept=args.target_accept,
     )
     draws, diag = run_mcmc(ds.y, ds.cov, hyper, cfg, ModelMode(args.mode))
     draws_path = os.path.join(args.out_dir, "draws.csv")
@@ -293,8 +291,7 @@ def _cmd_ppc(args) -> int:
     hyper = load_hyperparameters(args.config)
     ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window)
     draws = dataio.read_draws_csv(args.draws)
-    mode = ModelMode(args.mode)
-    replicates = posterior_predictive_replicates(draws, ds.y, ds.cov, mode, args.seed)
+    replicates = posterior_predictive_replicates(draws, ds.y, ds.cov, args.seed)
     summary = coverage_by_gap(replicates, ds.y, ds.cov)
     with open(os.path.join(args.out_dir, "ppc.json"), "w") as fh:
         json.dump(summary.to_dict(), fh, indent=1, sort_keys=True)

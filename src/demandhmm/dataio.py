@@ -198,20 +198,32 @@ def read_draws_csv(path) -> PosteriorDraws:
         header = next(reader, [])
         if header[:3] != ["chain", "iter", "lp"] or tuple(header[3:]) != space.free_names:
             raise DataError(f"{path}: draws header does not match the model layout")
-        chain, iteration, lp, values = [], [], [], []
+        chain, iteration, lp, values, lines = [], [], [], [], []
         for row in reader:
             if len(row) != len(header):
                 raise DataError(
                     f"{path}: line {reader.line_num} has {len(row)} columns, expected {len(header)}"
                 )
-            chain.append(int(row[0]))
-            iteration.append(int(row[1]))
-            lp.append(float(row[2]))
-            values.append([float(v) for v in row[3:]])
+            try:
+                chain.append(int(row[0]))
+                iteration.append(int(row[1]))
+                lp.append(float(row[2]))
+                values.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+            lines.append(reader.line_num)
     if not values:
         raise DataError(f"{path}: no draws")
+    # lp may be NaN; a parameter off its support has a non-finite unconstrained value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free_draws = space.free_unconstrained(values)
+    bad = np.flatnonzero(~np.all(np.isfinite(free_draws), axis=1))
+    if bad.size:
+        raise DataError(
+            f"{path}: line {lines[bad[0]]}: parameter value not finite or outside its support"
+        )
     return PosteriorDraws(
-        free_draws=space.free_unconstrained(values),
+        free_draws=free_draws,
         logpost=np.asarray(lp),
         chain=np.asarray(chain, dtype=np.int64),
         iteration=np.asarray(iteration, dtype=np.int64),

@@ -40,7 +40,6 @@ from .emission import LOG_2PI, DayTables, EmissionParams, day_tables
 from .states import (
     PAIR_CUR,
     PAIR_PREV,
-    ModelMode,
     TransitionParams,
     log_initial_distribution,
     log_transition_tables,
@@ -93,7 +92,7 @@ def _sum4(a: np.ndarray, axis: int) -> np.ndarray:
     return (a[at + (0,)] + a[at + (1,)]) + (a[at + (2,)] + a[at + (3,)])
 
 
-def _kernel_terms(y, cov, tables, trans, mode):
+def _kernel_terms(y, cov, tables, trans):
     """(4, 4, T) log kernels, day last, and the terms their adjoint needs.
 
     Day is the last axis of every array here, so numpy's loops run over days
@@ -117,18 +116,14 @@ def _kernel_terms(y, cov, tables, trans, mode):
         )
         dev0 = np.stack([d0[:, 0], d1[:, 0]], axis=1)                 # (4, 2)
         quad0 = np.einsum("ci,cij,cj->c", dev0, tables.v_inv, dev0)
-    logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
+    logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
     out[:, :, 0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[None, :]
-    out += log_transition_tables(trans, cov.n[1:], cov.p[1:], mode).transpose(1, 2, 0)
+    out += log_transition_tables(trans, cov.n[1:], cov.p[1:]).transpose(1, 2, 0)
     return out, (d0, d1, e0, u2, phi, tau1, tau2)
 
 
 def log_kernels(
-    y: np.ndarray,
-    cov: CovariateSeries,
-    tables: DayTables,
-    trans: TransitionParams | None,
-    mode: ModelMode = ModelMode.FOUR_STATE,
+    y: np.ndarray, cov: CovariateSeries, tables: DayTables, trans: TransitionParams | None
 ) -> np.ndarray:
     """(T, 4, 4) log kernels ``log lambda_t(b, c) + log f_t(y_t | b, c)``.
 
@@ -137,7 +132,7 @@ def log_kernels(
     row 0 also carries the anchor-day log distribution over b. Structurally
     impossible transitions are -inf.
     """
-    return np.ascontiguousarray(_kernel_terms(y, cov, tables, trans, mode)[0].transpose(2, 0, 1))
+    return np.ascontiguousarray(_kernel_terms(y, cov, tables, trans)[0].transpose(2, 0, 1))
 
 
 def _log_kernels_adjoint(g, tables, d0, d1, e0, u2, phi, tau1, tau2):
@@ -202,18 +197,14 @@ def _filter_recursion(logk: np.ndarray):
 
 
 def forward_filter(
-    y: np.ndarray,
-    cov: CovariateSeries,
-    emission: EmissionParams,
-    trans: TransitionParams | None,
-    mode: ModelMode = ModelMode.FOUR_STATE,
+    y: np.ndarray, cov: CovariateSeries, emission: EmissionParams, trans: TransitionParams | None
 ):
     """Run the filter; returns ``(log_likelihood, ForwardMessages)``.
 
     A series of zero likelihood gives ``-inf`` and all-(-inf) messages.
     """
     y = _validate(y, cov)
-    logk = log_kernels(y, cov, day_tables(emission, cov), trans, mode)
+    logk = log_kernels(y, cov, day_tables(emission, cov), trans)
     T = y.shape[0]
     filt, lognorm = _filter_recursion(logk)
     if lognorm[-1] == -np.inf:   # the recursion stopped at a day of zero likelihood
@@ -278,7 +269,7 @@ def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
     return g
 
 
-def log_likelihood_tape(y, cov, tables, trans, mode):
+def log_likelihood_tape(y, cov, tables, trans):
     """Tree log likelihood of validated ``y`` and what its adjoint needs.
 
     Returns ``(loglik, tape)``; the tape holds the log likelihood, the (4, 4)
@@ -287,7 +278,7 @@ def log_likelihood_tape(y, cov, tables, trans, mode):
     It stays in log space: a probability-space product with per-level
     rescaling returned NaN on extreme prior draws.
     """
-    logk, terms = _kernel_terms(y, cov, tables, trans, mode)
+    logk, terms = _kernel_terms(y, cov, tables, trans)
     top, levels = _tree_levels(logk)
     loglik = float(_logsumexp(top.ravel()))
     return loglik, (loglik, top, levels, terms)
@@ -312,35 +303,34 @@ def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPoint
     )
 
 
-def _nonzero_likelihood_tape(y, cov, tables, trans, mode):
-    """``log_likelihood_tape`` of validated ``y``; on zero likelihood, raises
-    ``FloatingPointError`` naming the first such day, found by the sequential filter."""
-    loglik, tape = log_likelihood_tape(y, cov, tables, trans, mode)
+def _nonzero_likelihood_tape(y, cov, tables, trans):
+    """``log_likelihood_tape`` of validated ``y``; raises ``FloatingPointError``
+    on a NaN log likelihood, and on zero likelihood naming the first such day,
+    found by the sequential filter."""
+    loglik, tape = log_likelihood_tape(y, cov, tables, trans)
+    if np.isnan(loglik):
+        raise FloatingPointError("log likelihood is NaN")
     if loglik == -np.inf:
-        _, lognorm = _filter_recursion(log_kernels(y, cov, tables, trans, mode))
+        _, lognorm = _filter_recursion(log_kernels(y, cov, tables, trans))
         raise _zero_likelihood(lognorm, cov)
     return tape
 
 
-def log_likelihood(y, cov, emission, trans, mode=ModelMode.FOUR_STATE) -> float:
+def log_likelihood(y, cov, emission, trans) -> float:
     """Observed-data log likelihood by the tree product; ``-inf`` if it is zero."""
     y = _validate(y, cov)
-    return log_likelihood_tape(y, cov, day_tables(emission, cov), trans, mode)[0]
+    return log_likelihood_tape(y, cov, day_tables(emission, cov), trans)[0]
 
 
 def terminal_log_distribution(
-    y: np.ndarray,
-    cov: CovariateSeries,
-    tables: DayTables,
-    trans: TransitionParams | None,
-    mode: ModelMode = ModelMode.FOUR_STATE,
+    y: np.ndarray, cov: CovariateSeries, tables: DayTables, trans: TransitionParams | None
 ) -> np.ndarray:
     """Normalised log filtered distribution (4,) of the state on the last day.
 
-    Raises ``FloatingPointError`` naming the first day of zero likelihood
-    when the series has none.
+    Raises ``FloatingPointError`` on a NaN log likelihood, and naming the
+    first day of zero likelihood when the series has none.
     """
-    loglik, product, _, _ = _nonzero_likelihood_tape(_validate(y, cov), cov, tables, trans, mode)
+    loglik, product, _, _ = _nonzero_likelihood_tape(_validate(y, cov), cov, tables, trans)
     return _logsumexp(product, axis=0) - loglik
 
 
@@ -361,12 +351,8 @@ def _smoothed_pairs(messages: ForwardMessages, logk: np.ndarray) -> np.ndarray:
 
 
 def backward_smooth(
-    messages: ForwardMessages,
-    y: np.ndarray,
-    cov: CovariateSeries,
-    emission: EmissionParams,
-    trans: TransitionParams | None,
-    mode: ModelMode = ModelMode.FOUR_STATE,
+    messages: ForwardMessages, y: np.ndarray, cov: CovariateSeries,
+    emission: EmissionParams, trans: TransitionParams | None,
 ) -> SmoothedStates:
     """Smoothed state marginals for days 0..T from stored forward messages.
 
@@ -379,7 +365,7 @@ def backward_smooth(
         raise ValueError("forward messages do not match the series length")
     if messages.log_likelihood == -np.inf:
         raise _zero_likelihood(messages.lognorm, cov)
-    logk = log_kernels(y, cov, day_tables(emission, cov), trans, mode)
+    logk = log_kernels(y, cov, day_tables(emission, cov), trans)
     pair = _smoothed_pairs(messages, logk)
     probs = np.empty((T + 1, 4))
     probs[0] = pair[0].sum(axis=1)
@@ -388,18 +374,18 @@ def backward_smooth(
     return SmoothedStates(probs=probs)
 
 
-def smooth_states(y, cov, emission, trans, mode=ModelMode.FOUR_STATE):
+def smooth_states(y, cov, emission, trans):
     """Smoothed state marginals from the tree's reverse pass; returns
     ``(loglik, SmoothedStates)``.
 
     Day 0's marginal sums the first pair marginal over the next state, day
     t >= 1's sums pair t-1 over the previous state. Raises
-    ``FloatingPointError`` naming the first day of zero likelihood when the
-    series has none.
+    ``FloatingPointError`` on a NaN log likelihood, and naming the first day
+    of zero likelihood when the series has none.
     """
     y = _validate(y, cov)
     tables = day_tables(emission, cov)
-    loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, tables, trans, mode)
+    loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, tables, trans)
     xi = _tree_adjoint(levels, np.exp(top - loglik))   # (b, c, T) pair marginals
     probs = np.empty((y.shape[0] + 1, 4))
     probs[0] = _sum4(xi[:, :, 0], 1)
@@ -411,7 +397,7 @@ def smooth_states(y, cov, emission, trans, mode=ModelMode.FOUR_STATE):
 def rao_blackwell_states(draws, y, cov) -> SmoothedStates:
     """Average per-draw smoothed marginals over retained posterior draws.
 
-    ``draws`` is a ``sampler.PosteriorDraws``; the model mode travels with it.
+    ``draws`` is a ``sampler.PosteriorDraws``; each draw's ``trans`` names its model.
     """
     if draws.n_draws < 1:
         raise ValueError("at least one posterior draw is required")
@@ -420,7 +406,7 @@ def rao_blackwell_states(draws, y, cov) -> SmoothedStates:
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
         try:
-            _, smoothed = smooth_states(y, cov, emission, trans, draws.mode)
+            _, smoothed = smooth_states(y, cov, emission, trans)
         except FloatingPointError as exc:
             raise FloatingPointError(f"draw {i}: {exc}") from exc
         total += smoothed.probs

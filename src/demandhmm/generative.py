@@ -27,7 +27,7 @@ from .covariates import (
 )
 from .emission import DayTables, EmissionParams, day_tables
 from .priors import HyperLatents
-from .states import ModelMode, TransitionParams, initial_distribution, log_transition_tables
+from .states import TransitionParams, initial_distribution, log_transition_tables
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,15 @@ class SimulationOutput:
 
 
 def simulate(
-    emission: EmissionParams,
-    trans: TransitionParams | None,
-    cov: CovariateSeries,
-    seed,
-    mode: ModelMode = ModelMode.FOUR_STATE,
+    emission: EmissionParams, trans: TransitionParams | None, cov: CovariateSeries, seed
 ) -> SimulationOutput:
-    """Simulate one dataset. ``seed`` is an int or a ``numpy`` SeedSequence/Generator."""
+    """Simulate one dataset, two-state if ``trans`` is None.
+
+    ``seed`` is an int or a ``numpy`` SeedSequence/Generator.
+    """
     rng = np.random.default_rng(seed)
-    tables, cum = _path_tables(emission, trans, cov, mode)
-    l0 = initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
+    tables, cum = _path_tables(emission, trans, cov)
+    l0 = initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
     u = rng.random(cov.T + 1)
     z = rng.standard_normal((cov.T, 2))
     states, y = _draw_path(tables, cum, l0, u, z)
@@ -64,20 +63,19 @@ def continue_simulation(
     last_y: np.ndarray,
     last_mu: np.ndarray,
     rng: np.random.Generator,
-    mode: ModelMode = ModelMode.FOUR_STATE,
 ):
     """Roll states and demand forward from a known end point (forecasting)."""
-    tables, cum = _path_tables(emission, trans, future_cov, mode)
+    tables, cum = _path_tables(emission, trans, future_cov)
     u = rng.random(future_cov.T + 1)
     z = rng.standard_normal((future_cov.T, 2))
     states, y = _draw_path(tables, cum, (last_state - 1, last_y, last_mu), u, z)
     return states[1:] + 1, y
 
 
-def _path_tables(emission, trans, cov, mode):
+def _path_tables(emission, trans, cov):
     """Day tables and cumulative transition probabilities (T, 4, 4) over ``cov``."""
     tables = day_tables(emission, cov)
-    lam = np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode))
+    lam = np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:]))
     return tables, np.cumsum(lam, axis=2)
 
 

@@ -12,6 +12,8 @@ each draw the terminal state is sampled from that draw's terminal filtered
 distribution (which equals the smoothed one), then states and demand evolve
 over the supplied future covariates (future holidays are known; future CWV
 is a scenario).
+
+Each draw's ``trans`` carries its model: ``None`` is the two-state comparator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .emission import day_tables
 from .filtering import terminal_log_distribution
 from .generative import continue_simulation, simulate
 from .sampler import PosteriorDraws
-from .states import ModelMode
 
 GAP_BUCKETS = (0, 1, 2, 3, 10)
 
@@ -73,17 +74,9 @@ class PpcSummary:
 
 
 def posterior_predictive_replicates(
-    draws: PosteriorDraws,
-    y: np.ndarray,
-    cov: CovariateSeries,
-    mode: ModelMode,
-    seed,
+    draws: PosteriorDraws, y: np.ndarray, cov: CovariateSeries, seed
 ) -> np.ndarray:
     """(M, T, 2) replicated log-demand series, one per retained draw."""
-    if mode is not draws.mode:
-        raise ValueError(
-            f"draws were fitted in {draws.mode.value} mode but {mode.value} was requested"
-        )
     y = np.asarray(y)
     if y.shape != (cov.T, 2):
         raise ValueError("data and covariates are misaligned")
@@ -91,7 +84,7 @@ def posterior_predictive_replicates(
     out = np.empty((draws.n_draws, cov.T, 2))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
-        sim = simulate(emission, trans, cov, rng, mode)
+        sim = simulate(emission, trans, cov, rng)
         out[i] = sim.y
     return out
 
@@ -173,14 +166,12 @@ def forecast(
         tables = day_tables(emission, cov)
         try:
             # the last filtered distribution is the last smoothed one
-            log_last = terminal_log_distribution(y, cov, tables, trans, draws.mode)
+            log_last = terminal_log_distribution(y, cov, tables, trans)
         except FloatingPointError as exc:
             raise FloatingPointError(f"draw {i}: {exc}") from exc
         last_probs = np.exp(log_last)
         last_state = int(rng.choice(4, p=last_probs / last_probs.sum())) + 1
         last_mu = tables.mu[-1, last_state - 1]
-        _, path = continue_simulation(
-            emission, trans, future_cov, last_state, y[-1], last_mu, rng, draws.mode
-        )
+        _, path = continue_simulation(emission, trans, future_cov, last_state, y[-1], last_mu, rng)
         paths[i] = path
     return paths

@@ -133,10 +133,9 @@ class Hyperparameters:
 
     @cached_property
     def _factor_tables(self) -> dict:
-        """The prior's factor table per ``ModelMode``, built once per instance."""
+        """Factor tables of the four-state (key True) and two-state (False) priors, built once."""
         table = _factor_table(self)
-        two_state = tuple(f for f in table if f[0] not in _FOUR_STATE_ONLY)
-        return {ModelMode.FOUR_STATE: table, ModelMode.TWO_STATE: two_state}
+        return {True: table, False: tuple(f for f in table if f[0] not in _FOUR_STATE_ONLY)}
 
 
 def default_hyperparameters(
@@ -303,16 +302,16 @@ def log_prior(
     trans: TransitionParams | None,
     latents: HyperLatents,
     hyper: Hyperparameters,
-    mode: ModelMode = ModelMode.FOUR_STATE,
 ) -> float:
     """Joint log prior density of all parameters and hyper-latents.
 
     The density is taken with respect to the natural parameterisation: unit
     interval parameters contribute their logit-normal (decay) or beta (AR)
     densities directly. Support violations yield ``-inf`` rather than raising
-    so that samplers can reject.
+    so that samplers can reject. ``trans is None`` is the two-state model,
+    whose pinned decay factors carry no density.
     """
-    four = mode is ModelMode.FOUR_STATE
+    four = trans is not None
     ar = emission.ar_eig01
     if np.any(ar <= 0.0) or np.any(ar >= 1.0):
         return -np.inf
@@ -325,7 +324,7 @@ def log_prior(
     lp = 0.0
     # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf
     with np.errstate(over="ignore"):
-        for name, _, parent, mean, law in hyper._factor_tables[mode]:
+        for name, _, parent, mean, law in hyper._factor_tables[four]:
             lp += law.logpdf(values[name], mean if parent is None else values[parent])
     if four:
         # change of measure from logits to the (0, 1) decay values themselves
@@ -338,7 +337,6 @@ def log_prior_grad(
     trans: TransitionParams | None,
     latents: HyperLatents,
     hyper: Hyperparameters,
-    mode: ModelMode = ModelMode.FOUR_STATE,
 ) -> dict:
     """Gradient of :func:`log_prior` inside its support, keyed by family name.
 
@@ -349,13 +347,13 @@ def log_prior_grad(
     values = _table_values(emission, trans, latents)
     g = {}
     # children first, so each parent has collected its children's terms
-    for name, _, parent, mean, law in reversed(hyper._factor_tables[mode]):
+    for name, _, parent, mean, law in reversed(hyper._factor_tables[trans is not None]):
         m = mean if parent is None else values[parent]
         s = law.score(values[name], m)
         g[name] = g.get(name, 0.0) + s
         if parent is not None:
             g[parent] = g.get(parent, 0.0) - s.reshape((-1,) + np.shape(m)).sum(axis=0)
-    if mode is ModelMode.FOUR_STATE:
+    if trans is not None:
         # d logit(rho) / d rho = 1 / (rho (1 - rho)), plus the change of measure
         for name in _LOGIT_FAMILIES:
             rho = getattr(emission, name)
@@ -375,14 +373,15 @@ def sample_prior_batch(
     :func:`sample_prior` is the single-draw structured view. The decay
     logits are also returned together, as ``logit_decay`` (n, 3).
     """
+    four = mode is ModelMode.FOUR_STATE
     out = {}
-    for name, shape, parent, mean, law in hyper._factor_tables[mode]:
+    for name, shape, parent, mean, law in hyper._factor_tables[four]:
         if parent is not None:
             p = out[parent]
             # the parent's axes line up with the child's trailing axes
             mean = p.reshape(p.shape[:1] + (1,) * (len(shape) + 1 - p.ndim) + p.shape[1:])
         out[name] = law.draw(rng, mean, (n,) + shape)
-    if mode is ModelMode.FOUR_STATE:
+    if four:
         out["logit_decay"] = np.concatenate([out["decay_mean"], out["decay_prec"][:, None]], axis=1)
         for name in _LOGIT_FAMILIES:
             out[name] = 1.0 / (1.0 + np.exp(-out[name]))

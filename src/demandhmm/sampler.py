@@ -34,11 +34,12 @@ from .states import ModelMode, log_transition_tables_adjoint
 
 
 # Fixed tuning: the leapfrog count varies by this fraction either side of
-# ``n_leapfrog``, HMC starts at this step size, random-walk blocks of more than
-# two coordinates target this acceptance rate, and each chain start tries this
-# many prior draws for a finite log posterior.
+# ``n_leapfrog``, HMC starts at this step size and adapts it to this acceptance
+# rate, random-walk blocks of more than two coordinates target this acceptance
+# rate, and each chain start tries this many prior draws for a finite log posterior.
 _LEAPFROG_JITTER = 0.2
 _INIT_STEP_SIZE = 0.05
+_HMC_TARGET_ACCEPT = 0.8
 _RWM_TARGET_ACCEPT = 0.234
 _MAX_INIT_RETRIES = 100
 
@@ -56,12 +57,13 @@ class SamplerConfig:
     algorithm: str = "hmc"              # or "adaptive-metropolis"
     seed: int = 0
     n_leapfrog: int = 16
-    target_accept: float = 0.8
     free: list | None = None
 
     def __post_init__(self):
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
+        if self.n_iterations < 1:
+            raise ValueError("n_iterations must be >= 1")
         if not 0.0 < self.burn_in < 1.0:
             raise ValueError("burn_in fraction must lie in (0, 1)")
         if self.thin < 1:
@@ -172,13 +174,12 @@ class NumpyPosterior:
         """``(value, state)``; ``state`` is what the gradient needs, None at -inf."""
         full = self.space.insert_free(self.base_full, u_free)
         emission, trans, latents = self.space.unpack(full)
-        mode = self.space.mode
-        lp = log_prior(emission, trans, latents, self.hyper, mode)
+        lp = log_prior(emission, trans, latents, self.hyper)
         if not np.isfinite(lp):
             return -np.inf, None
         try:
             tables = day_tables(emission, self.cov)
-            loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans, mode)
+            loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
         except (ValueError, FloatingPointError):
             return -np.inf, None
         if not np.isfinite(loglik):
@@ -190,13 +191,12 @@ class NumpyPosterior:
         return self._forward(u_free)[0]
 
     def _gradient(self, full, emission, trans, latents, tables, tape) -> np.ndarray:
-        mode = self.space.mode
         g_tables, g_loglam = log_likelihood_adjoint(tape, tables)
-        grads = log_prior_grad(emission, trans, latents, self.hyper, mode)
+        grads = log_prior_grad(emission, trans, latents, self.hyper)
         design = build_design(self.cov, emission.k_annual, emission.k_prec_annual)
         for name, g in day_tables_adjoint(emission, design, tables, *g_tables).items():
             grads[name] = grads.get(name, 0.0) + g
-        if mode is ModelMode.FOUR_STATE:
+        if trans is not None:
             n, p = self.cov.n[1:], self.cov.p[1:]
             grads["trans"] = grads["trans"] + log_transition_tables_adjoint(trans, n, p, g_loglam)
         return self.space.log_jacobian_chain(full, grads)[self.space.free_idx]
@@ -451,7 +451,7 @@ def _run_hmc(y, cov, hyper, space, base_full, config):
     win_lo = buffer
     eps = np.full(C, _INIT_STEP_SIZE)
     inv_mass = np.ones((C, D))
-    das = [_DualAveraging(_INIT_STEP_SIZE, config.target_accept) for _ in range(C)]
+    das = [_DualAveraging(_INIT_STEP_SIZE, _HMC_TARGET_ACCEPT) for _ in range(C)]
     window: list = []
 
     l_lo = max(1, int(round(config.n_leapfrog * (1.0 - _LEAPFROG_JITTER))))

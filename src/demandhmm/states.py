@@ -4,7 +4,9 @@ States: 1 pre-holiday, 2 holiday, 3 post-holiday, 4 normal. State 2 is
 observable (it applies exactly on public holidays); the others are hidden.
 Transition probabilities vary with the days to the next holiday ``n`` and
 since the previous one ``p``. The chain is cyclic: 4 -> (1) -> 2 -> (3) -> 4,
-with the proximity states 1 and 3 optional.
+with the proximity states 1 and 3 optional. The two-state comparator has no
+proximity states and no transition coefficients: every function here that
+takes ``trans`` reads ``trans is None`` as that model.
 
 The module also defines the 11-pair augmented state space of consecutive
 state pairs used by the filtering algorithms; 5 of the 16 conceivable pairs
@@ -39,7 +41,11 @@ LOGIT_CLAMP = 35.0
 
 
 class ModelMode(enum.Enum):
-    """Full model, or the restricted comparator without proximity states."""
+    """Full model, or the restricted comparator without proximity states.
+
+    Only the parameter vector's layout and prior draws take a mode; past
+    them, ``trans is None`` is the two-state model.
+    """
 
     FOUR_STATE = "four_state"
     TWO_STATE = "two_state"
@@ -138,19 +144,18 @@ def _logits_clamped(trans: TransitionParams, n, p):
     return l_pre, l_exit, l_post
 
 
-def transition_matrix(
-    trans: TransitionParams, n: int, p: int, mode: ModelMode = ModelMode.FOUR_STATE
-) -> np.ndarray:
+def transition_matrix(trans: TransitionParams | None, n: int, p: int) -> np.ndarray:
     """Row-stochastic 4x4 matrix of Pr(state today | state yesterday, n, p).
 
     On a holiday (n = p = 0) every row moves to state 2 with certainty. In
-    two-state mode the chain is deterministic: holiday -> 2, otherwise -> 4.
+    the two-state model (``trans is None``) the chain is deterministic:
+    holiday -> 2, otherwise -> 4.
     """
     mat = np.zeros((4, 4))
     if n == 0 and p == 0:
         mat[:, 1] = 1.0
         return mat
-    if mode is ModelMode.TWO_STATE:
+    if trans is None:
         mat[:, 3] = 1.0
         return mat
     l_pre, l_exit, l_post = _logits_clamped(trans, n, p)
@@ -167,26 +172,22 @@ def transition_matrix(
     return mat
 
 
-def initial_distribution(
-    n0: int, p0: int, mode: ModelMode = ModelMode.FOUR_STATE
-) -> np.ndarray:
+def initial_distribution(trans: TransitionParams | None, n0: int, p0: int) -> np.ndarray:
     """Distribution of the anchor-day state given its holiday distances."""
     if n0 == 0 and p0 == 0:
         return np.array([0.0, 1.0, 0.0, 0.0])
-    if mode is ModelMode.TWO_STATE:
+    if trans is None:
         return np.array([0.0, 0.0, 0.0, 1.0])
     return np.array([1.0, 0.0, 1.0, 1.0]) / 3.0
 
 
-def augmented_transition_matrix(
-    trans: TransitionParams, n: int, p: int, mode: ModelMode = ModelMode.FOUR_STATE
-) -> np.ndarray:
+def augmented_transition_matrix(trans: TransitionParams | None, n: int, p: int) -> np.ndarray:
     """11x11 row-stochastic matrix over consecutive-state pairs.
 
     Entry ((a, b), (b', c)) equals the single-day transition probability from
     b to c at (n, p) when b = b', else zero.
     """
-    lam = transition_matrix(trans, n, p, mode)
+    lam = transition_matrix(trans, n, p)
     out = np.zeros((11, 11))
     for i, (_, b) in enumerate(AUGMENTED_PAIRS):
         for j, (b2, c) in enumerate(AUGMENTED_PAIRS):
@@ -196,10 +197,7 @@ def augmented_transition_matrix(
 
 
 def log_transition_tables(
-    trans: TransitionParams,
-    n: np.ndarray,
-    p: np.ndarray,
-    mode: ModelMode = ModelMode.FOUR_STATE,
+    trans: TransitionParams | None, n: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
     """(T, 4, 4) log transition matrices for observation days 1..T.
 
@@ -211,7 +209,7 @@ def log_transition_tables(
     T = n.shape[0]
     out = np.full((T, 4, 4), -np.inf)
     hol = (n == 0) & (p == 0)
-    if mode is ModelMode.TWO_STATE:
+    if trans is None:
         out[~hol, :, 3] = 0.0
     else:
         l_pre, l_exit, l_post = _logits_clamped(trans, n, p)
@@ -251,6 +249,6 @@ def log_transition_tables_adjoint(trans: TransitionParams, n, p, g: np.ndarray) 
     )
 
 
-def log_initial_distribution(n0: int, p0: int, mode: ModelMode = ModelMode.FOUR_STATE):
+def log_initial_distribution(trans: TransitionParams | None, n0: int, p0: int):
     with np.errstate(divide="ignore"):
-        return np.log(initial_distribution(n0, p0, mode))
+        return np.log(initial_distribution(trans, n0, p0))

@@ -15,7 +15,7 @@ from demandhmm.emission import log_emission_density
 from demandhmm.generative import default_truth
 from demandhmm.paramspace import ParamSpace
 from demandhmm.sampler import PosteriorDraws
-from demandhmm.states import ModelMode, initial_distribution, transition_matrix
+from demandhmm.states import initial_distribution, transition_matrix
 
 
 def flat_baseline(value: float = 8.0) -> SeasonalCwvBaseline:
@@ -60,16 +60,16 @@ def draws_from_params(params_list, k=2, kp=2):
     )
 
 
-def enumeration_oracle(y, cov, emission, trans, mode=ModelMode.FOUR_STATE):
+def enumeration_oracle(y, cov, emission, trans):
     """Log likelihood and smoothed marginals by explicit path enumeration.
 
     Walks every positive-probability state sequence s_{0..T} (depth-first over
     the transition support) and combines path log-weights exactly.
     """
     T = cov.T
-    l0 = initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
+    l0 = initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
     lams = [
-        transition_matrix(trans, int(cov.n[t]), int(cov.p[t]), mode)
+        transition_matrix(trans, int(cov.n[t]), int(cov.p[t]))
         for t in range(1, T + 1)
     ]
 

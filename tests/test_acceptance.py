@@ -346,8 +346,8 @@ def test_criterion_09_ppc_contrast(desk, four_fit, two_fit):
     draws4, _, _ = four_fit
     draws2, diag2 = two_fit
     assert diag2.max_rhat < 1.05
-    reps4 = posterior_predictive_replicates(draws4, sim.y, cov, ModelMode.FOUR_STATE, seed=555)
-    reps2 = posterior_predictive_replicates(draws2, sim.y, cov, ModelMode.TWO_STATE, seed=555)
+    reps4 = posterior_predictive_replicates(draws4, sim.y, cov, seed=555)
+    reps2 = posterior_predictive_replicates(draws2, sim.y, cov, seed=555)
     cov4 = coverage_by_gap(reps4, sim.y, cov)
     cov2 = coverage_by_gap(reps2, sim.y, cov)
     g1_four = cov4.fraction_for("1")

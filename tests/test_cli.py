@@ -193,22 +193,11 @@ class TestDownstream:
             "--holidays", str(workspace / "holidays.csv"),
             "--config", str(workspace / "config.txt"), "--seed", "6",
             "--out-dir", str(workspace / "ppc"), "--draws", str(fitted / "draws.csv"),
-            "--mode", "four_state",
         ])
         assert rc == 0
         doc = json.loads((workspace / "ppc" / "ppc.json").read_text())
         assert {b["gap"] for b in doc["buckets"]} == {"0", "1", "2", "3", "10+"}
         assert (workspace / "ppc" / "ppc_days.csv").exists()
-
-    def test_ppc_mode_mismatch_is_input_error(self, workspace, fitted):
-        rc = main([
-            "ppc", "--data", str(workspace / "sim" / "data.csv"),
-            "--holidays", str(workspace / "holidays.csv"),
-            "--config", str(workspace / "config.txt"), "--seed", "6",
-            "--out-dir", str(workspace / "ppc_bad"), "--draws", str(fitted / "draws.csv"),
-            "--mode", "two_state",
-        ])
-        assert rc == 2
 
     def test_forecast(self, workspace, fitted):
         with open(workspace / "sim" / "data.csv", newline="") as fh:
@@ -383,6 +372,87 @@ class TestInputErrors:
         assert err["type"] == "DataError" and str(bad) in err["message"]
         if damage == "short_row":
             assert "line 3" in err["message"]
+
+    @pytest.mark.parametrize("column, cell", [
+        ("chain", "x"), ("iter", "1.5"), ("lp", "abc"), ("to_normal_const", "abc"),
+        ("to_normal_const", "nan"), ("level_1", "inf"), ("ar_eig01_1", "1.5"),
+    ])
+    def test_bad_draws_cell(self, workspace, fitted, tmp_path, column, cell):
+        lines = (fitted / "draws.csv").read_text().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(row)
+        bad = tmp_path / "draws.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "draws_meta.json").write_bytes((fitted / "draws_meta.json").read_bytes())
+        out = tmp_path / "out"
+        rc = main([
+            "smooth", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "1",
+            "--out-dir", str(out), "--draws", str(bad),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError"
+        assert err["message"].startswith(f"{bad}: line 3: ")
+        assert not (out / "smoothed.csv").exists()
+
+    def test_draws_lp_may_be_nan(self, fitted, tmp_path):
+        lines = (fitted / "draws.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        text = "\n".join([lines[0]] + [",".join(r[:2] + ["nan"] + r[3:]) for r in rows]) + "\n"
+        (tmp_path / "draws.csv").write_text(text)
+        (tmp_path / "draws_meta.json").write_bytes((fitted / "draws_meta.json").read_bytes())
+        draws = dataio.read_draws_csv(tmp_path / "draws.csv")
+        assert np.all(np.isnan(draws.logpost))
+        assert np.array_equal(draws.free_draws, dataio.read_draws_csv(fitted / "draws.csv").free_draws)
+
+    @pytest.mark.parametrize("command", ["smooth", "forecast"])
+    def test_nan_likelihood_draw_is_numerical_failure(self, workspace, fitted, tmp_path, command):
+        # a finite draw whose mean overflows: its log likelihood is NaN
+        lines = (fitted / "draws.csv").read_text().splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
+        for column in ("level_1", "annual_1_cos_1"):
+            row[header.index(column)] = "1.7e308"
+        lines[1] = ",".join(row)
+        (tmp_path / "draws.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "draws_meta.json").write_bytes((fitted / "draws_meta.json").read_bytes())
+        with open(workspace / "sim" / "data.csv", newline="") as fh:
+            last = dt.date.fromisoformat(list(csv.DictReader(fh))[-1]["date"])
+        future = tmp_path / "future_cwv.csv"
+        with open(future, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "w1", "w2"])
+            for i in range(1, 8):
+                writer.writerow([(last + dt.timedelta(days=i)).isoformat(), 8.0, 8.0])
+        out = tmp_path / "out"
+        extra = ["--horizon", "7", "--future-cwv", str(future)] if command == "forecast" else []
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                command, "--data", str(workspace / "sim" / "data.csv"),
+                "--holidays", str(workspace / "holidays.csv"),
+                "--config", str(workspace / "config.txt"), "--seed", "1",
+                "--out-dir", str(out), "--draws", str(tmp_path / "draws.csv"), *extra,
+            ])
+        assert rc == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "FloatingPointError"
+        assert err["message"] == "draw 0: log likelihood is NaN"
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_fit_needs_an_iteration(self, workspace, tmp_path, iters):
+        out = tmp_path / "out"
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "3",
+            "--out-dir", str(out), "--iters", iters, "--backend", "adaptive-metropolis",
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert "n_iterations must be >= 1" in err["message"]
+        assert not (out / "draws.csv").exists()
 
     @pytest.mark.parametrize("line", ["k_annual = 2.7", "k_prec_annual = 0"])
     def test_bad_harmonic_count(self, workspace, tmp_path, line):

@@ -66,11 +66,11 @@ class TestFilterVsEnumeration:
         cov = make_cov(
             dt.date(2021, 3, 2), 6, [(dt.date(2021, 3, 4), 2)], rng=np.random.default_rng(3)
         )
-        y = simulate(emission, None, cov, seed=10, mode=ModelMode.TWO_STATE).y
-        loglik, _ = forward_filter(y, cov, emission, None, ModelMode.TWO_STATE)
-        oracle_ll, oracle_post = enumeration_oracle(y, cov, emission, None, ModelMode.TWO_STATE)
+        y = simulate(emission, None, cov, seed=10).y
+        loglik, _ = forward_filter(y, cov, emission, None)
+        oracle_ll, oracle_post = enumeration_oracle(y, cov, emission, None)
         assert abs(loglik - oracle_ll) <= 1e-10 * abs(oracle_ll)
-        _, smoothed = smooth_states(y, cov, emission, None, ModelMode.TWO_STATE)
+        _, smoothed = smooth_states(y, cov, emission, None)
         assert np.max(np.abs(smoothed.probs - oracle_post)) <= 1e-12
 
 
@@ -161,7 +161,7 @@ class TestPairOrderInvariance:
         design = build_design(cov, emission.k_annual, emission.k_prec_annual)
         tables = build_day_tables(emission, design)
         loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:])
-        logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]))
+        logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
         rng = np.random.default_rng(6)
         for _ in range(4):
             perm = rng.permutation(11)
@@ -229,32 +229,32 @@ def _problems(draw):
     emission, trans, _ = small_truth()
     if mode is ModelMode.TWO_STATE:
         trans = None
-    y = simulate(emission, trans, cov, rng, mode).y
+    y = simulate(emission, trans, cov, rng).y
     if draw(st.booleans()):
         emission, prior_trans, _ = sample_prior(default_hyperparameters("paper-like", 2, 2), rng)
         trans = None if mode is ModelMode.TWO_STATE else prior_trans
-    return y, cov, emission, trans, mode
+    return y, cov, emission, trans
 
 
 class TestFilterProperties:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_problems())
     def test_matches_reference_filter(self, problem):
-        y, cov, emission, trans, mode = problem
-        loglik, _ = forward_filter(y, cov, emission, trans, mode)
+        y, cov, emission, trans = problem
+        loglik, _ = forward_filter(y, cov, emission, trans)
         assume(np.isfinite(loglik))
         tables = build_day_tables(emission, build_design(cov, 2, 2))
-        loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:], mode)
-        logl0 = log_initial_distribution(int(cov.n[0]), int(cov.p[0]), mode)
+        loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:])
+        logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
         expected = _reference_filter(y, loglam, logl0, tables, AUGMENTED_PAIRS)
         assert loglik == pytest.approx(expected, rel=1e-12)
-        assert log_likelihood(y, cov, emission, trans, mode) == pytest.approx(expected, rel=1e-12)
+        assert log_likelihood(y, cov, emission, trans) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_problems())
     def test_smoothed_rows_normalised_and_exact_on_holidays(self, problem):
-        y, cov, emission, trans, mode = problem
-        loglik, smoothed = smooth_states(y, cov, emission, trans, mode)
+        y, cov, emission, trans = problem
+        loglik, smoothed = smooth_states(y, cov, emission, trans)
         assume(np.isfinite(loglik))
         probs = smoothed.probs
         assert probs.sum(axis=1) == pytest.approx(np.ones(cov.T + 1), abs=1e-12)
@@ -266,11 +266,11 @@ class TestFilterProperties:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_problems())
     def test_smooth_states_matches_sequential_smoother(self, problem):
-        y, cov, emission, trans, mode = problem
-        loglik, messages = forward_filter(y, cov, emission, trans, mode)
+        y, cov, emission, trans = problem
+        loglik, messages = forward_filter(y, cov, emission, trans)
         assume(np.isfinite(loglik))
-        expected = backward_smooth(messages, y, cov, emission, trans, mode).probs
-        tree_loglik, smoothed = smooth_states(y, cov, emission, trans, mode)
+        expected = backward_smooth(messages, y, cov, emission, trans).probs
+        tree_loglik, smoothed = smooth_states(y, cov, emission, trans)
         assert tree_loglik == pytest.approx(loglik, rel=1e-12)
         # both recursions round exponents of the size of log L
         tol = max(1e-9, 1e-15 * abs(loglik))
@@ -280,13 +280,13 @@ class TestFilterProperties:
     @given(_problems())
     def test_tree_adjoint_is_smoothed_pair_probability(self, problem):
         # Fisher's identity: d log L / d log K_t(b, c) is the smoothed pair probability
-        y, cov, emission, trans, mode = problem
-        loglik, messages = forward_filter(y, cov, emission, trans, mode)
+        y, cov, emission, trans = problem
+        loglik, messages = forward_filter(y, cov, emission, trans)
         assume(np.isfinite(loglik))
         tables = build_day_tables(emission, build_design(cov, 2, 2))
-        _, tape = log_likelihood_tape(y, cov, tables, trans, mode)
+        _, tape = log_likelihood_tape(y, cov, tables, trans)
         _, xi = log_likelihood_adjoint(tape, tables)
-        logk = log_kernels(y, cov, tables, trans, mode)
+        logk = log_kernels(y, cov, tables, trans)
         # both recursions round exponents of the size of log L
         tol = max(1e-9, 1e-15 * abs(loglik))
         assert np.max(np.abs(xi - _smoothed_pairs(messages, logk))) <= tol
@@ -320,6 +320,30 @@ class TestZeroLikelihood:
         draws = draws_from_params([(emission, trans, latents)])
         with pytest.raises(FloatingPointError, match=r"^draw 0: .*day 6 \(2021-03-07\)"):
             rao_blackwell_states(draws, y, cov)
+
+
+class TestNanLikelihood:
+    """A finite draw whose mean overflows gives a NaN log likelihood: a numerical failure."""
+
+    @pytest.fixture(scope="class")
+    def huge(self):
+        emission, trans, latents = small_truth()
+        annual = emission.annual.copy()
+        annual[0, 0, 0] = 1.7e308
+        return emission.replace(level=np.array([1.7e308, emission.level[1]]), annual=annual)
+
+    def test_smoothing_and_terminal_state_raise(self, setup, huge):
+        emission, trans, cov, y = setup
+        latents = small_truth()[2]
+        draws = draws_from_params([(emission, trans, latents), (huge, trans, latents)])
+        # the overflow is the point of the test; the filter turns its NaN into the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
+                smooth_states(y, cov, huge, trans)
+            with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
+                terminal_log_distribution(y, cov, day_tables(huge, cov), trans)
+            with pytest.raises(FloatingPointError, match="^draw 1: log likelihood is NaN"):
+                rao_blackwell_states(draws, y, cov)
 
 
 class TestRaoBlackwell:

@@ -127,7 +127,7 @@ class TestSimulate:
         emission, _, _ = small_truth()
         cov = make_cov(dt.date(2021, 5, 1), 20, [(dt.date(2021, 5, 7), 2)],
                        rng=np.random.default_rng(5))
-        sim = simulate(emission, None, cov, seed=6, mode=ModelMode.TWO_STATE)
+        sim = simulate(emission, None, cov, seed=6)
         expected = np.where(cov.is_holiday, 2, 4)
         assert np.array_equal(sim.states, expected)
 
@@ -171,21 +171,21 @@ class TestSimulate:
                        rng=np.random.default_rng(14))
         tables = build_day_tables(emission, build_design(cov, emission.k_annual,
                                                          emission.k_prec_annual))
-        cum = np.cumsum(np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:], mode)), axis=2)
+        cum = np.cumsum(np.exp(log_transition_tables(trans, cov.n[1:], cov.p[1:])), axis=2)
         last_y, last_mu = np.array([3.3, 3.7]), np.array([3.25, 3.72])
         for seed in range(5):
             rng = np.random.default_rng(seed)
             u, z = rng.random(61), rng.standard_normal((60, 2))
-            sim = simulate(emission, trans, cov, seed, mode)
+            sim = simulate(emission, trans, cov, seed)
             states = sim.states - 1
-            l0 = np.cumsum(initial_distribution(int(cov.n[0]), int(cov.p[0]), mode))
+            l0 = np.cumsum(initial_distribution(trans, int(cov.n[0]), int(cov.p[0])))
             assert states[0] == next((k for k in range(4) if u[0] < l0[k]), 3)
             assert states.tolist() == _reference_walk(cum, states[0], u)
             assert np.array_equal(sim.y, _reference_demand(tables, states, z))
 
             for s0 in range(4):
                 states, y = continue_simulation(emission, trans, cov, s0 + 1, last_y, last_mu,
-                                                np.random.default_rng(seed), mode)
+                                                np.random.default_rng(seed))
                 states = np.concatenate(([s0], states - 1))
                 assert states.tolist() == _reference_walk(cum, s0, u)
                 assert np.array_equal(y, _reference_demand(tables, states, z, (last_y, last_mu)))

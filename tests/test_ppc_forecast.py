@@ -69,21 +69,15 @@ class TestReplicates:
     def test_shape_matches_data(self, scene):
         cov, y = scene
         draws = _make_draws(_jittered_params(45, np.random.default_rng(1)))
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=3)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=3)
         assert reps.shape == (45, cov.T, 2)
         assert np.all(np.isfinite(reps))
-
-    def test_mode_mismatch_rejected(self, scene):
-        cov, y = scene
-        draws = _make_draws(_jittered_params(45, np.random.default_rng(2)))
-        with pytest.raises(ValueError, match="mode"):
-            posterior_predictive_replicates(draws, y, cov, ModelMode.TWO_STATE, seed=3)
 
     def test_deterministic_given_seed(self, scene):
         cov, y = scene
         draws = _make_draws(_jittered_params(45, np.random.default_rng(3)))
-        a = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=4)
-        b = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=4)
+        a = posterior_predictive_replicates(draws, y, cov, seed=4)
+        b = posterior_predictive_replicates(draws, y, cov, seed=4)
         assert np.array_equal(a, b)
 
     def test_tight_precision_concentrates_on_mean_path(self, scene):
@@ -95,7 +89,7 @@ class TestReplicates:
             for e, _, l in _jittered_params(60, np.random.default_rng(4))
         ]
         draws = _make_draws(params, mode=ModelMode.TWO_STATE)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.TWO_STATE, seed=5)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=5)
         assert reps.std(axis=0).max() <= 0.05
 
     def test_holiday_predictive_mean_matches_mixture(self, scene):
@@ -105,7 +99,7 @@ class TestReplicates:
         rng = np.random.default_rng(5)
         params = _jittered_params(400, rng, psi_zero=True)
         draws = _make_draws(params)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=6)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=6)
         hol_t = int(np.flatnonzero(cov.is_holiday[1:])[0]) + 1
         mus = np.stack([mean_vector(e, cov.day(hol_t), 2) for e, _, _ in params])
         resid_sd = np.exp(-np.array([6.4, 6.7]) / 2).max()
@@ -122,7 +116,7 @@ class TestReplicates:
         params = _jittered_params(5, np.random.default_rng(40))
         if mode is ModelMode.TWO_STATE:
             params = [(e, None, l) for e, _, l in params]
-        reps = posterior_predictive_replicates(_make_draws(params, mode=mode), y, cov, mode, seed=8)
+        reps = posterior_predictive_replicates(_make_draws(params, mode=mode), y, cov, seed=8)
         assert _digest(reps) == digest
 
 
@@ -137,7 +131,7 @@ class TestCoverage:
         cov, y = scene
         emission, trans, latents = small_truth()
         draws = _make_draws([(emission, trans, latents)] * 300)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=7)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=7)
         summary = coverage_by_gap(reps, y, cov)
         frac = summary.bucket_outside.sum() / summary.bucket_count.sum()
         assert 0.0 <= frac <= 0.13  # about 5% for data drawn from the same law
@@ -146,7 +140,7 @@ class TestCoverage:
         cov, y = scene
         emission, trans, latents = small_truth()
         draws = _make_draws([(emission, trans, latents)] * 60)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=8)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=8)
         summary = coverage_by_gap(reps, y + 10.0, cov)
         assert summary.outside.mean() >= 0.999
 
@@ -154,7 +148,7 @@ class TestCoverage:
         cov, y = scene
         emission, trans, latents = small_truth()
         draws = _make_draws([(emission, trans, latents)] * 80)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=9)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=9)
         a = coverage_by_gap(reps, y, cov)
         b = coverage_by_gap(reps[::-1], y, cov)
         assert np.array_equal(a.bucket_outside, b.bucket_outside)
@@ -164,7 +158,7 @@ class TestCoverage:
         cov, y = scene
         emission, trans, latents = small_truth()
         draws = _make_draws([(emission, trans, latents)] * 50)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=10)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=10)
         summary = coverage_by_gap(reps, y, cov)
         gap = cov.gap[1:]
         for i, g in enumerate((0, 1, 2, 3)):
@@ -176,7 +170,7 @@ class TestCoverage:
         cov, y = scene
         emission, trans, latents = small_truth()
         draws = _make_draws([(emission, trans, latents)] * 50)
-        reps = posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=11)
+        reps = posterior_predictive_replicates(draws, y, cov, seed=11)
         doc = coverage_by_gap(reps, y, cov).to_dict()
         assert {b["gap"] for b in doc["buckets"]} == {"0", "1", "2", "3", "10+"}
         for b in doc["buckets"]:
@@ -186,8 +180,7 @@ class TestCoverage:
         # March with no holiday within three days: the gap 0-3 buckets hold no days
         cov = make_cov(dt.date(2021, 3, 1), 30, [], rng=np.random.default_rng(1))
         y = simulate(*small_truth()[:2], cov, seed=5).y
-        reps = posterior_predictive_replicates(_make_draws([small_truth()] * 40), y, cov,
-                                               ModelMode.FOUR_STATE, seed=12)
+        reps = posterior_predictive_replicates(_make_draws([small_truth()] * 40), y, cov, seed=12)
         doc = json.loads(json.dumps(coverage_by_gap(reps, y, cov).to_dict(), allow_nan=False))
         for b in doc["buckets"][:4]:
             assert b["region_1"]["n_days"] == 0
@@ -322,7 +315,7 @@ class TestDesignReuse:
         cov, y = scene
         cov = dataclasses.replace(cov)   # a copy starts with no designs
         draws = _make_draws(_jittered_params(40, np.random.default_rng(42)))
-        posterior_predictive_replicates(draws, y, cov, ModelMode.FOUR_STATE, seed=1)
+        posterior_predictive_replicates(draws, y, cov, seed=1)
         designs, tables = built
         assert len(designs) == 1
         assert [id(d) for d in tables] == [id(designs[0])] * 40

@@ -308,7 +308,7 @@ class TestLogPrior:
         hyper = default_hyperparameters(preset, k_annual=3, k_prec_annual=4)
         draw = sample_prior_batch(hyper, np.random.default_rng(12), 1, mode)
         values = {name: np.array(x[0]) for name, x in draw.items()}
-        grad = log_prior_grad(*assemble_params(values, mode), hyper, mode)
+        grad = log_prior_grad(*assemble_params(values, mode), hyper)
         assert set(grad) == set(values) - {"logit_decay"}
         h = 1e-6
         for name, g in grad.items():
@@ -318,7 +318,7 @@ class TestLogPrior:
                 for step in (h, -h):
                     moved = values[name].copy()
                     moved[i] += step
-                    lp.append(log_prior(*assemble_params({**values, name: moved}, mode), hyper, mode))
+                    lp.append(log_prior(*assemble_params({**values, name: moved}, mode), hyper))
                 fd[i] = (lp[0] - lp[1]) / (2 * h)
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6, err_msg=name)
 
@@ -326,7 +326,7 @@ class TestLogPrior:
         rng = np.random.default_rng(3)
         emission, trans, latents = sample_prior(hyper, rng, ModelMode.TWO_STATE)
         assert trans is None
-        lp = log_prior(emission, None, latents, hyper, ModelMode.TWO_STATE)
+        lp = log_prior(emission, None, latents, hyper)
         assert np.isfinite(lp)
 
 

@@ -201,6 +201,11 @@ class TestRunMcmc:
         with pytest.raises(ValueError, match="base_params"):
             run_mcmc(y, cov, hyper, cfg)
 
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_config_rejects_no_iterations(self, iters):
+        with pytest.raises(ValueError, match="n_iterations must be >= 1"):
+            SamplerConfig(n_iterations=iters)
+
     def test_two_state_mode_runs(self, problem):
         *_, cov, y, hyper, space = problem
         cfg = SamplerConfig(

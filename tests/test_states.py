@@ -5,7 +5,6 @@ import pytest
 
 from demandhmm.states import (
     AUGMENTED_PAIRS,
-    ModelMode,
     TransitionParams,
     augmented_transition_matrix,
     initial_distribution,
@@ -115,9 +114,9 @@ class TestTransitionMatrix:
         assert mat[3, 3] > 1.0 - 1e-14
 
     def test_two_state_collapse(self):
-        mat = transition_matrix(_random_trans(np.random.default_rng(4)), 4, 9, ModelMode.TWO_STATE)
+        mat = transition_matrix(None, 4, 9)
         assert np.array_equal(mat, np.tile([0.0, 0.0, 0.0, 1.0], (4, 1)))
-        hol = transition_matrix(_random_trans(np.random.default_rng(5)), 0, 0, ModelMode.TWO_STATE)
+        hol = transition_matrix(None, 0, 0)
         assert np.array_equal(hol, np.tile([0.0, 1.0, 0.0, 0.0], (4, 1)))
 
     def test_small_p_rows_are_safe(self):
@@ -130,20 +129,20 @@ class TestTransitionMatrix:
 
 class TestInitialDistribution:
     def test_holiday(self):
-        assert np.array_equal(initial_distribution(0, 0), [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(initial_distribution(_trans(), 0, 0), [0.0, 1.0, 0.0, 0.0])
 
     def test_non_holiday_uniform_over_hidden(self):
-        got = initial_distribution(4, 2)
+        got = initial_distribution(_trans(), 4, 2)
         assert np.allclose(got, [1 / 3, 0.0, 1 / 3, 1 / 3])
 
     def test_sums_to_one(self):
         for n, p in ((0, 0), (1, 8), (30, 2)):
-            for mode in ModelMode:
-                assert initial_distribution(n, p, mode).sum() == pytest.approx(1.0, abs=1e-15)
+            for trans in (_trans(), None):
+                assert initial_distribution(trans, n, p).sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_two_state_point_mass(self):
         assert np.array_equal(
-            initial_distribution(4, 2, ModelMode.TWO_STATE), [0.0, 0.0, 0.0, 1.0]
+            initial_distribution(None, 4, 2), [0.0, 0.0, 0.0, 1.0]
         )
 
 
@@ -205,15 +204,15 @@ class TestLogTables:
         t = _random_trans(rng)
         n = np.array([3, 2, 1, 0, 5, 4])
         p = np.array([4, 5, 6, 0, 1, 2])
-        for mode in ModelMode:
-            tables = log_transition_tables(t, n, p, mode)
+        for trans in (t, None):
+            tables = log_transition_tables(trans, n, p)
             for i in range(len(n)):
-                mat = transition_matrix(t, int(n[i]), int(p[i]), mode)
+                mat = transition_matrix(trans, int(n[i]), int(p[i]))
                 with np.errstate(divide="ignore"):
                     expected = np.log(mat)
                 assert np.allclose(tables[i], expected, atol=1e-12, equal_nan=False)
 
     def test_log_initial(self):
-        got = log_initial_distribution(3, 9)
+        got = log_initial_distribution(_trans(), 3, 9)
         assert got[1] == -np.inf
         assert np.allclose(np.exp(got[[0, 2, 3]]), 1 / 3)
