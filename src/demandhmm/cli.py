@@ -27,10 +27,9 @@ from .covariates import CovariateError, build_covariates
 from .diagnostics import json_number
 from .filtering import rao_blackwell_states
 from .generative import default_truth, simulate, sinusoidal_cwv
-from .paramspace import ParamSpace
 from .ppc import coverage_by_gap, forecast, posterior_predictive_replicates
 from .priors import ConfigError, load_hyperparameters
-from .sampler import SamplerConfig, SamplingError, run_mcmc
+from .sampler import BACKENDS, SamplerConfig, SamplingError, run_mcmc
 from .states import ModelMode
 
 
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--burn-in", type=float, default=0.5)
     p.add_argument("--thin", type=int, default=10)
-    p.add_argument("--backend", default="hmc", choices=["hmc", "adaptive-metropolis"])
+    p.add_argument("--backend", default="hmc", choices=list(BACKENDS))
     p.add_argument("--leapfrog", type=int, default=16)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when the R-hat threshold is breached")

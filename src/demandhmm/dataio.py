@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .covariates import CovariateError, CovariateSeries, HolidayCalendar, build_covariates, smooth_cwv_baseline
+from .covariates import CovariateSeries, HolidayCalendar, build_covariates, smooth_cwv_baseline
 from .paramspace import ParamSpace
-from .priors import Hyperparameters, hyperparameters_to_dict
+from .priors import hyperparameters_to_dict
 from .sampler import PosteriorDraws
 from .states import ModelMode
 

@@ -317,9 +317,14 @@ def _nonzero_likelihood_tape(y, cov, tables, trans):
 
 
 def log_likelihood(y, cov, emission, trans) -> float:
-    """Observed-data log likelihood by the tree product; ``-inf`` if it is zero."""
-    y = _validate(y, cov)
-    return log_likelihood_tape(y, cov, day_tables(emission, cov), trans)[0]
+    """Observed-data log likelihood by the tree product; ``-inf`` if it is zero.
+
+    Raises ``FloatingPointError`` when it is NaN.
+    """
+    loglik = log_likelihood_tape(_validate(y, cov), cov, day_tables(emission, cov), trans)[0]
+    if np.isnan(loglik):
+        raise FloatingPointError("log likelihood is NaN")
+    return loglik
 
 
 def terminal_log_distribution(

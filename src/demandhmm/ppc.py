@@ -76,7 +76,11 @@ class PpcSummary:
 def posterior_predictive_replicates(
     draws: PosteriorDraws, y: np.ndarray, cov: CovariateSeries, seed
 ) -> np.ndarray:
-    """(M, T, 2) replicated log-demand series, one per retained draw."""
+    """(M, T, 2) replicated log-demand series, one per retained draw.
+
+    Raises ``FloatingPointError`` naming the first draw whose replicate is
+    not finite.
+    """
     y = np.asarray(y)
     if y.shape != (cov.T, 2):
         raise ValueError("data and covariates are misaligned")
@@ -84,8 +88,9 @@ def posterior_predictive_replicates(
     out = np.empty((draws.n_draws, cov.T, 2))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
-        sim = simulate(emission, trans, cov, rng)
-        out[i] = sim.y
+        out[i] = simulate(emission, trans, cov, rng).y
+        if not np.all(np.isfinite(out[i])):
+            raise FloatingPointError(f"draw {i}: replicate is not finite")
     return out
 
 

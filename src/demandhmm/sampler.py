@@ -1,16 +1,21 @@
 """Posterior sampling over the joint parameter vector.
 
-Two interchangeable backends work on the unconstrained parameter vector:
+``run_mcmc`` runs every sampler: it builds the posterior and the chain RNGs,
+draws the chain starts, runs the chosen backend's iterations, counts
+acceptance and divergences after warmup and keeps every ``thin``-th state.
+Each backend in ``BACKENDS`` runs its own pre-phase and then only steps,
+handing ``run_mcmc`` its chains' states after every iteration:
 
-* ``hmc``: fixed-trajectory Hamiltonian Monte Carlo with jittered leapfrog
-  count, dual-averaging step-size adaptation and a diagonal mass matrix
-  estimated during warmup. Gradients are exact reverse mode in numpy
+* ``hmc``: an Adam ascent into the typical set, then fixed-trajectory
+  Hamiltonian Monte Carlo with jittered leapfrog count, dual-averaging
+  step-size adaptation and a diagonal mass matrix estimated during warmup.
+  Gradients are exact reverse mode in numpy
   (``NumpyPosterior.logpost_and_grad_batch``), checked against finite
   differences in the tests; the chains advance together, one batched call
   per leapfrog step.
-* ``adaptive-metropolis``: blockwise Gaussian random-walk with per-block
-  empirical proposal covariances and acceptance-targeted scales, adapted
-  during warmup only.
+* ``adaptive-metropolis``: a greedy stochastic climb, then blockwise
+  Gaussian random-walk with per-block empirical proposal covariances and
+  acceptance-targeted scales, adapted during warmup only.
 
 Both use numpy RNG streams spawned deterministically from the master seed
 (stream ``[seed, 1000 + c]`` drives chain ``c``, ``[seed, 999]`` the shared
@@ -54,7 +59,7 @@ class SamplerConfig:
     n_iterations: int = 10000
     burn_in: float = 0.5
     thin: int = 10
-    algorithm: str = "hmc"              # or "adaptive-metropolis"
+    algorithm: str = "hmc"              # a key of BACKENDS
     seed: int = 0
     n_leapfrog: int = 16
     free: list | None = None
@@ -68,7 +73,7 @@ class SamplerConfig:
             raise ValueError("burn_in fraction must lie in (0, 1)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.algorithm not in ("hmc", "adaptive-metropolis"):
+        if self.algorithm not in BACKENDS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
@@ -216,11 +221,7 @@ class NumpyPosterior:
         return values, grads
 
 
-def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 1000 + chain]))
-
-
-def _moment_overrides(u_full, space, y, cov, rng):
+def _moment_overrides(u_full, posterior, rng):
     """Data-driven starting values for the location/scale blocks.
 
     Raw prior draws put the intercepts and log precisions hundreds of
@@ -229,6 +230,7 @@ def _moment_overrides(u_full, space, y, cov, rng):
     their prior draws so chains stay overdispersed where the hidden-state
     inference happens.
     """
+    y, space = posterior.y, posterior.space
     u = u_full.copy()
     ybar = y.mean(axis=0)
 
@@ -247,7 +249,7 @@ def _moment_overrides(u_full, space, y, cov, rng):
     if have("weather"):
         w = np.empty(4)
         for j in range(2):
-            wt = cov.w_tilde[:, j]
+            wt = posterior.cov.w_tilde[:, j]
             denom = float(wt @ wt)
             slope = float(wt @ (y[:, j] - ybar[j])) / denom if denom > 0 else 0.0
             w[2 * j] = slope + 0.01 * rng.standard_normal()
@@ -262,29 +264,24 @@ def _moment_overrides(u_full, space, y, cov, rng):
     return u
 
 
-def _initial_points(posterior, hyper, space, config, rngs, y, cov):
-    """Overdispersed chain starts, retried until the posterior is finite.
+def _initial_points(posterior, rngs):
+    """Overdispersed starts ``(q, lp)``, one per chain RNG, retried until the posterior is finite.
 
     Structural parameters start at prior draws; the location/scale blocks are
     overridden with values moment-matched to the data.
     """
+    space = posterior.space
     points, values = [], []
-    for c in range(config.n_chains):
-        rng = rngs[c]
-        ok = False
+    for c, rng in enumerate(rngs):
         for _ in range(_MAX_INIT_RETRIES):
-            emission, trans, latents = sample_prior(hyper, rng, space.mode)
-            u_full = space.pack(emission, trans, latents)
-            u_full = _moment_overrides(u_full, space, y, cov, rng)
-            u_full = space.insert_free(posterior.base_full, space.extract_free(u_full))
-            u_free = space.extract_free(u_full)
+            u_full = space.pack(*sample_prior(posterior.hyper, rng, space.mode))
+            u_free = space.extract_free(_moment_overrides(u_full, posterior, rng))
             lp = posterior(u_free)
             if np.isfinite(lp):
                 points.append(u_free)
                 values.append(lp)
-                ok = True
                 break
-        if not ok:
+        else:
             raise SamplingError(
                 f"no finite log posterior found for chain {c} after "
                 f"{_MAX_INIT_RETRIES} prior draws"
@@ -300,13 +297,9 @@ class _DualAveraging:
     """Nesterov dual averaging of the log step size (Stan's schedule)."""
 
     def __init__(self, eps0: float, target: float):
-        self.mu = math.log(10.0 * eps0)
         self.target = target
-        self.log_eps = math.log(eps0)
-        self.log_eps_bar = 0.0
-        self.h_bar = 0.0
-        self.count = 0
         self.gamma, self.t0, self.kappa = 0.05, 10.0, 0.75
+        self.restart(eps0)
 
     def update(self, alpha: float) -> float:
         self.count += 1
@@ -340,7 +333,7 @@ _ASCENT_STAGE2_FAMILIES = (
 )
 
 
-def _ascend(posterior, q, space):
+def _ascend(posterior, q):
     """Adam ascent moving each start into the typical set before warmup.
 
     Handles the posterior's widely varying per-coordinate curvature, which a
@@ -349,7 +342,7 @@ def _ascend(posterior, q, space):
     kernel used for retained draws is untouched.
     """
     stage2 = set(_ASCENT_STAGE2_FAMILIES)
-    mask = np.array([n not in stage2 for n in _family_of_free(space)], dtype=np.float64)
+    mask = np.array([n not in stage2 for n in _family_of_free(posterior.space)], dtype=np.float64)
     q, _, _ = _adam_phase(posterior, q, 800, 0.1, mask)
     q, _, _ = _adam_phase(posterior, q, 400, 0.05, np.ones_like(mask))
     q, lp, grad = _adam_phase(posterior, q, 600, 0.01, np.ones_like(mask))
@@ -425,15 +418,16 @@ def _hmc_step(posterior, q0, lp0, g0, p0, log_u, eps, inv_mass, n_leap):
     )
 
 
-def _run_hmc(y, cov, hyper, space, base_full, config):
-    posterior = NumpyPosterior(y, cov, hyper, space, base_full)
-    chain_rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
-    jitter_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
-    q, _ = _initial_points(posterior, hyper, space, config, chain_rngs, y, cov)
-    C, D = q.shape
-    q, lp, grad = _ascend(posterior, q, space)
+def _hmc(posterior, q, lp, rngs, warmup, config):
+    """HMC after an Adam ascent from ``q``; yields each iteration's hand-off.
 
-    warmup = int(config.n_iterations * config.burn_in)
+    Warmup adapts the step size by dual averaging and the diagonal mass matrix
+    over expanding windows; ``lp`` is recomputed by the ascent.
+    """
+    jitter_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
+    C, D = q.shape
+    q, lp, grad = _ascend(posterior, q)
+
     # expanding variance-estimation windows between step-size-only buffers,
     # so slow coordinates get progressively better mass estimates
     buffer = max(min(int(0.1 * warmup), 100), 10)
@@ -457,22 +451,14 @@ def _run_hmc(y, cov, hyper, space, base_full, config):
     l_lo = max(1, int(round(config.n_leapfrog * (1.0 - _LEAPFROG_JITTER))))
     l_hi = max(l_lo, int(round(config.n_leapfrog * (1.0 + _LEAPFROG_JITTER))))
 
-    draws, lps, chains, iters = [], [], [], []
-    accepts = np.zeros(C)
-    n_kept_iters = 0
-    divergences = 0
-
     for it in range(config.n_iterations):
         n_leap = int(jitter_rng.integers(l_lo, l_hi + 1))
-        mom = np.stack([chain_rngs[c].standard_normal(D) for c in range(C)])
+        mom = np.stack([rng.standard_normal(D) for rng in rngs])
         mom /= np.sqrt(inv_mass)
-        log_u = np.log(np.stack([chain_rngs[c].random() for c in range(C)]))
+        log_u = np.log(np.stack([rng.random() for rng in rngs]))
         q, lp, grad, alpha, accepted, divergent = _hmc_step(
             posterior, q, lp, grad, mom, log_u, eps, inv_mass, n_leap
         )
-        if it >= warmup:
-            divergences += int(divergent.sum())
-
         if it < warmup:
             for c in range(C):
                 eps[c] = das[c].update(float(alpha[c]))
@@ -488,24 +474,7 @@ def _run_hmc(y, cov, hyper, space, base_full, config):
                 window.clear()
             if it == warmup - 1:
                 eps = np.array([da.adapted for da in das])
-        else:
-            accepts += accepted
-            n_kept_iters += 1
-            if (it - warmup) % config.thin == 0:
-                for c in range(C):
-                    draws.append(q[c].copy())
-                    lps.append(lp[c])
-                    chains.append(c)
-                    iters.append(it)
-
-    return (
-        np.asarray(draws),
-        np.asarray(lps),
-        np.asarray(chains),
-        np.asarray(iters),
-        accepts / max(n_kept_iters, 1),
-        divergences,
-    )
+        yield it, q, lp, accepted, 1, divergent
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +551,7 @@ def _climb(posterior, q, lp, blocks, rngs, n_iter):
     C = q.shape[0]
     scales = np.full((C, len(blocks)), 0.1)
     for _ in range(n_iter):
-        for c in range(C):
-            rng = rngs[c]
+        for c, rng in enumerate(rngs):
             for b, idx in enumerate(blocks):
                 prop = q[c].copy()
                 prop[idx] = prop[idx] + scales[c, b] * rng.standard_normal(len(idx)) / math.sqrt(len(idx))
@@ -597,25 +565,21 @@ def _climb(posterior, q, lp, blocks, rngs, n_iter):
     return q, lp
 
 
-def _run_rwm(y, cov, hyper, space, base_full, config):
-    posterior = NumpyPosterior(y, cov, hyper, space, base_full)
-    chain_rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
-    q, lp = _initial_points(posterior, hyper, space, config, chain_rngs, y, cov)
-    C, D = q.shape
-    blocks = _free_blocks(space)
+def _rwm(posterior, q, lp, rngs, warmup, config):
+    """Blockwise adaptive Metropolis after a greedy climb; yields each iteration's hand-off.
+
+    The climb takes the first iterations of warmup; the block adapters learn
+    from the rest of it.
+    """
+    C = q.shape[0]
+    blocks = _free_blocks(posterior.space)
     adapters = [[_BlockAdapter(len(b), _RWM_TARGET_ACCEPT) for b in blocks] for _ in range(C)]
-
-    warmup = int(config.n_iterations * config.burn_in)
-    climb = max(0, min(300, warmup // 3))
-    q, lp = _climb(posterior, q, lp, blocks, chain_rngs, climb)
-
-    draws, lps, chains, iters = [], [], [], []
-    accepts = np.zeros(C)
-    proposals = np.zeros(C)
+    climb = min(300, warmup // 3)
+    q, lp = _climb(posterior, q, lp, blocks, rngs, climb)
 
     for it in range(climb, config.n_iterations):
-        for c in range(C):
-            rng = chain_rngs[c]
+        accepted = np.zeros(C)
+        for c, rng in enumerate(rngs):
             for b, idx in enumerate(blocks):
                 ad = adapters[c][b]
                 prop = q[c].copy()
@@ -626,33 +590,22 @@ def _run_rwm(y, cov, hyper, space, base_full, config):
                 if rng.random() < alpha:
                     q[c] = prop
                     lp[c] = lp_prop
-                    if it >= warmup:
-                        accepts[c] += 1
-                if it >= warmup:
-                    proposals[c] += 1
+                    accepted[c] += 1
                 if it < warmup:
                     ad.tune(alpha)
                     ad.observe(q[c][idx].copy())
-        if it >= warmup and (it - warmup) % config.thin == 0:
-            for c in range(C):
-                draws.append(q[c].copy())
-                lps.append(lp[c])
-                chains.append(c)
-                iters.append(it)
-
-    rate = np.divide(accepts, np.maximum(proposals, 1))
-    return (
-        np.asarray(draws),
-        np.asarray(lps),
-        np.asarray(chains),
-        np.asarray(iters),
-        rate,
-        0,
-    )
+        yield it, q, lp, accepted, len(blocks), 0
 
 
 # ---------------------------------------------------------------------------
 # Driver
+
+
+# Each backend runs its own pre-phase from the chain starts, then yields
+# ``(it, q, lp, accepted, proposed, divergent)`` after every iteration ``it``:
+# the (C, d) states and (C,) log posteriors, the moves accepted and proposed
+# per chain and the divergent trajectories.
+BACKENDS = {"hmc": _hmc, "adaptive-metropolis": _rwm}
 
 
 def run_mcmc(
@@ -666,7 +619,9 @@ def run_mcmc(
     """Sample the posterior; returns ``(PosteriorDraws, Diagnostics)``.
 
     ``base_params`` (an ``(emission, trans, latents)`` triple) supplies pinned
-    values when ``config.free`` restricts the sampled families.
+    values when ``config.free`` restricts the sampled families. Acceptance
+    and divergences count after warmup only; every ``thin``-th post-warmup
+    iteration is kept, rows iteration-major and chain-minor.
     """
     space = ParamSpace(hyper.k_annual, hyper.k_prec_annual, mode, free=config.free)
     if config.free is not None:
@@ -675,28 +630,42 @@ def run_mcmc(
         base_full = space.pack(*base_params)
     else:
         base_full = np.zeros(space.full_size)
+    posterior = NumpyPosterior(y, cov, hyper, space, base_full)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([config.seed, 1000 + c]))
+        for c in range(config.n_chains)
+    ]
+    q, lp = _initial_points(posterior, rngs)
+    warmup = int(config.n_iterations * config.burn_in)
 
-    if config.algorithm == "hmc":
-        out = _run_hmc(y, cov, hyper, space, base_full, config)
-    else:
-        out = _run_rwm(y, cov, hyper, space, base_full, config)
-    free_draws, lps, chains, iters, accept_rate, divergences = out
+    accepts = np.zeros(config.n_chains)
+    proposals = np.zeros(config.n_chains)
+    divergences = 0
+    kept_q, kept_lp, kept_it = [], [], []
+    steps = BACKENDS[config.algorithm](posterior, q, lp, rngs, warmup, config)
+    for it, q, lp, accepted, proposed, divergent in steps:
+        if it < warmup:
+            continue
+        accepts += accepted
+        proposals += proposed
+        divergences += int(np.sum(divergent))
+        if (it - warmup) % config.thin == 0:
+            kept_q.append(q.copy())
+            kept_lp.append(lp.copy())
+            kept_it.append(it)
 
     draws = PosteriorDraws(
-        free_draws=free_draws,
-        logpost=lps,
-        chain=chains,
-        iteration=iters,
+        free_draws=np.concatenate(kept_q),
+        logpost=np.concatenate(kept_lp),
+        chain=np.tile(np.arange(config.n_chains, dtype=np.int64), len(kept_it)),
+        iteration=np.repeat(np.asarray(kept_it, dtype=np.int64), config.n_chains),
         space=space,
         base_full=base_full,
     )
-    dg = compute_diagnostics(draws, accept_rate, divergences)
-    return draws, dg
+    return draws, compute_diagnostics(draws, accepts / np.maximum(proposals, 1), divergences)
 
 
-def compute_diagnostics(
-    draws: PosteriorDraws, accept_rate=None, divergences: int = 0
-) -> Diagnostics:
+def compute_diagnostics(draws: PosteriorDraws, accept_rate, divergences: int) -> Diagnostics:
     """Split R-hat and bulk ESS per scalar; R-hat needs at least two chains."""
     by_chain = draws.by_chain()  # (C, n, d)
     n_chains = by_chain.shape[0]
@@ -705,8 +674,6 @@ def compute_diagnostics(
         x = by_chain[:, :, k]
         ess[name] = diag.ess_bulk(x)
         rhat[name] = diag.split_rhat(x) if n_chains >= 2 else np.nan
-    if accept_rate is None:
-        accept_rate = np.full(n_chains, np.nan)
     return Diagnostics(
         rhat=rhat,
         ess=ess,

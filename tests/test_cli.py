@@ -408,6 +408,28 @@ class TestInputErrors:
         assert np.all(np.isnan(draws.logpost))
         assert np.array_equal(draws.free_draws, dataio.read_draws_csv(fitted / "draws.csv").free_draws)
 
+    def test_nonfinite_replicate_is_numerical_failure(self, workspace, fitted, tmp_path):
+        # the overflowing draw of the test below replicates into inf/nan days
+        lines = (fitted / "draws.csv").read_text().splitlines()
+        header, row = lines[0].split(","), lines[2].split(",")
+        for column in ("level_1", "annual_1_cos_1"):
+            row[header.index(column)] = "1.7e308"
+        lines[2] = ",".join(row)
+        (tmp_path / "draws.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "draws_meta.json").write_bytes((fitted / "draws_meta.json").read_bytes())
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "ppc", "--data", str(workspace / "sim" / "data.csv"),
+                "--holidays", str(workspace / "holidays.csv"),
+                "--config", str(workspace / "config.txt"), "--seed", "6",
+                "--out-dir", str(out), "--draws", str(tmp_path / "draws.csv"),
+            ])
+        assert rc == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "FloatingPointError"
+        assert err["message"] == "draw 1: replicate is not finite"
+
     @pytest.mark.parametrize("command", ["smooth", "forecast"])
     def test_nan_likelihood_draw_is_numerical_failure(self, workspace, fitted, tmp_path, command):
         # a finite draw whose mean overflows: its log likelihood is NaN

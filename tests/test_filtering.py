@@ -341,6 +341,8 @@ class TestNanLikelihood:
             with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
                 smooth_states(y, cov, huge, trans)
             with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
+                log_likelihood(y, cov, huge, trans)
+            with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
                 terminal_log_distribution(y, cov, day_tables(huge, cov), trans)
             with pytest.raises(FloatingPointError, match="^draw 1: log likelihood is NaN"):
                 rao_blackwell_states(draws, y, cov)

@@ -120,6 +120,20 @@ class TestReplicates:
         assert _digest(reps) == digest
 
 
+    def test_nonfinite_replicate_is_numerical_failure(self, scene):
+        # a finite draw whose mean overflows replicates into inf/nan days,
+        # which the coverage check would count as inside the band
+        cov, y = scene
+        params = _jittered_params(3, np.random.default_rng(42))
+        e, t, l = params[1]
+        annual = e.annual.copy()
+        annual[0, 0, 0] = 1.7e308
+        params[1] = (e.replace(level=np.array([1.7e308, e.level[1]]), annual=annual), t, l)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^draw 1: replicate is not finite$"):
+                posterior_predictive_replicates(_make_draws(params), y, cov, seed=8)
+
+
 class TestCoverage:
     def test_requires_enough_replicates(self, scene):
         cov, y = scene

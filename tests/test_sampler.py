@@ -1,4 +1,6 @@
 import datetime as dt
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +33,11 @@ def problem():
     hyper = default_hyperparameters("paper-like", 2, 2)
     space = ParamSpace(2, 2)
     return emission, trans, latents, cov, y, hyper, space
+
+
+def _digest(x: np.ndarray) -> str:
+    x = np.ascontiguousarray(x)
+    return hashlib.sha256(f"{x.shape}{x.dtype.str}".encode() + x.tobytes()).hexdigest()
 
 
 class TestLogPosterior:
@@ -205,6 +212,38 @@ class TestRunMcmc:
     def test_config_rejects_no_iterations(self, iters):
         with pytest.raises(ValueError, match="n_iterations must be >= 1"):
             SamplerConfig(n_iterations=iters)
+
+    @pytest.mark.parametrize("case, digest", [
+        ("hmc_four_state", "ff05535a64bcc95b545d256bbae35adb34762bcd7960502c72314f9ff4e5d004"),
+        ("hmc_two_state", "055ccd4506c3b668edd2ef6fd005ac17f5f15af4a84d5b97f659304786efae0a"),
+        ("rwm_four_state", "fdac9fd37bc32d160484398722325801bafb872c8b11fc26828dc2786bfd262a"),
+        ("rwm_free_subset", "141b1475931a01a86d9a2e30f6be39f535db23f6d921a59bc68b0f23fd01274a"),
+    ])
+    def test_draws_pinned(self, problem, case, digest):
+        # every bit of the retained draws, their provenance and diagnostics
+        emission, trans, latents, cov, y, hyper, _ = problem
+        mode, base_params = ModelMode.FOUR_STATE, None
+        if case == "hmc_four_state":
+            cfg = SamplerConfig(n_chains=2, n_iterations=100, thin=3, algorithm="hmc",
+                                seed=31, n_leapfrog=5)
+        elif case == "hmc_two_state":
+            cfg = SamplerConfig(n_chains=2, n_iterations=60, thin=2, algorithm="hmc",
+                                seed=32, n_leapfrog=3)
+            mode = ModelMode.TWO_STATE
+        elif case == "rwm_four_state":
+            cfg = SamplerConfig(n_chains=2, n_iterations=70, thin=4,
+                                algorithm="adaptive-metropolis", seed=33)
+        else:
+            cfg = SamplerConfig(n_chains=3, n_iterations=50, thin=3,
+                                algorithm="adaptive-metropolis", seed=34,
+                                free=["level", "trans"])
+            base_params = (emission, trans, latents)
+        draws, dg = run_mcmc(y, cov, hyper, cfg, mode, base_params)
+        h = hashlib.sha256()
+        for x in (draws.free_draws, draws.logpost, draws.chain, draws.iteration):
+            h.update(_digest(x).encode())
+        h.update(json.dumps(dg.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == digest
 
     def test_two_state_mode_runs(self, problem):
         *_, cov, y, hyper, space = problem
