@@ -12,9 +12,7 @@ stream splitting, so identical invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
-import json
 import os
 import sys
 import traceback
@@ -23,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__, dataio
-from .covariates import CovariateError, build_covariates
+from .covariates import CovariateError, HolidayCalendar, build_covariates, smooth_cwv_baseline
 from .diagnostics import json_number
 from .filtering import rao_blackwell_states
 from .generative import default_truth, simulate, sinusoidal_cwv
@@ -45,14 +43,22 @@ EXIT_CONVERGENCE = 4
 _INPUT_ERRORS = (dataio.DataError, CovariateError, ConfigError, FileNotFoundError, ValueError)
 _NUMERICAL_ERRORS = (SamplingError, np.linalg.LinAlgError, FloatingPointError, ArithmeticError)
 
+# The arguments that name an input file; the manifest hashes each one a command was given.
+_INPUT_FILES = (
+    "data", "holidays", "config", "draws", "future_cwv", "params", "smoothed", "ppc_days",
+)
+_MODES = [m.value for m in ModelMode]
 
-def _add_common(p, data=True):
+
+def _add_common(p, data=True, draws=False):
     p.add_argument("--holidays", required=True, help="holiday calendar CSV (date,type)")
     p.add_argument("--config", required=True, help="hyperparameter config file (key = value)")
     p.add_argument("--seed", required=True, type=int, help="master RNG seed")
     p.add_argument("--out-dir", required=True, help="output directory (created if needed)")
     if data:
         p.add_argument("--data", required=True, help="demand/weather CSV (date,y1,y2,w1,w2)")
+    if draws:
+        p.add_argument("--draws", required=True, help="draws CSV from fit")
     p.add_argument("--cwv-window", type=int, default=10,
                    help="half-width of the seasonal CWV baseline smoother (days)")
 
@@ -71,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", required=True, type=int, help="number of days to simulate")
     p.add_argument("--params", default="demo",
                    help="'demo' for the documented truth values, or a params JSON file")
-    p.add_argument("--mode", default="four_state", choices=["four_state", "two_state"])
+    p.add_argument("--mode", default=_MODES[0], choices=_MODES)
 
     p = sub.add_parser("fit", help="sample the posterior by MCMC")
     _add_common(p)
-    p.add_argument("--mode", default="four_state", choices=["four_state", "two_state"])
+    p.add_argument("--mode", default=_MODES[0], choices=_MODES)
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--burn-in", type=float, default=0.5)
@@ -87,19 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhat-threshold", type=float, default=1.05)
 
     p = sub.add_parser("smooth", help="Rao-Blackwell smoothed state probabilities")
-    _add_common(p)
-    p.add_argument("--draws", required=True, help="draws CSV from fit")
+    _add_common(p, draws=True)
 
     p = sub.add_parser("forecast", help="posterior predictive forecast paths")
-    _add_common(p)
-    p.add_argument("--draws", required=True)
+    _add_common(p, draws=True)
     p.add_argument("--horizon", required=True, type=int)
     p.add_argument("--future-cwv", required=True, help="CSV date,w1,w2 for the horizon")
     p.add_argument("--write-paths", action="store_true", help="also write per-draw paths")
 
     p = sub.add_parser("ppc", help="posterior predictive coverage by holiday distance")
-    _add_common(p)
-    p.add_argument("--draws", required=True)
+    _add_common(p, draws=True)
 
     p = sub.add_parser("report", help="plot-ready summaries from previous outputs")
     p.add_argument("--out-dir", required=True)
@@ -163,10 +166,37 @@ def _params_from_json(doc, k_annual: int, k_prec_annual: int, mode: ModelMode):
 # Command handlers
 
 
-def _cmd_simulate(args) -> int:
-    from .covariates import HolidayCalendar, smooth_cwv_baseline
+def _load(args):
+    """``(hyper, dataset, draws)``: the config, plus the data and draws if the command takes them.
 
+    Draws must carry the config's harmonic counts.
+    """
     hyper = load_hyperparameters(args.config)
+    ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window) if "data" in args else None
+    draws = None
+    if "draws" in args:
+        draws = dataio.read_draws_csv(args.draws)
+        got = (draws.space.k_annual, draws.space.k_prec_annual)
+        want = (hyper.k_annual, hyper.k_prec_annual)
+        if got != want:
+            raise dataio.DataError(
+                f"{args.draws}: draws have (k_annual, k_prec_annual) = {got}, the config {want}"
+            )
+    return hyper, ds, draws
+
+
+def _write_manifest(args, hyper=None, **extra):
+    paths = {name: getattr(args, name, None) for name in _INPUT_FILES}
+    if paths["params"] == "demo":  # the documented truth values, not a file
+        del paths["params"]
+    dataio.write_manifest(
+        args.out_dir, args.command, vars(args), args.seed, list(paths.values()), hyper,
+        extra=extra or None,
+    )
+
+
+def _cmd_simulate(args) -> int:
+    hyper, _, _ = _load(args)
     calendar = HolidayCalendar.from_csv(args.holidays)
     start = dt.date.fromisoformat(args.start)
     dates = [start + dt.timedelta(days=i) for i in range(args.days)]
@@ -183,11 +213,7 @@ def _cmd_simulate(args) -> int:
     if args.params == "demo":
         emission, trans, latents = default_truth(hyper.k_annual, hyper.k_prec_annual)
     else:
-        with open(args.params) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{args.params}: not valid JSON: {exc}") from exc
+        doc = dataio.read_json(args.params, ConfigError)
         emission, trans, latents = _params_from_json(doc, hyper.k_annual, hyper.k_prec_annual, mode)
     sim_trans = trans if mode is ModelMode.FOUR_STATE else None
     sim = simulate(emission, sim_trans, cov, np.random.SeedSequence([args.seed, 0]))
@@ -195,19 +221,15 @@ def _cmd_simulate(args) -> int:
     data_path = os.path.join(args.out_dir, "data.csv")
     dataio.write_demand_csv(data_path, dates, np.exp(sim.y), cwv)
     dataio.write_states_csv(os.path.join(args.out_dir, "states.csv"), cov, sim.states)
-    with open(os.path.join(args.out_dir, "params.json"), "w") as fh:
-        json.dump(_params_to_json(emission, trans, latents), fh, indent=1, sort_keys=True)
-    dataio.write_manifest(
-        args.out_dir, "simulate", vars(args), args.seed,
-        [args.holidays, args.config], hyper,
-        extra={"data_sha256": dataio.sha256_file(data_path)},
+    dataio.write_json(
+        os.path.join(args.out_dir, "params.json"), _params_to_json(emission, trans, latents)
     )
+    _write_manifest(args, hyper, data_sha256=dataio.sha256_file(data_path))
     return 0
 
 
 def _cmd_fit(args) -> int:
-    hyper = load_hyperparameters(args.config)
-    ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window)
+    hyper, ds, _ = _load(args)
     cfg = SamplerConfig(
         n_chains=args.chains,
         n_iterations=args.iters,
@@ -220,13 +242,10 @@ def _cmd_fit(args) -> int:
     draws, diag = run_mcmc(ds.y, ds.cov, hyper, cfg, ModelMode(args.mode))
     draws_path = os.path.join(args.out_dir, "draws.csv")
     dataio.write_draws_csv(draws_path, draws)
-    with open(os.path.join(args.out_dir, "diagnostics.json"), "w") as fh:
-        json.dump(diag.to_dict(), fh, indent=1, sort_keys=True)
-    dataio.write_manifest(
-        args.out_dir, "fit", vars(args), args.seed,
-        [args.data, args.holidays, args.config], hyper,
-        extra={"draws_sha256": dataio.sha256_file(draws_path),
-               "max_rhat": json_number(diag.max_rhat), "min_ess": json_number(diag.min_ess)},
+    dataio.write_json(os.path.join(args.out_dir, "diagnostics.json"), diag.to_dict())
+    _write_manifest(
+        args, hyper, draws_sha256=dataio.sha256_file(draws_path),
+        max_rhat=json_number(diag.max_rhat), min_ess=json_number(diag.min_ess),
     )
     if args.strict and not (diag.max_rhat <= args.rhat_threshold):
         raise ConvergenceError(
@@ -236,26 +255,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    hyper = load_hyperparameters(args.config)
-    ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window)
-    draws = dataio.read_draws_csv(args.draws)
+    hyper, ds, draws = _load(args)
     smoothed = rao_blackwell_states(draws, ds.y, ds.cov)
     dataio.write_smoothed_csv(os.path.join(args.out_dir, "smoothed.csv"), ds.cov, smoothed.probs)
-    dataio.write_manifest(
-        args.out_dir, "smooth", vars(args), args.seed,
-        [args.data, args.holidays, args.config, args.draws], hyper,
-    )
+    _write_manifest(args, hyper)
     return 0
 
 
 def _cmd_forecast(args) -> int:
-    from .covariates import smooth_cwv_baseline
-
     if args.horizon < 1:
         raise dataio.DataError(f"horizon must be at least 1 day, got {args.horizon}")
-    hyper = load_hyperparameters(args.config)
-    ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window)
-    draws = dataio.read_draws_csv(args.draws)
+    hyper, ds, draws = _load(args)
     fdates, fw = dataio.read_future_cwv_csv(args.future_cwv)
     if len(fdates) < args.horizon:
         raise dataio.DataError(
@@ -272,81 +282,58 @@ def _cmd_forecast(args) -> int:
     paths = forecast(draws, ds.y, ds.cov, future_cov, args.seed)
     dataio.write_forecast_csv(os.path.join(args.out_dir, "forecast.csv"), future_cov, paths)
     if args.write_paths:
-        with open(os.path.join(args.out_dir, "forecast_paths.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw", "date", "region", "value"])
-            for i in range(paths.shape[0]):
-                for t, d in enumerate(future_cov.dates):
-                    for j in range(2):
-                        writer.writerow([i, d.isoformat(), j + 1, repr(float(paths[i, t, j]))])
-    dataio.write_manifest(
-        args.out_dir, "forecast", vars(args), args.seed,
-        [args.data, args.holidays, args.config, args.draws, args.future_cwv], hyper,
-    )
+        dataio.write_forecast_paths_csv(
+            os.path.join(args.out_dir, "forecast_paths.csv"), future_cov, paths
+        )
+    _write_manifest(args, hyper)
     return 0
 
 
 def _cmd_ppc(args) -> int:
-    hyper = load_hyperparameters(args.config)
-    ds = dataio.load_dataset(args.data, args.holidays, args.cwv_window)
-    draws = dataio.read_draws_csv(args.draws)
+    hyper, ds, draws = _load(args)
     replicates = posterior_predictive_replicates(draws, ds.y, ds.cov, args.seed)
     summary = coverage_by_gap(replicates, ds.y, ds.cov)
-    with open(os.path.join(args.out_dir, "ppc.json"), "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=1, sort_keys=True)
+    dataio.write_json(os.path.join(args.out_dir, "ppc.json"), summary.to_dict())
     dataio.write_ppc_days_csv(os.path.join(args.out_dir, "ppc_days.csv"), ds.cov, ds.y, summary)
-    dataio.write_manifest(
-        args.out_dir, "ppc", vars(args), args.seed,
-        [args.data, args.holidays, args.config, args.draws], hyper,
-    )
+    _write_manifest(args, hyper)
     return 0
 
 
+_STATE_COLUMNS = ["p_state1", "p_state2", "p_state3", "p_state4"]
+_SCATTER_COLUMNS = ["region", "observed", "pred_mean", "pred_q025", "pred_q975", "outside95"]
+
+
 def _cmd_report(args) -> int:
-    wrote = []
+    if not (args.draws or args.smoothed or args.ppc_days):
+        raise ValueError("report needs at least one of --draws, --smoothed, --ppc-days")
     if args.draws:
         draws = dataio.read_draws_csv(args.draws)
-        con = draws.constrained()
         qs = (0.025, 0.25, 0.5, 0.75, 0.975)
-        path = os.path.join(args.out_dir, "param_summary.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "mean", "sd", *[f"q{int(q * 1000):03d}" for q in qs]])
-            for k, name in enumerate(draws.names):
-                col = con[:, k]
-                writer.writerow(
-                    [name, repr(float(col.mean())), repr(float(col.std(ddof=1))),
-                     *[repr(float(np.quantile(col, q))) for q in qs]]
-                )
-        wrote.append(path)
+        dataio.write_rows(
+            os.path.join(args.out_dir, "param_summary.csv"),
+            ["parameter", "mean", "sd", *[f"q{int(q * 1000):03d}" for q in qs]],
+            ([name, repr(float(col.mean())), repr(float(col.std(ddof=1))),
+              *[repr(float(np.quantile(col, q))) for q in qs]]
+             for name, col in zip(draws.names, draws.constrained().T)),
+        )
     if args.smoothed:
-        path = os.path.join(args.out_dir, "state_timeline.csv")
-        with open(args.smoothed, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "modal_state", "p_state1", "p_state2", "p_state3", "p_state4"])
-            for row in rows:
-                probs = [float(row[f"p_state{k}"]) for k in (1, 2, 3, 4)]
-                writer.writerow([row["date"], int(np.argmax(probs)) + 1, *[repr(p) for p in probs]])
-        wrote.append(path)
+        rows = dataio.read_columns(args.smoothed, ["date", *_STATE_COLUMNS])
+        probs = dataio.read_numbers(args.smoothed, rows)
+        dataio.write_rows(
+            os.path.join(args.out_dir, "state_timeline.csv"),
+            ["date", "modal_state", *_STATE_COLUMNS],
+            ([cells[0], int(np.argmax(p)) + 1, *[repr(float(v)) for v in p]]
+             for (_, cells), p in zip(rows, probs)),
+        )
     if args.ppc_days:
-        path = os.path.join(args.out_dir, "ppc_scatter.csv")
-        with open(args.ppc_days, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["region", "observed", "pred_mean", "pred_q025", "pred_q975", "outside95"])
-            for row in rows:
-                writer.writerow([row["region"], row["observed"], row["pred_mean"],
-                                 row["pred_q025"], row["pred_q975"], row["outside95"]])
-        wrote.append(path)
-    if not wrote:
-        raise ValueError("report needs at least one of --draws, --smoothed, --ppc-days")
-    dataio.write_manifest(
-        args.out_dir, "report", vars(args), args.seed,
-        [p for p in (args.draws, args.smoothed, args.ppc_days) if p],
-    )
+        # copied through as written, once every cell is known to be a finite number
+        rows = dataio.read_columns(args.ppc_days, _SCATTER_COLUMNS)
+        dataio.read_numbers(args.ppc_days, rows, start=0)
+        dataio.write_rows(
+            os.path.join(args.out_dir, "ppc_scatter.csv"), _SCATTER_COLUMNS,
+            (cells for _, cells in rows),
+        )
+    _write_manifest(args)
     return 0
 
 

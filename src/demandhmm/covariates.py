@@ -87,7 +87,7 @@ class HolidayCalendar:
                 try:
                     dates.append(dt.date.fromisoformat(row["date"].strip()))
                     types.append(int(row["type"]))
-                except (ValueError, KeyError) as exc:
+                except (ValueError, TypeError) as exc:  # a short row reads its type as None
                     raise CovariateError(f"{path}: bad row {i}: {exc}") from exc
         return cls(tuple(dates), tuple(types))
 

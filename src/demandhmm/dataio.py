@@ -14,6 +14,9 @@ describing the model layout; smoothed-state CSV; per-day PPC CSV; forecast
 CSV; and a ``manifest.json`` capturing input hashes, the configuration
 snapshot, seed, software version and command line, which together determine
 the outputs bit for bit.
+
+Every input table is read by :func:`read_columns`, every CSV output written by
+:func:`write_rows` and every JSON output but ``error.json`` by :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -40,20 +43,48 @@ class DataError(ValueError):
     """Raised for malformed input files."""
 
 
-def _read_csv_columns(path, columns):
+def read_columns(path, columns):
+    """``(line number, cells)`` for each data row of a CSV, ``cells`` in ``columns`` order.
+
+    The header must name every column and every row must fill each of them.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
             raise DataError(f"{path}: expected columns {','.join(columns)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((lineno, [row[c] for c in columns]))
-            except KeyError as exc:
-                raise DataError(f"{path}: row {lineno}: missing {exc}") from exc
+        for row in reader:
+            cells = [row[c] for c in columns]
+            if None in cells:  # a short row
+                missing = columns[cells.index(None)]
+                raise DataError(f"{path}: row {reader.line_num}: missing {missing}")
+            rows.append((reader.line_num, cells))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
+
+
+def read_numbers(path, rows, start=1):
+    """The cells of ``rows`` (from :func:`read_columns`) from ``start`` on, as finite floats."""
+    out = np.empty((len(rows), len(rows[0][1]) - start))
+    for i, (lineno, cells) in enumerate(rows):
+        try:
+            out[i] = [float(c) for c in cells[start:]]
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
+    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
+    if bad.size:
+        raise DataError(f"{path}: row {rows[bad[0]][0]}: non-finite value")
+    return out
+
+
+def read_json(path, error=DataError):
+    """A JSON document; text that is not JSON raises ``error`` naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _parse_dates_contiguous(path, raw):
@@ -71,44 +102,26 @@ def _parse_dates_contiguous(path, raw):
 
 def read_demand_csv(path):
     """(dates, raw demand (T, 2), cwv (T, 2)); demand must be positive."""
-    raw = _read_csv_columns(path, ["date", "y1", "y2", "w1", "w2"])
+    raw = read_columns(path, ["date", "y1", "y2", "w1", "w2"])
     dates = _parse_dates_contiguous(path, raw)
-    y = np.empty((len(raw), 2))
-    w = np.empty((len(raw), 2))
-    for i, (lineno, vals) in enumerate(raw):
-        try:
-            y[i] = (float(vals[1]), float(vals[2]))
-            w[i] = (float(vals[3]), float(vals[4]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
-        if not np.all(np.isfinite(y[i])) or not np.all(np.isfinite(w[i])):
-            raise DataError(f"{path}: row {lineno}: non-finite value")
-        if y[i, 0] <= 0.0 or y[i, 1] <= 0.0:
-            raise DataError(f"{path}: row {lineno}: demand must be positive to take logs")
-    return dates, y, w
+    values = read_numbers(path, raw)
+    bad = np.flatnonzero(np.any(values[:, :2] <= 0.0, axis=1))
+    if bad.size:
+        raise DataError(f"{path}: row {raw[bad[0]][0]}: demand must be positive to take logs")
+    return dates, values[:, :2].copy(), values[:, 2:].copy()
 
 
 def write_demand_csv(path, dates, y_raw, w):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "y1", "y2", "w1", "w2"])
-        for i, d in enumerate(dates):
-            writer.writerow(
-                [d.isoformat(), repr(float(y_raw[i, 0])), repr(float(y_raw[i, 1])),
-                 repr(float(w[i, 0])), repr(float(w[i, 1]))]
-            )
+    write_rows(
+        path, ["date", "y1", "y2", "w1", "w2"],
+        ([d.isoformat(), repr(float(y_raw[i, 0])), repr(float(y_raw[i, 1])),
+          repr(float(w[i, 0])), repr(float(w[i, 1]))] for i, d in enumerate(dates)),
+    )
 
 
 def read_future_cwv_csv(path):
-    raw = _read_csv_columns(path, ["date", "w1", "w2"])
-    dates = _parse_dates_contiguous(path, raw)
-    w = np.empty((len(raw), 2))
-    for i, (lineno, vals) in enumerate(raw):
-        try:
-            w[i] = (float(vals[1]), float(vals[2]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {lineno}: non-numeric value") from exc
-    return dates, w
+    raw = read_columns(path, ["date", "w1", "w2"])
+    return _parse_dates_contiguous(path, raw), read_numbers(path, raw)
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,6 @@ class Dataset:
     """Everything the fitting pipeline needs, assembled from the input files."""
 
     dates: tuple
-    y_raw: np.ndarray
     y: np.ndarray            # log demand
     cov: CovariateSeries
     calendar: HolidayCalendar
@@ -127,9 +139,7 @@ def load_dataset(data_path, holidays_path, window_halfwidth: int = 10, epoch=Non
     calendar = HolidayCalendar.from_csv(holidays_path)
     baseline = smooth_cwv_baseline(dates, w, window_halfwidth)
     cov = build_covariates(dates, calendar, w, baseline, epoch=epoch)
-    return Dataset(
-        dates=tuple(dates), y_raw=y_raw, y=np.log(y_raw), cov=cov, calendar=calendar
-    )
+    return Dataset(dates=tuple(dates), y=np.log(y_raw), cov=cov, calendar=calendar)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +148,18 @@ def load_dataset(data_path, holidays_path, window_halfwidth: int = 10, epoch=Non
 
 def write_draws_csv(path, draws: PosteriorDraws):
     con = draws.constrained()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "iter", "lp", *draws.names])
-        for i in range(draws.n_draws):
-            writer.writerow(
-                [int(draws.chain[i]), int(draws.iteration[i]), repr(float(draws.logpost[i])),
-                 *[repr(float(v)) for v in con[i]]]
-            )
-    meta = {
+    write_rows(
+        path, ["chain", "iter", "lp", *draws.names],
+        ([int(draws.chain[i]), int(draws.iteration[i]), repr(float(draws.logpost[i])),
+          *[repr(float(v)) for v in con[i]]] for i in range(draws.n_draws)),
+    )
+    write_json(_meta_path(path), {
         "mode": draws.mode.value,
         "k_annual": draws.space.k_annual,
         "k_prec_annual": draws.space.k_prec_annual,
         "free": list(draws.space.free) if draws.space.free is not None else None,
         "base_full": [float(v) for v in draws.base_full],
-    }
-    with open(_meta_path(path), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    })
 
 
 def _meta_path(path):
@@ -174,11 +179,7 @@ _META_KEYS = {
 
 def read_draws_csv(path) -> PosteriorDraws:
     meta_path = _meta_path(path)
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"{meta_path}: not valid JSON: {exc}") from exc
+    meta = read_json(meta_path)
     for key, valid in _META_KEYS.items():
         if not isinstance(meta, dict) or key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")
@@ -236,33 +237,37 @@ def read_draws_csv(path) -> PosteriorDraws:
 # Other outputs
 
 
-def write_smoothed_csv(path, cov: CovariateSeries, probs: np.ndarray):
-    """Rows for days 0..T: ``date,p_state1..p_state4``."""
-    dates = (cov.day0, *cov.dates)
+def write_rows(path, header, rows):
+    """Write a CSV: the ``header`` row, then each of ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "p_state1", "p_state2", "p_state3", "p_state4"])
-        for i, d in enumerate(dates):
-            writer.writerow([d.isoformat(), *[repr(float(p)) for p in probs[i]]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON with sorted keys and a one-space indent."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def write_smoothed_csv(path, cov: CovariateSeries, probs: np.ndarray):
+    """Rows for days 0..T: ``date,p_state1..p_state4``."""
+    write_rows(
+        path, ["date", "p_state1", "p_state2", "p_state3", "p_state4"],
+        ([d.isoformat(), *[repr(float(p)) for p in probs[i]]]
+         for i, d in enumerate((cov.day0, *cov.dates))),
+    )
 
 
 def write_ppc_days_csv(path, cov: CovariateSeries, y, summary):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "region", "observed", "pred_mean", "pred_q025", "pred_q975", "outside95"]
-        )
-        for i, d in enumerate(cov.dates):
-            for j in range(2):
-                writer.writerow(
-                    [
-                        d.isoformat(), j + 1, repr(float(y[i, j])),
-                        repr(float(summary.pred_mean[i, j])),
-                        repr(float(summary.pred_q025[i, j])),
-                        repr(float(summary.pred_q975[i, j])),
-                        int(summary.outside[i, j]),
-                    ]
-                )
+    write_rows(
+        path, ["date", "region", "observed", "pred_mean", "pred_q025", "pred_q975", "outside95"],
+        ([d.isoformat(), j + 1, repr(float(y[i, j])), repr(float(summary.pred_mean[i, j])),
+          repr(float(summary.pred_q025[i, j])), repr(float(summary.pred_q975[i, j])),
+          int(summary.outside[i, j])]
+         for i, d in enumerate(cov.dates) for j in range(2)),
+    )
 
 
 def write_forecast_csv(path, future_cov: CovariateSeries, paths: np.ndarray):
@@ -270,24 +275,28 @@ def write_forecast_csv(path, future_cov: CovariateSeries, paths: np.ndarray):
     mean = paths.mean(axis=0)
     q025 = np.quantile(paths, 0.025, axis=0)
     q975 = np.quantile(paths, 0.975, axis=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "region", "pred_mean", "pred_q025", "pred_q975"])
-        for i, d in enumerate(future_cov.dates):
-            for j in range(2):
-                writer.writerow(
-                    [d.isoformat(), j + 1, repr(float(mean[i, j])),
-                     repr(float(q025[i, j])), repr(float(q975[i, j]))]
-                )
+    write_rows(
+        path, ["date", "region", "pred_mean", "pred_q025", "pred_q975"],
+        ([d.isoformat(), j + 1, repr(float(mean[i, j])), repr(float(q025[i, j])),
+          repr(float(q975[i, j]))]
+         for i, d in enumerate(future_cov.dates) for j in range(2)),
+    )
+
+
+def write_forecast_paths_csv(path, future_cov: CovariateSeries, paths: np.ndarray):
+    """Every forecast path: one row per draw, day and region."""
+    write_rows(
+        path, ["draw", "date", "region", "value"],
+        ([i, d.isoformat(), j + 1, repr(float(paths[i, t, j]))]
+         for i in range(paths.shape[0]) for t, d in enumerate(future_cov.dates) for j in range(2)),
+    )
 
 
 def write_states_csv(path, cov: CovariateSeries, states: np.ndarray):
-    dates = (cov.day0, *cov.dates)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "state"])
-        for d, s in zip(dates, states):
-            writer.writerow([d.isoformat(), int(s)])
+    write_rows(
+        path, ["date", "state"],
+        ([d.isoformat(), int(s)] for d, s in zip((cov.day0, *cov.dates), states)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +326,7 @@ def write_manifest(out_dir, command, args_dict, seed, input_paths, hyper=None, e
     if extra:
         manifest["extra"] = extra
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(path, manifest)
     return path
 
 

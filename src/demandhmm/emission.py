@@ -221,7 +221,8 @@ def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
     omega1 = np.asarray(omega1, dtype=np.float64)
     det = omega1[..., 0, 0] * omega1[..., 1, 1] - omega1[..., 0, 1] * omega1[..., 1, 0]
     if np.any(det <= 0.0) or np.any(omega1[..., 0, 0] <= 0.0):
-        raise ValueError("omega1 must be symmetric positive definite")
+        # a numerical failure: positive precisions can still cancel to det <= 0
+        raise np.linalg.LinAlgError("omega1 must be symmetric positive definite")
     s = np.stack([omega1[..., 1, 1] / det, -omega1[..., 0, 1] / det, omega1[..., 0, 0] / det])
     v11, v12, v22 = np.linalg.solve(
         _lyapunov_matrix(psi[0, 0], psi[0, 1]), s.reshape(3, -1)

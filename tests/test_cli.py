@@ -237,6 +237,67 @@ class TestDownstream:
         assert all(r["modal_state"] in {"1", "2", "3", "4"} for r in rows)
 
 
+def _future_cwv(path, data_csv, days):
+    """A flat CWV scenario for the ``days`` after the last day of ``data_csv``."""
+    with open(data_csv, newline="") as fh:
+        last = dt.date.fromisoformat(list(csv.DictReader(fh))[-1]["date"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "w1", "w2"])
+        for i in range(1, days + 1):
+            writer.writerow([(last + dt.timedelta(days=i)).isoformat(), 8.0, 8.0])
+    return path
+
+
+# sha256 of every file the simulate -> fit -> smooth, ppc, forecast -> report
+# chain below writes, manifest.json aside (it holds a timestamp and argv)
+_PINNED_OUTPUTS = {
+    "simulate/data.csv": "77f9ab94fd56de03c415a5a0331c2d39bfabecfd28c89739f96be03b396ce8fe",
+    "simulate/params.json": "41d51584b11b8e09105099790da6440ea0b98ac9536017ca6d952b2bc3c84d14",
+    "simulate/states.csv": "47e3ad5f7632f821be289f94d8ef02fef9ada57cd59c239402b04a50b18d547f",
+    "fit/diagnostics.json": "46fa75a08b08a05f8cac314cf21174338a5872dba2eabe0aae267605f2cd10a9",
+    "fit/draws.csv": "245c30f541568ce7d88eeb132c632d5f8bde78771e0391124213c61a3008e074",
+    "fit/draws_meta.json": "5feff8b9453e162f8ae64217b6644d052d204ccc7721a7fa540acc88fbbab2c6",
+    "smooth/smoothed.csv": "c41016e759122cc1155e044c2bfdbc8bcb96e05a17d2f7caad28c9df1ba1384b",
+    "ppc/ppc.json": "b318674507cbbf25219effe5c34dfec3713325f4f5f4dad84e64448a76ed44ae",
+    "ppc/ppc_days.csv": "4e11387dcf233857422ee21dee150a17a6de3f914ce2ee10521af3b6834abab1",
+    "forecast/forecast.csv": "f66f9f828b103a81b6424deafad632137ab63b83e6118a4c6741966df4a4115a",
+    "forecast/forecast_paths.csv": "ca089a50865b894440c5122e3e591d67c110c4c89e2942c9998f70d717bb82d3",
+    "report/param_summary.csv": "7c0a14c72020f70def26cd027c91e16891a884e4332e7aaae67c651f87b374a0",
+    "report/ppc_scatter.csv": "c67acae4ea5aa1ab6db7fdddcbb367c37ae756f4098d620e0609c396978981e4",
+    "report/state_timeline.csv": "68ab76b7ffbc92b4f414745905ee21fbcee4254113be2bd5f0a8e3e7f0ce3edd",
+}
+
+
+class TestPinnedOutputs:
+    def test_outputs_byte_identical(self, workspace, fitted, tmp_path):
+        common = ["--data", str(workspace / "sim" / "data.csv"),
+                  "--holidays", str(workspace / "holidays.csv"),
+                  "--config", str(workspace / "config.txt"),
+                  "--draws", str(fitted / "draws.csv")]
+        future = _future_cwv(tmp_path / "future_cwv.csv", workspace / "sim" / "data.csv", 14)
+        runs = [
+            ["smooth", *common, "--seed", "5", "--out-dir", str(tmp_path / "smooth")],
+            ["ppc", *common, "--seed", "6", "--out-dir", str(tmp_path / "ppc")],
+            ["forecast", *common, "--seed", "7", "--out-dir", str(tmp_path / "forecast"),
+             "--horizon", "14", "--future-cwv", str(future), "--write-paths"],
+            ["report", "--out-dir", str(tmp_path / "report"), "--draws", str(fitted / "draws.csv"),
+             "--smoothed", str(tmp_path / "smooth" / "smoothed.csv"),
+             "--ppc-days", str(tmp_path / "ppc" / "ppc_days.csv")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0
+        dirs = {"simulate": workspace / "sim", "fit": fitted,
+                **{name: tmp_path / name for name in ("smooth", "ppc", "forecast", "report")}}
+        digests = {
+            f"{command}/{name}": hashlib.sha256((d / name).read_bytes()).hexdigest()
+            for command, d in dirs.items()
+            for name in sorted(os.listdir(d))
+            if name != "manifest.json"
+        }
+        assert digests == _PINNED_OUTPUTS
+
+
 class TestInputErrors:
     def test_missing_column(self, workspace):
         bad = workspace / "bad.csv"
@@ -461,6 +522,105 @@ class TestInputErrors:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["type"] == "FloatingPointError"
         assert err["message"] == "draw 0: log likelihood is NaN"
+
+    def test_first_day_law_failure_is_numerical_failure(self, workspace, fitted, tmp_path):
+        # a finite precision inside its support whose 2x2 determinant cancels to <= 0
+        lines = (fitted / "draws.csv").read_text().splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
+        row[header.index("prec_base_1")] = "1e8"
+        lines[1] = ",".join(row)
+        (tmp_path / "draws.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "draws_meta.json").write_bytes((fitted / "draws_meta.json").read_bytes())
+        out = tmp_path / "out"
+        rc = main([
+            "smooth", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "1",
+            "--out-dir", str(out), "--draws", str(tmp_path / "draws.csv"),
+        ])
+        assert rc == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "LinAlgError"
+        assert err["message"] == "omega1 must be symmetric positive definite"
+
+    def test_draws_harmonics_must_match_config(self, workspace, fitted, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("preset = paper-like\nk_annual = 6\nk_prec_annual = 2\n")
+        out = tmp_path / "out"
+        rc = main([
+            "smooth", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"), "--config", str(config),
+            "--seed", "1", "--out-dir", str(out), "--draws", str(fitted / "draws.csv"),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError"
+        assert str(fitted / "draws.csv") in err["message"]
+        assert "(2, 2)" in err["message"] and "(6, 2)" in err["message"]
+        assert not (out / "smoothed.csv").exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--smoothed", "date,state\n2021-01-01,1\n"),
+        ("--smoothed", "date,p_state1,p_state2,p_state3,p_state4\n2021-01-01,0.5,abc,0.25,0.25\n"),
+        ("--smoothed", "date,p_state1,p_state2,p_state3,p_state4\n2021-01-01,0.5,nan,0.25,0.25\n"),
+        ("--smoothed", "date,p_state1,p_state2,p_state3,p_state4\n2021-01-01,0.5,0.5\n"),
+        ("--ppc-days", "date,region,observed,pred_mean\n2021-01-02,1,3.1,3.0\n"),
+        ("--ppc-days", "date,region,observed,pred_mean,pred_q025,pred_q975,outside95\n"
+                       "2021-01-02,1,3.1,x,2.9,3.2,0\n"),
+    ], ids=["no_state_columns", "non_numeric_probability", "nan_probability", "short_row",
+            "missing_columns", "non_numeric_cell"])
+    def test_malformed_report_input(self, tmp_path, flag, text):
+        bad = tmp_path / "input.csv"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["report", "--out-dir", str(out), flag, str(bad)])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError" and str(bad) in err["message"]
+
+    def test_short_holiday_row(self, workspace, tmp_path):
+        lines = (workspace / "holidays.csv").read_text().splitlines()
+        lines[3] = lines[3].split(",")[0]
+        bad = tmp_path / "holidays.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", "--holidays", str(bad), "--config", str(workspace / "config.txt"),
+            "--seed", "11", "--out-dir", str(out), "--start", "2021-01-02", "--days", "30",
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "CovariateError" and f"{bad}: bad row 4" in err["message"]
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "warm"])
+    def test_bad_future_cwv_cell(self, workspace, fitted, tmp_path, cell):
+        future = _future_cwv(tmp_path / "future_cwv.csv", workspace / "sim" / "data.csv", 7)
+        lines = future.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+        future.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main([
+            "forecast", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "7",
+            "--out-dir", str(out), "--draws", str(fitted / "draws.csv"),
+            "--horizon", "7", "--future-cwv", str(future),
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "DataError" and err["message"].startswith(f"{future}: row 3: ")
+
+    def test_manifest_hashes_params_file(self, workspace, tmp_path):
+        params = workspace / "sim" / "params.json"
+        common = ["simulate", "--holidays", str(workspace / "holidays.csv"),
+                  "--config", str(workspace / "config.txt"), "--seed", "11",
+                  "--start", "2021-01-02", "--days", "30"]
+        assert main([*common, "--out-dir", str(tmp_path / "file"), "--params", str(params)]) == 0
+        assert main([*common, "--out-dir", str(tmp_path / "demo"), "--params", "demo"]) == 0
+        inputs = json.loads((tmp_path / "file" / "manifest.json").read_text())["inputs"]
+        assert inputs[str(params)] == hashlib.sha256(params.read_bytes()).hexdigest()
+        demo = json.loads((tmp_path / "demo" / "manifest.json").read_text())["inputs"]
+        assert set(demo) == {str(workspace / "holidays.csv"), str(workspace / "config.txt")}
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_fit_needs_an_iteration(self, workspace, tmp_path, iters):
