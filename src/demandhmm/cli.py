@@ -312,7 +312,8 @@ def _cmd_report(args) -> int:
         dataio.write_rows(
             os.path.join(args.out_dir, "param_summary.csv"),
             ["parameter", "mean", "sd", *[f"q{int(q * 1000):03d}" for q in qs]],
-            ([name, repr(float(col.mean())), repr(float(col.std(ddof=1))),
+            # one draw has no sample standard deviation: nan, without numpy's warnings
+            ([name, repr(float(col.mean())), repr(float(col.std(ddof=1) if col.size > 1 else np.nan)),
               *[repr(float(np.quantile(col, q))) for q in qs]]
              for name, col in zip(draws.names, draws.constrained().T)),
         )

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariates import CovariateSeries, DayCovariates
-from .states import STATE_HOLIDAY, STATE_NORMAL, STATE_POST, STATE_PRE
+from .covariates import CovariateSeries
+from .states import row_dot
 
 LOG_2PI = math.log(2.0 * math.pi)
 OMEGA_CLAMP = 30.0  # bound on log precisions before exponentiation
@@ -42,6 +42,8 @@ class EmissionParams:
     ``weekday`` (2, 2, 3), ``weather`` (2, 2) centered-CWV coefficient and its
     interaction with the raw CWV, ``decay_mean`` (2,), ``decay_prec`` scalar,
     ``prec_base`` (3,), ``prec_holiday`` (3,), ``prec_annual`` (3, 2, K).
+    Parameters of several draws at once carry one leading axis of rows on
+    every field (``decay_prec`` is then an array).
     """
 
     ar_eig01: np.ndarray
@@ -58,11 +60,11 @@ class EmissionParams:
 
     @property
     def k_annual(self) -> int:
-        return self.annual.shape[2]
+        return self.annual.shape[-1]
 
     @property
     def k_prec_annual(self) -> int:
-        return self.prec_annual.shape[2]
+        return self.prec_annual.shape[-1]
 
     @property
     def ar_matrix(self) -> np.ndarray:
@@ -77,14 +79,21 @@ def psi_from_xi(xi) -> np.ndarray:
 
     xi in (0,1)^2 maps to eigenvalues chi = 2 xi - 1 in (-1,1); the matrix has
     common diagonal (chi1 + chi2) / 2 and common off-diagonal (chi1 - chi2) / 2.
+    ``xi`` (..., 2) gives (..., 2, 2).
     """
     xi = np.asarray(xi, dtype=np.float64)
     if np.any(xi <= 0.0) or np.any(xi >= 1.0):
         raise ValueError(f"ar_eig01 must lie in (0, 1)^2, got {xi}")
     chi = 2.0 * xi - 1.0
-    on = 0.5 * (chi[0] + chi[1])
-    off = 0.5 * (chi[0] - chi[1])
-    return np.array([[on, off], [off, on]])
+    on = 0.5 * (chi[..., 0] + chi[..., 1])
+    off = 0.5 * (chi[..., 0] - chi[..., 1])
+    return _matrix([[on, off], [off, on]])
+
+
+def _matrix(rows) -> np.ndarray:
+    """(..., m, n) matrix from m rows of n entries, all numbers or all arrays of one shape."""
+    m = np.array(rows, dtype=np.float64)
+    return m.transpose(tuple(range(2, m.ndim)) + (0, 1))
 
 
 def xi_from_psi(psi) -> np.ndarray:
@@ -95,111 +104,9 @@ def xi_from_psi(psi) -> np.ndarray:
     return np.array([(chi1 + 1.0) / 2.0, (chi2 + 1.0) / 2.0])
 
 
-def state_weight(decay: float, state: int, n: int, p: int) -> float:
-    """Holiday-effect weight for a day in the given state.
-
-    1 on holidays, 0 on normal days, and a power of the decay factor on
-    proximity days: decay**n before a holiday, decay**min(n, p) after.
-    """
-    if state == STATE_HOLIDAY:
-        return 1.0
-    if state == STATE_NORMAL:
-        return 0.0
-    if state == STATE_PRE:
-        return float(decay**n)
-    if state == STATE_POST:
-        return float(decay ** min(n, p))
-    raise ValueError(f"unknown state {state}")
-
-
-def fourier_sum(coeffs, t_index: float, period: float) -> float:
-    """Sum of K harmonics; ``coeffs`` is (2, K) with cosine and sine rows.
-
-    The clock is reduced modulo the period before the trigonometric calls so
-    precision does not degrade with large day indices.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    k = np.arange(1, coeffs.shape[1] + 1)
-    ang = 2.0 * math.pi * k * math.fmod(t_index, period) / period
-    return float(coeffs[0] @ np.cos(ang) + coeffs[1] @ np.sin(ang))
-
-
-def mean_vector(params: EmissionParams, day: DayCovariates, state: int) -> np.ndarray:
-    """Conditional mean of log demand, one entry per region."""
-    if (state == STATE_HOLIDAY) != day.is_holiday:
-        raise ValueError("state 2 applies exactly on holidays")
-    mu = np.empty(2)
-    for j in range(2):
-        b = state_weight(float(params.decay_mean[j]), state, day.n, day.p)
-        mu[j] = (
-            params.level[j]
-            + b * params.holiday[j, day.r - 1]
-            + fourier_sum(params.annual[j], day.t_index, 365.25)
-            + fourier_sum(params.weekday[j], day.t_index, 7.0)
-            + (params.weather[j, 0] + params.weather[j, 1] * day.w[j]) * day.w_tilde[j]
-        )
-    return mu
-
-
-@dataclass(frozen=True)
-class PrecisionComponents:
-    """Cross-region regression coefficient and the two precisions."""
-
-    phi: float
-    tau1: float
-    tau2: float
-
-    def __post_init__(self):
-        if self.tau1 <= 0.0 or self.tau2 <= 0.0:
-            raise ValueError("precisions must be positive")
-
-
-def precision_components(
-    params: EmissionParams, day: DayCovariates, state: int
-) -> PrecisionComponents:
-    """Per-day precision parameters (phi, tau1, tau2) for the given state."""
-    if (state == STATE_HOLIDAY) != day.is_holiday:
-        raise ValueError("state 2 applies exactly on holidays")
-    w = state_weight(float(params.decay_prec), state, day.n, day.p)
-    omega = np.empty(3)
-    for i in range(3):
-        omega[i] = (
-            params.prec_base[i]
-            + w * params.prec_holiday[i]
-            + fourier_sum(params.prec_annual[i], day.t_index, 365.25)
-        )
-    ltau = np.clip(omega[1:], -OMEGA_CLAMP, OMEGA_CLAMP)
-    return PrecisionComponents(phi=float(omega[0]), tau1=math.exp(ltau[0]), tau2=math.exp(ltau[1]))
-
-
-def precision_matrix(pc: PrecisionComponents) -> np.ndarray:
-    """Precision matrix T' D^{-1} T with unit-triangular T and D = diag(1/tau).
-
-    The (2, 1) entry of T is -phi, so log det = log tau1 + log tau2 for any phi.
-    """
-    phi, t1, t2 = pc.phi, pc.tau1, pc.tau2
-    return np.array(
-        [
-            [t1 + phi * phi * t2, -phi * t2],
-            [-phi * t2, t2],
-        ]
-    )
-
-
-def covariance_from_components(pc: PrecisionComponents) -> np.ndarray:
-    """Inverse of :func:`precision_matrix`, in closed form."""
-    phi, t1, t2 = pc.phi, pc.tau1, pc.tau2
-    return np.array(
-        [
-            [1.0 / t1, phi / t1],
-            [phi / t1, 1.0 / t2 + phi * phi / t1],
-        ]
-    )
-
-
-def _lyapunov_matrix(a: float, b: float) -> np.ndarray:
-    """3x3 system of V = psi V psi' + S in (V11, V12, V22) for psi = [[a, b], [b, a]]."""
-    return np.array(
+def _lyapunov_matrix(a, b) -> np.ndarray:
+    """(..., 3, 3) system of V = psi V psi' + S in (V11, V12, V22) for psi = [[a, b], [b, a]]."""
+    return _matrix(
         [
             [1.0 - a * a, -2.0 * a * b, -b * b],
             [-a * b, 1.0 - a * a - b * b, -a * b],
@@ -215,7 +122,8 @@ def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
     (V11, V12, V22); the system is nonsingular whenever both eigenvalues of
     psi lie inside the unit disc and omega1 is symmetric positive definite.
     ``omega1`` is one (2, 2) precision matrix or a stack (..., 2, 2) of them,
-    solved together; V has the same shape.
+    solved together; V has the same shape. ``psi`` may carry leading axes of
+    rows, which then lead ``omega1``'s too; each row is one solve.
     """
     psi = np.asarray(psi, dtype=np.float64)
     omega1 = np.asarray(omega1, dtype=np.float64)
@@ -223,62 +131,16 @@ def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
     if np.any(det <= 0.0) or np.any(omega1[..., 0, 0] <= 0.0):
         # a numerical failure: positive precisions can still cancel to det <= 0
         raise np.linalg.LinAlgError("omega1 must be symmetric positive definite")
-    s = np.stack([omega1[..., 1, 1] / det, -omega1[..., 0, 1] / det, omega1[..., 0, 0] / det])
-    v11, v12, v22 = np.linalg.solve(
-        _lyapunov_matrix(psi[0, 0], psi[0, 1]), s.reshape(3, -1)
-    ).reshape(s.shape)
+    k = psi.ndim - 2    # leading axes of rows
+    s = np.stack([omega1[..., 1, 1] / det, -omega1[..., 0, 1] / det, omega1[..., 0, 0] / det], axis=k)
+    rhs = s.reshape(s.shape[: k + 1] + (-1,))          # (..., 3, M): one column per matrix
+    sol = np.linalg.solve(_lyapunov_matrix(psi[..., 0, 0], psi[..., 0, 1]), rhs).reshape(s.shape)
+    v11, v12, v22 = (sol[(slice(None),) * k + (i,)] for i in range(3))
     if not (np.all(v11 > 0.0) and np.all(v11 * v22 - v12 * v12 > 0.0)):
         raise np.linalg.LinAlgError("stationary variance is not positive definite")
     v = np.empty(omega1.shape)
     v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = v11, v12, v12, v22
     return v
-
-
-def _dense_normal_logpdf(e: np.ndarray, cov: np.ndarray) -> float:
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    quad = (
-        cov[1, 1] * e[0] * e[0] - 2.0 * cov[0, 1] * e[0] * e[1] + cov[0, 0] * e[1] * e[1]
-    ) / det
-    return -LOG_2PI - 0.5 * math.log(det) - 0.5 * quad
-
-
-def log_emission_density(
-    y_t,
-    y_prev,
-    state_t: int,
-    state_prev: int | None,
-    params: EmissionParams,
-    day_t: DayCovariates,
-    day_prev: DayCovariates | None,
-) -> float:
-    """Log density of one day's observation given its (pair of) states.
-
-    For the first observation pass ``y_prev = day_prev = state_prev = None``;
-    the density is then the stationary normal with variance V(A, Omega_1).
-    """
-    y_t = np.asarray(y_t, dtype=np.float64)
-    if y_t.shape != (2,):
-        raise ValueError(f"y_t must be a 2-vector, got shape {y_t.shape}")
-    mu_t = mean_vector(params, day_t, state_t)
-    pc = precision_components(params, day_t, state_t)
-    if y_prev is None:
-        if state_prev is not None or day_prev is not None:
-            raise ValueError("first-day density takes no previous state or day")
-        v = stationary_variance(params.ar_matrix, precision_matrix(pc))
-        return _dense_normal_logpdf(y_t - mu_t, v)
-    y_prev = np.asarray(y_prev, dtype=np.float64)
-    if y_prev.shape != (2,):
-        raise ValueError(f"y_prev must be a 2-vector, got shape {y_prev.shape}")
-    if state_prev is None or day_prev is None:
-        raise ValueError("later-day density needs the previous state and day")
-    mu_prev = mean_vector(params, day_prev, state_prev)
-    e = (y_t - mu_t) - params.ar_matrix @ (y_prev - mu_prev)
-    u2 = e[1] - pc.phi * e[0]
-    return (
-        -LOG_2PI
-        + 0.5 * (math.log(pc.tau1) + math.log(pc.tau2))
-        - 0.5 * (pc.tau1 * e[0] * e[0] + pc.tau2 * u2 * u2)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +193,9 @@ class DayTables:
     ``mu`` is (T, 4, 2); ``phi``, ``tau1``, ``tau2``, ``ltau1``, ``ltau2`` are
     (T, 4). ``v_inv`` (4, 2, 2), ``v_logdet`` (4,) and ``v_chol`` (4, 2, 2)
     describe the stationary first-day distribution under each initial state.
-    The per-day fields are transposed views of day-last arrays, so ``.T``
-    gives those arrays without a copy.
+    Tables of several draws carry their leading axis of rows on every field.
+    The per-day fields are views of day-last arrays with the per-row axes
+    reversed, so ``reverse_trailing`` gives those arrays without a copy.
     """
 
     mu: np.ndarray
@@ -345,6 +208,12 @@ class DayTables:
     v_inv: np.ndarray
     v_logdet: np.ndarray
     v_chol: np.ndarray
+
+
+def reverse_trailing(x: np.ndarray, k: int) -> np.ndarray:
+    """View of ``x`` with its last ``k`` axes in reverse order: ``x.T`` without leading axes."""
+    n = x.ndim
+    return x.transpose(tuple(range(n - k)) + tuple(range(n - 1, n - k - 1, -1)))
 
 
 def _state_weights(design: DesignMatrices, decay) -> np.ndarray:
@@ -363,63 +232,66 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTable
 
     The arrays are built with the day axis last, so numpy's loops run over
     days rather than over 2 regions or 4 states; the tables are (T, ...)
-    views of them.
+    views of them. Parameters with a leading axis of rows give tables with
+    that axis, each row as that row alone would give it.
     """
     two_k = 2 * params.k_annual
     if design.f_annual.shape[1] != two_k or design.f_prec.shape[1] != 2 * params.k_prec_annual:
         raise ValueError("design matrices were built for different harmonic counts")
+    lead = params.level.shape[:-1]
 
-    # state-independent part of the mean, (2, T)
+    # state-independent part of the mean, (..., 2, T)
     base = (
-        params.level[:, None]
-        + params.annual.reshape(2, two_k) @ design.f_annual.T
-        + params.weekday.reshape(2, 6) @ design.f_week.T
-        + (params.weather[:, 0, None] + params.weather[:, 1, None] * design.w.T) * design.w_tilde.T
+        params.level[..., :, None]
+        + params.annual.reshape(lead + (2, two_k)) @ design.f_annual.T
+        + params.weekday.reshape(lead + (2, 6)) @ design.f_week.T
+        + (params.weather[..., :, 0, None] + params.weather[..., :, 1, None] * design.w.T)
+        * design.w_tilde.T
     )
-    hol_effect = params.holiday[:, design.r_index]  # (2, T)
-    mu = base[:, None, :] + _state_weights(design, params.decay_mean) * hol_effect[:, None, :]
+    hol_effect = params.holiday[..., design.r_index]  # (..., 2, T)
+    mu = base[..., :, None, :] + _state_weights(design, params.decay_mean) * hol_effect[..., :, None, :]
 
-    tw = _state_weights(design, params.decay_prec)  # (4, T)
-    seasonal = params.prec_annual.reshape(3, 2 * params.k_prec_annual) @ design.f_prec.T  # (3, T)
+    tw = _state_weights(design, params.decay_prec)  # (..., 4, T)
+    seasonal = params.prec_annual.reshape(lead + (3, 2 * params.k_prec_annual)) @ design.f_prec.T
     omega = (
-        params.prec_base[:, None, None]
-        + tw * params.prec_holiday[:, None, None]
-        + seasonal[:, None, :]
-    )  # (3, 4, T)
-    phi = omega[0]
-    ltau1 = np.clip(omega[1], -OMEGA_CLAMP, OMEGA_CLAMP)
-    ltau2 = np.clip(omega[2], -OMEGA_CLAMP, OMEGA_CLAMP)
+        params.prec_base[..., :, None, None]
+        + tw[..., None, :, :] * params.prec_holiday[..., :, None, None]
+        + seasonal[..., :, None, :]
+    )  # (..., 3, 4, T)
+    phi = omega[..., 0, :, :]
+    ltau1 = np.clip(omega[..., 1, :, :], -OMEGA_CLAMP, OMEGA_CLAMP)
+    ltau2 = np.clip(omega[..., 2, :, :], -OMEGA_CLAMP, OMEGA_CLAMP)
     tau1 = np.exp(ltau1)
     tau2 = np.exp(ltau2)
 
     psi = params.ar_matrix
     # first-day law under each state: the precision matrix of day 1's components
-    phi0, t1, t2 = phi[:, 0], tau1[:, 0], tau2[:, 0]
-    omega1 = np.empty((4, 2, 2))
-    omega1[:, 0, 0] = t1 + phi0 * phi0 * t2
-    omega1[:, 0, 1] = omega1[:, 1, 0] = -phi0 * t2
-    omega1[:, 1, 1] = t2
-    v = stationary_variance(psi, omega1)                 # (4, 2, 2)
-    v00, v01, v11 = v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]
+    phi0, t1, t2 = phi[..., 0], tau1[..., 0], tau2[..., 0]
+    omega1 = np.empty(lead + (4, 2, 2))
+    omega1[..., 0, 0] = t1 + phi0 * phi0 * t2
+    omega1[..., 0, 1] = omega1[..., 1, 0] = -phi0 * t2
+    omega1[..., 1, 1] = t2
+    v = stationary_variance(psi, omega1)                 # (..., 4, 2, 2)
+    v00, v01, v11 = v[..., 0, 0], v[..., 0, 1], v[..., 1, 1]
     det = v00 * v11 - v01 * v01
-    v_inv = np.empty((4, 2, 2))
-    v_inv[:, 0, 0] = v11 / det
-    v_inv[:, 0, 1] = v_inv[:, 1, 0] = -v01 / det
-    v_inv[:, 1, 1] = v00 / det
+    v_inv = np.empty(lead + (4, 2, 2))
+    v_inv[..., 0, 0] = v11 / det
+    v_inv[..., 0, 1] = v_inv[..., 1, 0] = -v01 / det
+    v_inv[..., 1, 1] = v00 / det
     v_logdet = np.log(det)
     l11 = np.sqrt(v00)
     l21 = v01 / l11
-    v_chol = np.zeros((4, 2, 2))
-    v_chol[:, 0, 0] = l11
-    v_chol[:, 1, 0] = l21
-    v_chol[:, 1, 1] = np.sqrt(np.maximum(v11 - l21 * l21, 0.0))  # det > 0 up to rounding
+    v_chol = np.zeros(lead + (4, 2, 2))
+    v_chol[..., 0, 0] = l11
+    v_chol[..., 1, 0] = l21
+    v_chol[..., 1, 1] = np.sqrt(np.maximum(v11 - l21 * l21, 0.0))  # det > 0 up to rounding
     return DayTables(
-        mu=mu.T,
-        phi=phi.T,
-        tau1=tau1.T,
-        tau2=tau2.T,
-        ltau1=ltau1.T,
-        ltau2=ltau2.T,
+        mu=reverse_trailing(mu, 3),
+        phi=reverse_trailing(phi, 2),
+        tau1=reverse_trailing(tau1, 2),
+        tau2=reverse_trailing(tau2, 2),
+        ltau1=reverse_trailing(ltau1, 2),
+        ltau2=reverse_trailing(ltau2, 2),
         psi=psi,
         v_inv=v_inv,
         v_logdet=v_logdet,
@@ -449,49 +321,55 @@ def day_tables_adjoint(
     # first-day law: V_c solves V = psi V psi + S_c with S_c = Omega_c^{-1}.
     # d/dV of log det V and of V^{-1}, then back through the 3x3 system in
     # (V11, V12, V22) that stationary_variance solves
+    lead = params.level.shape[:-1]
     v_inv = tables.v_inv
-    v = np.stack([v_inv[:, 1, 1], -v_inv[:, 0, 1], v_inv[:, 0, 0]]) * np.exp(tables.v_logdet)
-    g_v = g_v_logdet[:, None, None] * v_inv - v_inv @ g_v_inv.transpose(0, 2, 1) @ v_inv
-    a, b = tables.psi[0, 0], tables.psi[0, 1]
-    g_v3 = np.stack([g_v[:, 0, 0], g_v[:, 0, 1] + g_v[:, 1, 0], g_v[:, 1, 1]])
-    g_s = np.linalg.solve(_lyapunov_matrix(a, b).T, g_v3)
-    g_coef = -g_s @ v.T
-    dcoef_da = np.array([[-2 * a, -2 * b, 0.0], [-b, -2 * a, -b], [0.0, -2 * b, -2 * a]])
-    dcoef_db = np.array([[0.0, -2 * a, -2 * b], [-a, -2 * b, -a], [-2 * b, -2 * a, 0.0]])
-    g_on = g_psi[0, 0] + g_psi[1, 1] + np.sum(g_coef * dcoef_da)
-    g_off = g_psi[0, 1] + g_psi[1, 0] + np.sum(g_coef * dcoef_db)
+    v = np.stack([v_inv[..., 1, 1], -v_inv[..., 0, 1], v_inv[..., 0, 0]], axis=-2)
+    v = v * np.exp(tables.v_logdet)[..., None, :]       # (..., 3, 4)
+    g_v = g_v_logdet[..., None, None] * v_inv - v_inv @ g_v_inv.swapaxes(-1, -2) @ v_inv
+    a, b = tables.psi[..., 0, 0], tables.psi[..., 0, 1]
+    g_v3 = np.stack([g_v[..., 0, 0], g_v[..., 0, 1] + g_v[..., 1, 0], g_v[..., 1, 1]], axis=-2)
+    g_s = np.linalg.solve(_lyapunov_matrix(a, b).swapaxes(-1, -2), g_v3)
+    g_coef = -g_s @ v.swapaxes(-1, -2)
+    zero = np.zeros_like(a)
+    dcoef_da = _matrix([[-2 * a, -2 * b, zero], [-b, -2 * a, -b], [zero, -2 * b, -2 * a]])
+    dcoef_db = _matrix([[zero, -2 * a, -2 * b], [-a, -2 * b, -a], [-2 * b, -2 * a, zero]])
+    g_on = g_psi[..., 0, 0] + g_psi[..., 1, 1] + (g_coef * dcoef_da).reshape(lead + (9,)).sum(axis=-1)
+    g_off = g_psi[..., 0, 1] + g_psi[..., 1, 0] + (g_coef * dcoef_db).reshape(lead + (9,)).sum(axis=-1)
 
     # omega = (phi, log tau1, log tau2); S_c = [[1/t1, phi/t1], [phi/t1, 1/t2 + phi^2/t1]]
-    phi0, t1, t2 = tables.phi[0], tables.tau1[0], tables.tau2[0]
-    g_omega = np.stack([g_phi, g_ltau1, g_ltau2])       # (3, 4, T)
-    g_omega[0, :, 0] += (g_s[1] + 2.0 * phi0 * g_s[2]) / t1
-    g_omega[1, :, 0] -= (g_s[0] + phi0 * g_s[1] + phi0 * phi0 * g_s[2]) / t1
-    g_omega[2, :, 0] -= g_s[2] / t2
-    g_omega[1] *= np.abs(tables.ltau1.T) < OMEGA_CLAMP
-    g_omega[2] *= np.abs(tables.ltau2.T) < OMEGA_CLAMP
-    tw = _state_weights(design, params.decay_prec)      # (4, T)
-    g_tw = tw * np.tensordot(params.prec_holiday, g_omega, axes=1)  # d/d log decay_prec, per power
-    g_seasonal = g_omega.sum(axis=1)                    # (3, T)
+    phi0, t1, t2 = tables.phi[..., 0, :], tables.tau1[..., 0, :], tables.tau2[..., 0, :]
+    g_s0, g_s1, g_s2 = g_s[..., 0, :], g_s[..., 1, :], g_s[..., 2, :]
+    g_omega = np.stack([g_phi, g_ltau1, g_ltau2], axis=-3)   # (..., 3, 4, T)
+    g_omega[..., 0, :, 0] += (g_s1 + 2.0 * phi0 * g_s2) / t1
+    g_omega[..., 1, :, 0] -= (g_s0 + phi0 * g_s1 + phi0 * phi0 * g_s2) / t1
+    g_omega[..., 2, :, 0] -= g_s2 / t2
+    g_omega[..., 1, :, :] *= np.abs(reverse_trailing(tables.ltau1, 2)) < OMEGA_CLAMP
+    g_omega[..., 2, :, :] *= np.abs(reverse_trailing(tables.ltau2, 2)) < OMEGA_CLAMP
+    tw = _state_weights(design, params.decay_prec)      # (..., 4, T)
+    # d/d log decay_prec, per power
+    g_tw = tw * (params.prec_holiday[..., None, :] @ g_omega.reshape(lead + (3, -1))).reshape(tw.shape)
+    g_seasonal = g_omega.sum(axis=-2)                   # (..., 3, T)
 
-    # mu = base + bw * holiday effect, (2, 4, T) here
-    hol_effect = params.holiday[:, design.r_index]      # (2, T)
-    bw = _state_weights(design, params.decay_mean)      # (2, 4, T)
-    g_base = g_mu.sum(axis=1)                           # (2, T)
-    g_hol = (g_mu * bw).sum(axis=1)
-    g_bw = g_mu * bw * hol_effect[:, None, :]
+    # mu = base + bw * holiday effect, (..., 2, 4, T) here
+    hol_effect = params.holiday[..., design.r_index]    # (..., 2, T)
+    bw = _state_weights(design, params.decay_mean)      # (..., 2, 4, T)
+    g_base = g_mu.sum(axis=-2)                          # (..., 2, T)
+    g_hol = (g_mu * bw).sum(axis=-2)
+    g_bw = g_mu * bw * hol_effect[..., :, None, :]
     g_base_w = g_base * design.w_tilde.T
     return {
-        "ar_eig01": np.array([g_on + g_off, g_on - g_off]),
-        "level": g_base.sum(axis=1),
+        "ar_eig01": np.stack([g_on + g_off, g_on - g_off], axis=-1),
+        "level": g_base.sum(axis=-1),
         "holiday": np.stack(
-            [np.bincount(design.r_index, weights=g_hol[j], minlength=3) for j in range(2)]
-        ),
+            [np.bincount(design.r_index, weights=g, minlength=3) for g in g_hol.reshape(-1, g_hol.shape[-1])]
+        ).reshape(params.holiday.shape),
         "annual": (g_base @ design.f_annual).reshape(params.annual.shape),
         "weekday": (g_base @ design.f_week).reshape(params.weekday.shape),
-        "weather": np.stack([g_base_w.sum(axis=1), (g_base_w * design.w.T).sum(axis=1)], axis=1),
-        "decay_mean": (g_bw[:, 0] @ design.n + g_bw[:, 2] @ design.gap) / params.decay_mean,
-        "decay_prec": (g_tw[0] @ design.n + g_tw[2] @ design.gap) / params.decay_prec,
-        "prec_base": g_seasonal.sum(axis=1),
-        "prec_holiday": (g_omega * tw).sum(axis=(1, 2)),
+        "weather": np.stack([g_base_w.sum(axis=-1), (g_base_w * design.w.T).sum(axis=-1)], axis=-1),
+        "decay_mean": (g_bw[..., 0, :] @ design.n + g_bw[..., 2, :] @ design.gap) / params.decay_mean,
+        "decay_prec": (row_dot(g_tw[..., 0, :], design.n) + row_dot(g_tw[..., 2, :], design.gap))
+        / params.decay_prec,
+        "prec_base": g_seasonal.sum(axis=-1),
+        "prec_holiday": (g_omega * tw[..., None, :, :]).sum(axis=(-2, -1)),
         "prec_annual": (g_seasonal @ design.f_prec).reshape(params.prec_annual.shape),
     }

@@ -36,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariates import CovariateSeries
-from .emission import LOG_2PI, DayTables, EmissionParams, day_tables
+from .emission import LOG_2PI, DayTables, EmissionParams, day_tables, reverse_trailing
 from .states import (
     PAIR_CUR,
     PAIR_PREV,
     TransitionParams,
     log_initial_distribution,
     log_transition_tables,
+    row_dot,
 )
 
 _PAIR_A = PAIR_PREV - 1
@@ -86,39 +87,49 @@ def _validate(y: np.ndarray, cov: CovariateSeries) -> np.ndarray:
 
 
 def _sum4(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over a length-4 axis as three adds; numpy's reduction over so short
-    an axis is several times slower."""
-    at = (slice(None),) * axis
-    return (a[at + (0,)] + a[at + (1,)]) + (a[at + (2,)] + a[at + (3,)])
+    """Sum over the length-4 axis ``axis`` (counted from the end, so negative)
+    as three adds; numpy's reduction over so short an axis is several times slower."""
+    rest = (slice(None),) * (-axis - 1)
+    return (a[(..., 0) + rest] + a[(..., 1) + rest]) + (a[(..., 2) + rest] + a[(..., 3) + rest])
+
+
+def _psi_entries(psi: np.ndarray):
+    """The four entries of (..., 2, 2) AR matrices, shaped to broadcast over (..., 4, T) arrays."""
+    p = psi[..., None, None]
+    return p[..., 0, 0, :, :], p[..., 0, 1, :, :], p[..., 1, 0, :, :], p[..., 1, 1, :, :]
 
 
 def _kernel_terms(y, cov, tables, trans):
-    """(4, 4, T) log kernels, day last, and the terms their adjoint needs.
+    """(..., 4, 4, T) log kernels, day last, and the terms their adjoint needs.
 
     Day is the last axis of every array here, so numpy's loops run over days
     rather than over 4 states; ``log_kernels`` transposes the kernels back.
+    Tables with a leading axis of rows give kernels with that axis, each row
+    as that row alone would give it.
     """
-    mu, phi, tau1, tau2 = tables.mu.T, tables.phi.T, tables.tau1.T, tables.tau2.T
-    d0, d1 = y[:, 0] - mu[0], y[:, 1] - mu[1]                        # (4, T)
-    psi = tables.psi
+    mu = reverse_trailing(tables.mu, 3)
+    phi, tau1, tau2 = (reverse_trailing(x, 2) for x in (tables.phi, tables.tau1, tables.tau2))
+    d0, d1 = y[:, 0] - mu[..., 0, :, :], y[:, 1] - mu[..., 1, :, :]   # (..., 4, T)
+    p00, p01, p10, p11 = _psi_entries(tables.psi)
     # VAR(1) innovation given (b, c): (y_t - mu_t(c)) - Psi (y_{t-1} - mu_{t-1}(b)),
-    # one (b, c, T-1) array per region
-    e0 = d0[None, :, 1:] - (psi[0, 0] * d0[:, :-1] + psi[0, 1] * d1[:, :-1])[:, None, :]
-    e1 = d1[None, :, 1:] - (psi[1, 0] * d0[:, :-1] + psi[1, 1] * d1[:, :-1])[:, None, :]
-    u2 = e1 - phi[:, 1:] * e0
-    out = np.empty((4, 4, y.shape[0]))
+    # one (..., b, c, T-1) array per region
+    e0 = d0[..., None, :, 1:] - (p00 * d0[..., :-1] + p01 * d1[..., :-1])[..., :, None, :]
+    e1 = d1[..., None, :, 1:] - (p10 * d0[..., :-1] + p11 * d1[..., :-1])[..., :, None, :]
+    u2 = e1 - phi[..., None, :, 1:] * e0
+    out = np.empty(d0.shape[:-2] + (4, 4, y.shape[0]))
     # a zero-likelihood observation overflows the squares to inf: its kernel is -inf
     with np.errstate(over="ignore"):
-        out[:, :, 1:] = (
+        out[..., 1:] = (
             -LOG_2PI
-            + 0.5 * (tables.ltau1.T + tables.ltau2.T)[:, 1:]
-            - 0.5 * (tau1[:, 1:] * (e0 * e0) + tau2[:, 1:] * (u2 * u2))
+            + 0.5 * reverse_trailing(tables.ltau1 + tables.ltau2, 2)[..., None, :, 1:]
+            - 0.5 * (tau1[..., None, :, 1:] * (e0 * e0) + tau2[..., None, :, 1:] * (u2 * u2))
         )
-        dev0 = np.stack([d0[:, 0], d1[:, 0]], axis=1)                 # (4, 2)
-        quad0 = np.einsum("ci,cij,cj->c", dev0, tables.v_inv, dev0)
+        dev0 = np.stack([d0[..., 0], d1[..., 0]], axis=-1)            # (..., 4, 2)
+        quad0 = np.einsum("...ci,...cij,...cj->...c", dev0, tables.v_inv, dev0)
     logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
-    out[:, :, 0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[None, :]
-    out += log_transition_tables(trans, cov.n[1:], cov.p[1:]).transpose(1, 2, 0)
+    out[..., 0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[..., None, :]
+    loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:])       # (..., T, 4, 4)
+    out += loglam.transpose(*range(loglam.ndim - 3), -2, -1, -3)
     return out, (d0, d1, e0, u2, phi, tau1, tau2)
 
 
@@ -136,44 +147,51 @@ def log_kernels(
 
 
 def _log_kernels_adjoint(g, tables, d0, d1, e0, u2, phi, tau1, tau2):
-    """Adjoint of ``_kernel_terms`` from ``g = d/d log K`` (4, 4, T) to the day tables.
+    """Adjoint of ``_kernel_terms`` from ``g = d/d log K`` (..., 4, 4, T) to the day tables.
 
     Returns the gradients with respect to ``mu``, ``phi``, ``ltau1``, ``ltau2``
     (day last, like the terms), ``psi``, ``v_inv`` and ``v_logdet``; the
     transition tables' gradient is ``g`` itself. Entries of ``g`` on -inf
     kernels must be 0.
     """
-    T = g.shape[2]
-    gt = g[:, :, 1:]                                    # (b, c, T-1)
-    psi = tables.psi
-    g_ltau1 = np.zeros((4, T))
-    g_ltau2 = np.zeros((4, T))
-    g_phi = np.zeros((4, T))
-    gc = _sum4(gt, 0)                                   # (c, T-1)
-    g_ltau1[:, 1:] = 0.5 * gc - 0.5 * tau1[:, 1:] * _sum4(gt * e0 * e0, 0)
-    g_ltau2[:, 1:] = 0.5 * gc - 0.5 * tau2[:, 1:] * _sum4(gt * u2 * u2, 0)
-    g_e1 = gt * tau2[:, 1:] * u2                        # minus d/d e1
-    g_phi[:, 1:] = _sum4(g_e1 * e0, 0)
-    g_e0 = g_e1 * phi[:, 1:] - gt * tau1[:, 1:] * e0
-    g_d0 = np.zeros((4, T))
-    g_d1 = np.zeros((4, T))
-    g_d0[:, 1:] = _sum4(g_e0, 0)
-    g_d1[:, 1:] = -_sum4(g_e1, 0)
-    g_eb0, g_eb1 = _sum4(g_e0, 1), -_sum4(g_e1, 1)      # (b, T-1)
-    g_d0[:, :-1] -= psi[0, 0] * g_eb0 + psi[1, 0] * g_eb1
-    g_d1[:, :-1] -= psi[0, 1] * g_eb0 + psi[1, 1] * g_eb1
-    p0, p1 = d0[:, :-1], d1[:, :-1]
-    g_psi = -np.array(
-        [[np.vdot(g_eb0, p0), np.vdot(g_eb0, p1)], [np.vdot(g_eb1, p0), np.vdot(g_eb1, p1)]]
+    shape = g.shape[:-3] + (4, g.shape[-1])             # (..., 4, T)
+    gt = g[..., 1:]                                     # (..., b, c, T-1)
+    p00, p01, p10, p11 = _psi_entries(tables.psi)
+    g_ltau1 = np.zeros(shape)
+    g_ltau2 = np.zeros(shape)
+    g_phi = np.zeros(shape)
+    tau1_c, tau2_c, phi_c = (x[..., None, :, 1:] for x in (tau1, tau2, phi))   # over (b, c)
+    gc = _sum4(gt, -3)                                  # (..., c, T-1)
+    g_ltau1[..., 1:] = 0.5 * gc - 0.5 * tau1[..., 1:] * _sum4(gt * e0 * e0, -3)
+    g_ltau2[..., 1:] = 0.5 * gc - 0.5 * tau2[..., 1:] * _sum4(gt * u2 * u2, -3)
+    g_e1 = gt * tau2_c * u2                             # minus d/d e1
+    g_phi[..., 1:] = _sum4(g_e1 * e0, -3)
+    g_e0 = g_e1 * phi_c - gt * tau1_c * e0
+    g_d0 = np.zeros(shape)
+    g_d1 = np.zeros(shape)
+    g_d0[..., 1:] = _sum4(g_e0, -3)
+    g_d1[..., 1:] = -_sum4(g_e1, -3)
+    g_eb0, g_eb1 = _sum4(g_e0, -2), -_sum4(g_e1, -2)    # (..., b, T-1)
+    g_d0[..., :-1] -= p00 * g_eb0 + p10 * g_eb1
+    g_d1[..., :-1] -= p01 * g_eb0 + p11 * g_eb1
+    flat = shape[:-2] + (-1,)
+    p0, p1 = d0[..., :-1].reshape(flat), d1[..., :-1].reshape(flat)
+    g_eb0, g_eb1 = g_eb0.reshape(flat), g_eb1.reshape(flat)
+    g_psi = -np.stack(
+        [
+            np.stack([row_dot(g_eb0, p0), row_dot(g_eb0, p1)], axis=-1),
+            np.stack([row_dot(g_eb1, p0), row_dot(g_eb1, p1)], axis=-1),
+        ],
+        axis=-2,
     )
     # day 1: -0.5 log det V_c - 0.5 dev' V_c^{-1} dev
-    g0 = _sum4(g[:, :, 0], 0)                           # (c,)
-    dev0 = np.stack([d0[:, 0], d1[:, 0]], axis=1)       # (c, 2)
-    vd = g0[:, None] * np.einsum("cij,cj->ci", tables.v_inv, dev0)
-    g_d0[:, 0] -= vd[:, 0]
-    g_d1[:, 0] -= vd[:, 1]
-    g_v_inv = -0.5 * g0[:, None, None] * dev0[:, :, None] * dev0[:, None, :]
-    return -np.stack([g_d0, g_d1]), g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, -0.5 * g0
+    g0 = _sum4(g[..., 0], -2)                           # (..., c)
+    dev0 = np.stack([d0[..., 0], d1[..., 0]], axis=-1)  # (..., c, 2)
+    vd = g0[..., None] * np.einsum("...cij,...cj->...ci", tables.v_inv, dev0)
+    g_d0[..., 0] -= vd[..., 0]
+    g_d1[..., 0] -= vd[..., 1]
+    g_v_inv = -0.5 * g0[..., None, None] * dev0[..., :, None] * dev0[..., None, :]
+    return -np.stack([g_d0, g_d1], axis=-3), g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, -0.5 * g0
 
 
 def _filter_recursion(logk: np.ndarray):
@@ -215,40 +233,43 @@ def forward_filter(
 
 
 def _tree_levels(m: np.ndarray):
-    """Ordered log product of the (4, 4, T) kernels ``m`` and the levels that made it.
+    """Ordered log product of the (..., 4, 4, T) kernels ``m`` and the levels that made it.
 
     Neighbouring matrices are multiplied pairwise in log space, level by
     level; an odd last matrix is carried to the next level. For
     ``x[i, k, j, p] = m_{2p}[i, k] + m_{2p+1}[k, j]`` the pair product is
     ``c + log s`` with ``c = max_k x`` and ``s = sum_k exp(x - c)``; each level
     keeps ``exp(x - c)``, exactly 0 for -inf terms, and ``s`` for the reverse
-    pass. Day is the last axis throughout.
+    pass. Day is the last axis throughout; leading axes are rows, each
+    reduced as it would be alone.
     """
     levels = []
-    while m.shape[2] > 1:
-        even = m.shape[2] - m.shape[2] % 2
+    while m.shape[-1] > 1:
+        even = m.shape[-1] - m.shape[-1] % 2
         n = even // 2
-        w = m[:, :, None, 0:even:2] + m[None, :, :, 1:even:2]
-        c = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
+        w = m[..., :, :, None, 0:even:2] + m[..., None, :, :, 1:even:2]   # (..., i, k, j, n)
+        c = np.maximum(
+            np.maximum(w[..., 0, :, :], w[..., 1, :, :]), np.maximum(w[..., 2, :, :], w[..., 3, :, :])
+        )
         c[c == -np.inf] = 0.0
-        w -= c[:, None]
+        w -= c[..., :, None, :, :]
         low = w <= _EXP_FLOOR
         np.maximum(w, _EXP_FLOOR, out=w)
         np.exp(w, out=w)
         np.copyto(w, 0.0, where=low)
-        s = _sum4(w, 1)
+        s = _sum4(w, -3)
         levels.append((w, s))
-        nxt = np.empty((4, 4, n + m.shape[2] - even))
+        nxt = np.empty(m.shape[:-1] + (n + m.shape[-1] - even,))
         with np.errstate(divide="ignore"):
-            np.log(s, out=nxt[:, :, :n])
-        nxt[:, :, :n] += c
-        nxt[:, :, n:] = m[:, :, even:]
+            np.log(s, out=nxt[..., :n])
+        nxt[..., :n] += c
+        nxt[..., n:] = m[..., even:]
         m = nxt
-    return m[:, :, 0], levels
+    return m[..., 0], levels
 
 
 def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
-    """Reverse pass of ``_tree_levels``: ``d/d m`` (4, 4, T) from ``d/d product`` (4, 4).
+    """Reverse pass of ``_tree_levels``: ``d/d m`` (..., 4, 4, T) from ``d/d product`` (..., 4, 4).
 
     At each level the upstream adjoint of a pair product is spread over its
     terms with weights ``exp(x - c) / s`` and summed over j for the left
@@ -256,15 +277,15 @@ def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
     log likelihood, ``g_top = exp(P - log L)`` and the result is the smoothed
     pair marginal of every day (Fisher's identity). Overwrites the levels.
     """
-    g = g_top[:, :, None]
+    g = g_top[..., None]
     for w, s in reversed(levels):
-        n = w.shape[3]
+        n = w.shape[-1]
         s[s == 0.0] = 1.0
-        w *= (g[:, :, :n] / s)[:, None]
-        out = np.empty((4, 4, n + g.shape[2]))
-        out[:, :, 0 : 2 * n : 2] = _sum4(w, 2)
-        out[:, :, 1 : 2 * n : 2] = _sum4(w, 0)
-        out[:, :, 2 * n :] = g[:, :, n:]
+        w *= (g[..., :n] / s)[..., :, None, :, :]
+        out = np.empty(g.shape[:-1] + (n + g.shape[-1],))
+        out[..., 0 : 2 * n : 2] = _sum4(w, -2)
+        out[..., 1 : 2 * n : 2] = _sum4(w, -4)
+        out[..., 2 * n :] = g[..., n:]
         g = out
     return g
 
@@ -276,11 +297,14 @@ def log_likelihood_tape(y, cov, tables, trans):
     log product ``P`` of all kernels (entry [b, c]: all state paths from
     anchor state b to final state c), the tree levels and the kernel terms.
     It stays in log space: a probability-space product with per-level
-    rescaling returned NaN on extreme prior draws.
+    rescaling returned NaN on extreme prior draws. Tables with a leading axis
+    of rows give one log likelihood (an array) and one product per row.
     """
     logk, terms = _kernel_terms(y, cov, tables, trans)
     top, levels = _tree_levels(logk)
-    loglik = float(_logsumexp(top.ravel()))
+    loglik = _logsumexp(top.reshape(top.shape[:-2] + (16,)), axis=-1)
+    if loglik.ndim == 0:
+        loglik = float(loglik)
     return loglik, (loglik, top, levels, terms)
 
 
@@ -288,12 +312,12 @@ def log_likelihood_adjoint(tape, tables):
     """Gradient of a finite tree log likelihood with respect to its inputs.
 
     Returns ``(g_tables, g_loglam)``: ``g_tables`` is the tuple of
-    ``_log_kernels_adjoint`` and ``g_loglam`` (T, 4, 4) the gradient with
+    ``_log_kernels_adjoint`` and ``g_loglam`` (..., T, 4, 4) the gradient with
     respect to ``log_transition_tables``, which is the smoothed pair marginal.
     """
     loglik, top, levels, terms = tape
-    xi = _tree_adjoint(levels, np.exp(top - loglik))
-    return _log_kernels_adjoint(xi, tables, *terms), xi.transpose(2, 0, 1)
+    xi = _tree_adjoint(levels, np.exp(top - np.asarray(loglik)[..., None, None]))
+    return _log_kernels_adjoint(xi, tables, *terms), xi.transpose(*range(xi.ndim - 3), -1, -3, -2)
 
 
 def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPointError:
@@ -393,8 +417,8 @@ def smooth_states(y, cov, emission, trans):
     loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, tables, trans)
     xi = _tree_adjoint(levels, np.exp(top - loglik))   # (b, c, T) pair marginals
     probs = np.empty((y.shape[0] + 1, 4))
-    probs[0] = _sum4(xi[:, :, 0], 1)
-    probs[1:] = _sum4(xi, 0).T
+    probs[0] = _sum4(xi[:, :, 0], -1)
+    probs[1:] = _sum4(xi, -3).T
     probs /= probs.sum(axis=1, keepdims=True)
     return loglik, SmoothedStates(probs=probs)
 

@@ -166,12 +166,18 @@ class ParamSpace:
         return u
 
     def unpack(self, u: np.ndarray):
-        """(EmissionParams, TransitionParams | None, HyperLatents) from a full vector."""
+        """(EmissionParams, TransitionParams | None, HyperLatents) from a full vector.
+
+        Rows (C, full_size) give structs whose fields carry the row axis.
+        """
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.full_size,):
-            raise ValueError(f"expected full vector of size {self.full_size}, got {u.shape}")
+        if u.ndim not in (1, 2) or u.shape[-1] != self.full_size:
+            raise ValueError(f"expected full vectors of size {self.full_size}, got {u.shape}")
         natural = self.constrained_values(u)
-        return assemble_params({f.name: natural[f.slice].reshape(f.shape) for f in self.families}, self.mode)
+        lead = u.shape[:-1]
+        return assemble_params(
+            {f.name: natural[..., f.slice].reshape(lead + f.shape) for f in self.families}, self.mode
+        )
 
     # -- free subvector ----------------------------------------------------
 
@@ -179,16 +185,19 @@ class ParamSpace:
         return np.asarray(u_full)[self.free_idx].copy()
 
     def insert_free(self, base_full: np.ndarray, u_free: np.ndarray) -> np.ndarray:
-        out = np.asarray(base_full, dtype=np.float64).copy()
-        out[self.free_idx] = u_free
+        """Full vectors: ``base_full`` with the free coordinates (..., size) of ``u_free``."""
+        out = np.empty(np.shape(u_free)[:-1] + (self.full_size,))
+        out[...] = base_full
+        out[..., self.free_idx] = u_free
         return out
 
     # -- measure change ----------------------------------------------------
 
-    def log_jacobian(self, u_full: np.ndarray) -> float:
-        """log |d(constrained) / d(unconstrained)| of the vector transform."""
-        x = np.asarray(u_full)[self._logit_mask]
-        return float(np.sum(log_sigmoid(x) + log_sigmoid(-x)))
+    def log_jacobian(self, u_full: np.ndarray):
+        """log |d(constrained) / d(unconstrained)| of the vector transform; one per row of (C, full_size)."""
+        x = np.asarray(u_full)[..., self._logit_mask]
+        out = np.sum(log_sigmoid(x) + log_sigmoid(-x), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def log_jacobian_chain(self, u_full: np.ndarray, grads: dict) -> np.ndarray:
         """Gradient over the full vector of ``f(unpack(u)) + log_jacobian(u)``.
@@ -196,13 +205,16 @@ class ParamSpace:
         ``grads`` maps every family name to the gradient of ``f`` with respect
         to that family's natural values. Logit families pick up the factor
         ``sigmoid(u) sigmoid(-u)`` and the log-Jacobian's own gradient; past
-        the logit clamp both are 0.
+        the logit clamp both are 0. Rows (C, full_size) take gradients with
+        the same leading axis and give (C, full_size).
         """
-        g = np.concatenate([np.ravel(grads[name]) for name in self.family_names])
-        x = np.asarray(u_full)[self._logit_mask]
+        u_full = np.asarray(u_full)
+        lead = u_full.shape[:-1]
+        g = np.concatenate([np.reshape(grads[name], lead + (-1,)) for name in self.family_names], axis=-1)
+        x = u_full[..., self._logit_mask]
         s, s_neg = sigmoid(x), sigmoid(-x)
-        g[self._logit_mask] = np.where(
-            np.abs(x) < LOGIT_CLAMP, g[self._logit_mask] * s * s_neg + s_neg - s, 0.0
+        g[..., self._logit_mask] = np.where(
+            np.abs(x) < LOGIT_CLAMP, g[..., self._logit_mask] * s * s_neg + s_neg - s, 0.0
         )
         return g
 
@@ -223,7 +235,11 @@ class ParamSpace:
 
 
 def _on_mask(x, mask: np.ndarray, fn) -> np.ndarray:
-    """Copy of ``x`` with ``fn`` applied to the last-axis entries selected by ``mask``."""
-    out = np.array(x, dtype=np.float64)
+    """C-ordered copy of ``x`` with ``fn`` applied to the last-axis entries selected by ``mask``.
+
+    Each row of the copy is laid out as a lone vector would be, so numpy's
+    BLAS calls see the strides they see for one row and round alike.
+    """
+    out = np.array(x, dtype=np.float64, order="C")
     out[..., mask] = fn(out[..., mask])
     return out

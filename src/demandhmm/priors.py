@@ -190,6 +190,10 @@ def default_hyperparameters(
 # The factor table
 
 
+# Each law's ``logpdf`` gives the log density of every independent unit of x
+# (a scalar, or a 3-vector for ``_Normal3``); ``log_prior`` sums them per row.
+
+
 class _Normal:
     """Independent normals; the variance broadcasts against x from the right."""
 
@@ -197,8 +201,8 @@ class _Normal:
         self.var = np.asarray(var, dtype=np.float64)
         self.sd, self.norm = np.sqrt(self.var), -0.5 * (LOG_2PI + np.log(self.var))
 
-    def logpdf(self, x, m) -> float:
-        return float(np.sum(self.norm - 0.5 * (x - m) ** 2 / self.var))
+    def logpdf(self, x, m):
+        return self.norm - 0.5 * (x - m) ** 2 / self.var
 
     def score(self, x, m):
         return (m - x) / self.var
@@ -215,9 +219,9 @@ class _Beta:
         self.log_beta = np.array([math.lgamma(i) + math.lgamma(j) - math.lgamma(i + j)
                                   for i, j in zip(a, b)])
 
-    def logpdf(self, x, m) -> float:
+    def logpdf(self, x, m):
         log_kernel = (self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x)
-        return float(np.sum(log_kernel - self.log_beta))
+        return log_kernel - self.log_beta
 
     def score(self, x, m):
         return (self.a - 1.0) / x - (self.b - 1.0) / (1.0 - x)
@@ -227,20 +231,26 @@ class _Beta:
 
 
 class _Normal3:
-    """Normal 3-vectors along the last axis, all with one covariance."""
+    """Normal 3-vectors along the last axis, all with one covariance.
 
-    def __init__(self, cov):
+    ``rows`` says whether the family is a stack of vectors (2, 3) rather
+    than one vector (3,).
+    """
+
+    def __init__(self, cov, rows: bool):
         self.prec, self.chol = np.linalg.inv(cov), np.linalg.cholesky(cov)
         self.norm = -1.5 * LOG_2PI - 0.5 * np.linalg.slogdet(cov)[1]
+        self.rows = rows
 
-    def logpdf(self, x, m) -> float:
+    def logpdf(self, x, m):
         # d P d as one product per vector: far out, elementwise terms overflow to inf - inf
-        return sum(float(self.norm - 0.5 * (d @ self.prec @ d)) for d in np.reshape(x - m, (-1, 3)))
+        d = x - m
+        return self.norm - 0.5 * ((d[..., None, :] @ self.prec) @ d[..., :, None])[..., 0, 0]
 
     def score(self, x, m):
         # inv(cov) is symmetric only up to rounding: one vector as P d, stacked rows as d P
         d = m - x
-        return self.prec @ d if d.ndim == 1 else d @ self.prec
+        return d @ self.prec if self.rows else (self.prec @ d[..., None])[..., 0]
 
     def draw(self, rng, m, size):
         return m + rng.standard_normal(size) @ self.chol.T
@@ -272,8 +282,8 @@ def _factor_table(h: Hyperparameters) -> tuple:
         ("weekday", (2, 2, 3), "mu_weekday", None, _Normal((1.0 - h.r_weekday) * h.v_weekday)),
         ("mu_annual", (2, kg), None, 0.0, _Normal(h.r_annual * h.v_annual)),
         ("annual", (2, 2, kg), "mu_annual", None, _Normal((1.0 - h.r_annual) * h.v_annual)),
-        ("mu_holiday", (3,), None, 0.0, _Normal3(h.r_holiday * v_beta)),
-        ("holiday", (2, 3), "mu_holiday", None, _Normal3((1.0 - h.r_holiday) * v_beta)),
+        ("mu_holiday", (3,), None, 0.0, _Normal3(h.r_holiday * v_beta, rows=False)),
+        ("holiday", (2, 3), "mu_holiday", None, _Normal3((1.0 - h.r_holiday) * v_beta, rows=True)),
         ("mu_logit_decay", (), None, h.m_decay, _Normal(r1 * r2 * v)),
         ("logit_decay_mean", (), "mu_logit_decay", None, decay_mid),
         ("decay_prec", (), "mu_logit_decay", None, decay_mid),
@@ -282,6 +292,14 @@ def _factor_table(h: Hyperparameters) -> tuple:
         ("prec_holiday", (3,), None, 0.0, _Normal(h.v_prec_holiday)),
         ("prec_annual", (3, 2, kp), None, 0.0, _Normal(h.v_prec_annual[:, None, :])),
     )
+
+
+def _parent_mean(p, lead: tuple, shape: tuple):
+    """Parent value ``p`` (lead + its shape) lined up with a child of shape ``lead + shape``:
+    the parent's axes match the child's trailing axes."""
+    p = np.asarray(p)
+    p_shape = p.shape[len(lead):]
+    return p.reshape(lead + (1,) * (len(shape) - len(p_shape)) + p_shape)
 
 
 def _table_values(emission, trans, latents) -> dict:
@@ -302,7 +320,7 @@ def log_prior(
     trans: TransitionParams | None,
     latents: HyperLatents,
     hyper: Hyperparameters,
-) -> float:
+) -> float | np.ndarray:
     """Joint log prior density of all parameters and hyper-latents.
 
     The density is taken with respect to the natural parameterisation: unit
@@ -310,26 +328,36 @@ def log_prior(
     densities directly. Support violations yield ``-inf`` rather than raising
     so that samplers can reject. ``trans is None`` is the two-state model,
     whose pinned decay factors carry no density.
+
+    Parameters with a leading axis of rows give an array of one density per
+    row, each as that row alone would give it.
     """
     four = trans is not None
-    ar = emission.ar_eig01
-    if np.any(ar <= 0.0) or np.any(ar >= 1.0):
-        return -np.inf
+    lead = np.shape(emission.level)[:-1]
+    unit = emission.ar_eig01
     if four:
-        rho = np.concatenate([emission.decay_mean, [emission.decay_prec]])
-        if np.any(rho <= 0.0) or np.any(rho >= 1.0):
-            return -np.inf
+        rho = np.concatenate([emission.decay_mean, np.reshape(emission.decay_prec, lead + (1,))], axis=-1)
+        unit = np.concatenate([unit, rho], axis=-1)
+    outside = np.any((unit <= 0.0) | (unit >= 1.0), axis=-1)
 
-    values = _table_values(emission, trans, latents)
     lp = 0.0
-    # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf
-    with np.errstate(over="ignore"):
-        for name, _, parent, mean, law in hyper._factor_tables[four]:
-            lp += law.logpdf(values[name], mean if parent is None else values[parent])
-    if four:
-        # change of measure from logits to the (0, 1) decay values themselves
-        lp -= float(np.sum(np.log(rho) + np.log1p(-rho)))
-    return lp
+    # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf;
+    # rows outside the support, set to -inf below, take logs of values <= 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = _table_values(emission, trans, latents)
+        for name, shape, parent, mean, law in hyper._factor_tables[four]:
+            m = mean if parent is None else _parent_mean(values[parent], lead, shape)
+            lp = lp + _row_sum(law.logpdf(values[name], m), lead)
+        if four:
+            # change of measure from logits to the (0, 1) decay values themselves
+            lp = lp - np.sum(np.log(rho) + np.log1p(-rho), axis=-1)
+    lp = np.where(outside, -np.inf, lp)
+    return float(lp) if not lead else lp
+
+
+def _row_sum(x, lead: tuple):
+    """Sum of ``x`` over all but its ``lead`` axes."""
+    return np.asarray(x).reshape(lead + (-1,)).sum(axis=-1)
 
 
 def log_prior_grad(
@@ -342,17 +370,20 @@ def log_prior_grad(
 
     Family names are the ``EmissionParams`` and ``HyperLatents`` field names
     plus ``trans``; each entry has the shape of that field, on the natural
-    scale the density is taken in.
+    scale the density is taken in, behind the parameters' leading axis of
+    rows if they have one.
     """
     values = _table_values(emission, trans, latents)
+    lead = np.shape(emission.level)[:-1]
     g = {}
     # children first, so each parent has collected its children's terms
-    for name, _, parent, mean, law in reversed(hyper._factor_tables[trans is not None]):
-        m = mean if parent is None else values[parent]
+    for name, shape, parent, mean, law in reversed(hyper._factor_tables[trans is not None]):
+        m = mean if parent is None else _parent_mean(values[parent], lead, shape)
         s = law.score(values[name], m)
         g[name] = g.get(name, 0.0) + s
         if parent is not None:
-            g[parent] = g.get(parent, 0.0) - s.reshape((-1,) + np.shape(m)).sum(axis=0)
+            p_shape = np.shape(values[parent])[len(lead):]
+            g[parent] = g.get(parent, 0.0) - s.reshape(lead + (-1,) + p_shape).sum(axis=len(lead))
     if trans is not None:
         # d logit(rho) / d rho = 1 / (rho (1 - rho)), plus the change of measure
         for name in _LOGIT_FAMILIES:
@@ -377,9 +408,7 @@ def sample_prior_batch(
     out = {}
     for name, shape, parent, mean, law in hyper._factor_tables[four]:
         if parent is not None:
-            p = out[parent]
-            # the parent's axes line up with the child's trailing axes
-            mean = p.reshape(p.shape[:1] + (1,) * (len(shape) + 1 - p.ndim) + p.shape[1:])
+            mean = _parent_mean(out[parent], (n,), shape)
         out[name] = law.draw(rng, mean, (n,) + shape)
     if four:
         out["logit_decay"] = np.concatenate([out["decay_mean"], out["decay_prec"][:, None]], axis=1)
@@ -404,14 +433,16 @@ def assemble_params(values: dict, mode: ModelMode = ModelMode.FOUR_STATE):
     ``values`` maps family names (the struct field names, plus ``trans``) to
     arrays of the field's shape; 0-d values become floats. The two-state model
     has no transition coefficients, and its decay factors are pinned at 1/2
-    (logit 0), freshly built on each call.
+    (logit 0), freshly built on each call. Values with a leading axis of rows
+    give structs whose fields all carry it.
     """
     if mode is ModelMode.FOUR_STATE:
         trans = TransitionParams.from_array(values["trans"])
     else:
         trans = None
-        values = dict(values, decay_mean=np.array([0.5, 0.5]), decay_prec=0.5,
-                      logit_decay_mean=0.0, mu_logit_decay=0.0)
+        lead = np.shape(values["level"])[:-1]
+        values = dict(values, decay_mean=np.full(lead + (2,), 0.5), decay_prec=np.full(lead, 0.5),
+                      logit_decay_mean=np.zeros(lead), mu_logit_decay=np.zeros(lead))
 
     def struct(cls):
         return cls(**{name: _field_value(values[name]) for name in _FIELD_NAMES[cls]})

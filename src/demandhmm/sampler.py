@@ -15,7 +15,15 @@ handing ``run_mcmc`` its chains' states after every iteration:
   per leapfrog step.
 * ``adaptive-metropolis``: a greedy stochastic climb, then blockwise
   Gaussian random-walk with per-block empirical proposal covariances and
-  acceptance-targeted scales, adapted during warmup only.
+  acceptance-targeted scales, adapted during warmup only. It steps block by
+  block across the chains: each chain draws its proposal from its own
+  stream, one call values every chain's proposal, and each chain accepts or
+  rejects from its own stream.
+
+All chains are valued in one batched pass: ``NumpyPosterior`` runs its
+forward and reverse passes once over a (C, D) block, and each row's value
+and gradient are bit for bit what that row gives alone, so a chain's draws
+do not depend on how many chains run beside it.
 
 Both use numpy RNG streams spawned deterministically from the master seed
 (stream ``[seed, 1000 + c]`` drives chain ``c``, ``[seed, 999]`` the shared
@@ -154,9 +162,13 @@ class NumpyPosterior:
     """Log posterior on the unconstrained free vector, and its gradient.
 
     ``__call__`` and ``logpost_and_grad_batch`` share one forward pass
-    (unpack, prior, day tables, kernels, tree product, log-Jacobian); the
-    gradient runs its adjoints in reverse over the intermediates that pass
-    keeps.
+    (unpack, prior, day tables, kernels, tree product, log-Jacobian) that
+    values all the rows of a (C, D) block at once, every array carrying a
+    leading row axis; one row (D,) is the block of one. The gradient runs its
+    adjoints in reverse over the intermediates that pass keeps, over the same
+    axis. Each row's value and gradient are bit for bit what that row gives
+    alone: numpy's stacked products, solves and last-axis reductions treat
+    each row as it would treat it alone.
     """
 
     def __init__(
@@ -175,25 +187,44 @@ class NumpyPosterior:
             np.zeros(space.full_size) if base_full is None else np.asarray(base_full, dtype=np.float64)
         )
 
-    def _forward(self, u_free: np.ndarray):
-        """``(value, state)``; ``state`` is what the gradient needs, None at -inf."""
-        full = self.space.insert_free(self.base_full, u_free)
-        emission, trans, latents = self.space.unpack(full)
-        lp = log_prior(emission, trans, latents, self.hyper)
-        if not np.isfinite(lp):
-            return -np.inf, None
-        try:
-            tables = day_tables(emission, self.cov)
-            loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
-        except (ValueError, FloatingPointError):
-            return -np.inf, None
-        if not np.isfinite(loglik):
-            return -np.inf, None
-        value = loglik + lp + self.space.log_jacobian(full)
-        return value, (full, emission, trans, latents, tables, tape)
+    def _forward(self, q: np.ndarray):
+        """``(values, rows, state)`` at the (C, D) rows of ``q``.
 
-    def __call__(self, u_free: np.ndarray) -> float:
-        return self._forward(u_free)[0]
+        A row whose prior is not finite is left out of the likelihood; if the
+        day tables or the likelihood raise, each row is valued alone and the
+        failing ones read -inf. ``state`` is what the gradient needs at the
+        rows ``rows``, those of finite value, and None if there are none.
+        """
+        values = np.full(q.shape[0], -np.inf)
+        rows = np.arange(q.shape[0])
+        while rows.size:
+            full = self.space.insert_free(self.base_full, q[rows])
+            emission, trans, latents = self.space.unpack(full)
+            lp = log_prior(emission, trans, latents, self.hyper)
+            keep = np.isfinite(lp)
+            if keep.all():
+                try:
+                    tables = day_tables(emission, self.cov)
+                    loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
+                except (ValueError, FloatingPointError):
+                    if rows.size == 1:
+                        break
+                    keep = np.isfinite([self(q[r]) for r in rows])
+                    if keep.all():   # every row passes alone: the failure is not a row's
+                        raise
+                else:
+                    keep = np.isfinite(loglik)
+                    if keep.all():
+                        values[rows] = loglik + lp + self.space.log_jacobian(full)
+                        return values, rows, (full, emission, trans, latents, tables, tape)
+            rows = rows[keep]
+        return values, rows, None
+
+    def __call__(self, u_free: np.ndarray):
+        """Log posterior of one row (D,), a float, or of each row of a (C, D) block."""
+        u_free = np.asarray(u_free, dtype=np.float64)
+        values = self._forward(u_free.reshape(-1, u_free.shape[-1]))[0]
+        return float(values[0]) if u_free.ndim == 1 else values
 
     def _gradient(self, full, emission, trans, latents, tables, tape) -> np.ndarray:
         g_tables, g_loglam = log_likelihood_adjoint(tape, tables)
@@ -204,20 +235,18 @@ class NumpyPosterior:
         if trans is not None:
             n, p = self.cov.n[1:], self.cov.p[1:]
             grads["trans"] = grads["trans"] + log_transition_tables_adjoint(trans, n, p, g_loglam)
-        return self.space.log_jacobian_chain(full, grads)[self.space.free_idx]
+        return self.space.log_jacobian_chain(full, grads)[..., self.space.free_idx]
 
     def logpost_and_grad_batch(self, q: np.ndarray):
-        """Values (C,) and gradients (C, D) at the rows of ``q``.
+        """Values (C,) and gradients (C, D) at the rows of ``q``, in one pass.
 
-        Each value equals ``self(q[c])`` exactly; where it is -inf the
-        gradient is 0.
+        Each value and gradient equals that of the row alone exactly, and
+        each value equals ``self(q[c])``; where it is -inf the gradient is 0.
         """
-        values = np.empty(q.shape[0])
-        grads = np.zeros(q.shape)
-        for c in range(q.shape[0]):
-            values[c], state = self._forward(q[c])
-            if state is not None:
-                grads[c] = self._gradient(*state)
+        values, rows, state = self._forward(np.asarray(q, dtype=np.float64))
+        grads = np.zeros(np.shape(q))
+        if state is not None:
+            grads[rows] = self._gradient(*state)
         return values, grads
 
 
@@ -546,22 +575,21 @@ def _climb(posterior, q, lp, blocks, rngs, n_iter):
 
     Runs before any Metropolis adaptation and is discarded with the rest of
     warmup, so the retained kernel is unaffected. The step scale grows on
-    improvement and shrinks otherwise.
+    improvement and shrinks otherwise. Block-major like ``_rwm``: each chain
+    draws from its own stream, one call values every chain's proposal.
     """
     C = q.shape[0]
     scales = np.full((C, len(blocks)), 0.1)
     for _ in range(n_iter):
-        for c, rng in enumerate(rngs):
-            for b, idx in enumerate(blocks):
-                prop = q[c].copy()
-                prop[idx] = prop[idx] + scales[c, b] * rng.standard_normal(len(idx)) / math.sqrt(len(idx))
-                lp_prop = posterior(prop)
-                if lp_prop > lp[c]:
-                    q[c] = prop
-                    lp[c] = lp_prop
-                    scales[c, b] *= 1.3
-                else:
-                    scales[c, b] *= 0.92
+        for b, idx in enumerate(blocks):
+            prop = q.copy()
+            for c, rng in enumerate(rngs):
+                prop[c, idx] = q[c, idx] + scales[c, b] * rng.standard_normal(len(idx)) / math.sqrt(len(idx))
+            lp_prop = posterior(prop)
+            up = lp_prop > lp
+            q[up] = prop[up]
+            lp[up] = lp_prop[up]
+            scales[:, b] *= np.where(up, 1.3, 0.92)
     return q, lp
 
 
@@ -569,7 +597,10 @@ def _rwm(posterior, q, lp, rngs, warmup, config):
     """Blockwise adaptive Metropolis after a greedy climb; yields each iteration's hand-off.
 
     The climb takes the first iterations of warmup; the block adapters learn
-    from the rest of it.
+    from the rest of it. Each iteration steps block by block across the
+    chains: every chain draws its proposal from its own stream, one call
+    values all the proposals, and each chain accepts or rejects from its own
+    stream, so a chain's draws do not depend on the other chains.
     """
     C = q.shape[0]
     blocks = _free_blocks(posterior.space)
@@ -579,21 +610,21 @@ def _rwm(posterior, q, lp, rngs, warmup, config):
 
     for it in range(climb, config.n_iterations):
         accepted = np.zeros(C)
-        for c, rng in enumerate(rngs):
-            for b, idx in enumerate(blocks):
-                ad = adapters[c][b]
-                prop = q[c].copy()
-                prop[idx] = prop[idx] + ad.chol() @ rng.standard_normal(len(idx))
-                lp_prop = posterior(prop)
-                ratio = lp_prop - lp[c]
+        for b, idx in enumerate(blocks):
+            prop = q.copy()
+            for c, rng in enumerate(rngs):
+                prop[c, idx] = q[c, idx] + adapters[c][b].chol() @ rng.standard_normal(len(idx))
+            lp_prop = posterior(prop)
+            for c, rng in enumerate(rngs):
+                ratio = lp_prop[c] - lp[c]
                 alpha = 1.0 if ratio >= 0 else math.exp(max(ratio, -700.0))
                 if rng.random() < alpha:
-                    q[c] = prop
-                    lp[c] = lp_prop
+                    q[c] = prop[c]
+                    lp[c] = lp_prop[c]
                     accepted[c] += 1
                 if it < warmup:
-                    ad.tune(alpha)
-                    ad.observe(q[c][idx].copy())
+                    adapters[c][b].tune(alpha)
+                    adapters[c][b].observe(q[c, idx].copy())
         yield it, q, lp, accepted, len(blocks), 0
 
 

@@ -16,7 +16,6 @@ are structurally impossible.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -70,12 +69,14 @@ class TransitionParams:
     to_post_gap2: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in TRANS_NAMES], dtype=np.float64)
+        """(..., 7) coefficients; fields that hold one value per row give the leading axes."""
+        return np.array([getattr(self, n) for n in TRANS_NAMES], dtype=np.float64).T
 
     @classmethod
     def from_array(cls, a) -> "TransitionParams":
+        """From (..., 7) coefficients: floats from one row, arrays over the leading axes from several."""
         a = np.asarray(a, dtype=np.float64)
-        return cls(*[float(x) for x in a])
+        return cls(*(a.tolist() if a.ndim == 1 else a.T))
 
 
 TRANS_NAMES = tuple(f.name for f in fields(TransitionParams))
@@ -99,31 +100,6 @@ def log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
 
 
-def logit_pre_entry(trans: TransitionParams, n: int) -> float:
-    """Logit of the normal -> pre-holiday probability, n >= 1 days to the holiday."""
-    if n < 1:
-        raise ValueError("pre-holiday entry is undefined on a holiday (n = 0)")
-    return trans.to_pre_const + trans.to_pre_dist * math.sqrt(n - 1.0) / 10.0
-
-
-def logit_post_exit(trans: TransitionParams, n: int, p: int) -> float:
-    """Logit of the post-holiday -> normal probability, first evaluated at p = 2."""
-    if p < 2:
-        raise ValueError("post-holiday exit is first evaluated at p = 2")
-    return (
-        trans.to_normal_const
-        + trans.to_normal_days * math.sqrt(p - 2.0) / 10.0
-        + (trans.to_normal_eve if n == 1 else 0.0)
-    )
-
-
-def logit_post_entry(trans: TransitionParams, n: int) -> float:
-    """Logit of the holiday -> post-holiday probability."""
-    if n < 1:
-        raise ValueError("holiday -> post-holiday applies on a non-holiday day (n >= 1)")
-    return trans.to_post_const + (trans.to_post_gap2 if n == 2 else 0.0)
-
-
 def _logit_covariates(n, p):
     """``sqrt(n - 1)``, ``sqrt(p - 2)``, ``1[n = 1]`` and ``1[n = 2]``, offsets floored at zero."""
     n = np.asarray(n, dtype=np.float64)
@@ -135,12 +111,15 @@ def _logits_clamped(trans: TransitionParams, n, p):
     """Vectorised logits with offsets floored at zero so any (n, p) >= 0 is safe.
 
     Rows for states that are unreachable at small n or p are multiplied by
-    zero probability mass in the filter, but must still be finite.
+    zero probability mass in the filter, but must still be finite. Fields
+    that hold one value per row give the logits those leading axes.
     """
     sq_n, sq_p, eve, gap2 = _logit_covariates(n, p)
-    l_pre = trans.to_pre_const + trans.to_pre_dist * sq_n / 10.0
-    l_exit = trans.to_normal_const + trans.to_normal_days * sq_p / 10.0 + trans.to_normal_eve * eve
-    l_post = trans.to_post_const + trans.to_post_gap2 * gap2
+    coef = np.array([getattr(trans, f) for f in TRANS_NAMES])
+    pre_c, pre_d, exit_c, exit_d, exit_e, post_c, post_g = coef.reshape(coef.shape + (1,) * sq_n.ndim)
+    l_pre = pre_c + pre_d * sq_n / 10.0
+    l_exit = exit_c + exit_d * sq_p / 10.0 + exit_e * eve
+    l_post = post_c + post_g * gap2
     return l_pre, l_exit, l_post
 
 
@@ -181,52 +160,38 @@ def initial_distribution(trans: TransitionParams | None, n0: int, p0: int) -> np
     return np.array([1.0, 0.0, 1.0, 1.0]) / 3.0
 
 
-def augmented_transition_matrix(trans: TransitionParams | None, n: int, p: int) -> np.ndarray:
-    """11x11 row-stochastic matrix over consecutive-state pairs.
-
-    Entry ((a, b), (b', c)) equals the single-day transition probability from
-    b to c at (n, p) when b = b', else zero.
-    """
-    lam = transition_matrix(trans, n, p)
-    out = np.zeros((11, 11))
-    for i, (_, b) in enumerate(AUGMENTED_PAIRS):
-        for j, (b2, c) in enumerate(AUGMENTED_PAIRS):
-            if b == b2:
-                out[i, j] = lam[b - 1, c - 1]
-    return out
-
-
 def log_transition_tables(
     trans: TransitionParams | None, n: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
-    """(T, 4, 4) log transition matrices for observation days 1..T.
+    """(..., T, 4, 4) log transition matrices for observation days 1..T.
 
-    ``n`` and ``p`` are the day 1..T slices of the covariate arrays. Entries
-    of structurally impossible transitions are -inf.
+    ``n`` and ``p`` are the day 1..T slices of the covariate arrays; the
+    leading axes are those of ``trans``'s fields. Entries of structurally
+    impossible transitions are -inf.
     """
     n = np.asarray(n)
     p = np.asarray(p)
-    T = n.shape[0]
-    out = np.full((T, 4, 4), -np.inf)
+    lead = () if trans is None else np.shape(trans.to_pre_const)
+    out = np.full(lead + (n.shape[0], 4, 4), -np.inf)
     hol = (n == 0) & (p == 0)
     if trans is None:
         out[~hol, :, 3] = 0.0
     else:
         l_pre, l_exit, l_post = _logits_clamped(trans, n, p)
-        out[:, 0, 0] = 0.0
-        out[:, 1, 2] = log_sigmoid(l_post)
-        out[:, 1, 3] = log_sigmoid(-l_post)
-        out[:, 2, 2] = log_sigmoid(-l_exit)
-        out[:, 2, 3] = log_sigmoid(l_exit)
-        out[:, 3, 0] = log_sigmoid(l_pre)
-        out[:, 3, 3] = log_sigmoid(-l_pre)
-        out[hol] = -np.inf
-    out[hol, :, 1] = 0.0
+        out[..., 0, 0] = 0.0
+        out[..., 1, 2] = log_sigmoid(l_post)
+        out[..., 1, 3] = log_sigmoid(-l_post)
+        out[..., 2, 2] = log_sigmoid(-l_exit)
+        out[..., 2, 3] = log_sigmoid(l_exit)
+        out[..., 3, 0] = log_sigmoid(l_pre)
+        out[..., 3, 3] = log_sigmoid(-l_pre)
+        out[..., hol, :, :] = -np.inf
+    out[..., hol, :, 1] = 0.0
     return out
 
 
 def log_transition_tables_adjoint(trans: TransitionParams, n, p, g: np.ndarray) -> np.ndarray:
-    """Adjoint of four-state :func:`log_transition_tables`: ``g`` (T, 4, 4) to the 7 coefficients.
+    """Adjoint of four-state :func:`log_transition_tables`: ``g`` (..., T, 4, 4) to the (..., 7) coefficients.
 
     ``g`` must be 0 on the -inf entries; a clamped logit passes no gradient.
     """
@@ -236,17 +201,28 @@ def log_transition_tables_adjoint(trans: TransitionParams, n, p, g: np.ndarray) 
         return (g_up * (1.0 - s) - g_down * s) * (np.abs(x) < LOGIT_CLAMP)
 
     l_pre, l_exit, l_post = _logits_clamped(trans, n, p)
-    g_pre = d_logit(l_pre, g[:, 3, 0], g[:, 3, 3])
-    g_exit = d_logit(l_exit, g[:, 2, 3], g[:, 2, 2])
-    g_post = d_logit(l_post, g[:, 1, 2], g[:, 1, 3])
+    g_pre = d_logit(l_pre, g[..., 3, 0], g[..., 3, 3])
+    g_exit = d_logit(l_exit, g[..., 2, 3], g[..., 2, 2])
+    g_post = d_logit(l_post, g[..., 1, 2], g[..., 1, 3])
     sq_n, sq_p, eve, gap2 = _logit_covariates(n, p)
-    return np.array(
+    return np.stack(
         [
-            g_pre.sum(), g_pre @ sq_n / 10.0,
-            g_exit.sum(), g_exit @ sq_p / 10.0, g_exit @ eve,
-            g_post.sum(), g_post @ gap2,
-        ]
+            g_pre.sum(axis=-1), row_dot(g_pre, sq_n) / 10.0,
+            g_exit.sum(axis=-1), row_dot(g_exit, sq_p) / 10.0, row_dot(g_exit, eve),
+            g_post.sum(axis=-1), row_dot(g_post, gap2),
+        ],
+        axis=-1,
     )
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of ``a`` and ``b`` along their last axis, over their leading axes.
+
+    Each is the 1-D dot numpy gives for that row alone (a stacked matmul of
+    1 x N by N x 1); ``a @ b`` on a stack of rows would run a matrix-vector
+    product instead, whose last bits differ.
+    """
+    return (a[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
 
 
 def log_initial_distribution(trans: TransitionParams | None, n0: int, p0: int):

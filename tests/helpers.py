@@ -1,21 +1,38 @@
-"""Shared test utilities: small fixtures and independent oracles."""
+"""Shared test utilities: small fixtures and independent oracles.
+
+The scalar per-day references of the emission model and the transition
+logits (``mean_vector``, ``precision_components``, ``log_emission_density``,
+``logit_*``, ...) live here: the program computes the same quantities for
+all days at once, and the tests check it against these.
+"""
 
 import datetime as dt
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from demandhmm.covariates import (
     CovariateSeries,
+    DayCovariates,
     HolidayCalendar,
     SeasonalCwvBaseline,
     build_covariates,
 )
-from demandhmm.emission import log_emission_density
+from demandhmm.emission import LOG_2PI, OMEGA_CLAMP, EmissionParams, stationary_variance
 from demandhmm.generative import default_truth
 from demandhmm.paramspace import ParamSpace
 from demandhmm.sampler import PosteriorDraws
-from demandhmm.states import initial_distribution, transition_matrix
+from demandhmm.states import (
+    AUGMENTED_PAIRS,
+    STATE_HOLIDAY,
+    STATE_NORMAL,
+    STATE_POST,
+    STATE_PRE,
+    TransitionParams,
+    initial_distribution,
+    transition_matrix,
+)
 
 
 def flat_baseline(value: float = 8.0) -> SeasonalCwvBaseline:
@@ -124,3 +141,196 @@ def enumeration_oracle(y, cov, emission, trans):
         for t, s in enumerate(seq):
             post[t, s] += wi
     return loglik, post / total
+
+
+# ---------------------------------------------------------------------------
+# Scalar per-day references
+
+
+def state_weight(decay: float, state: int, n: int, p: int) -> float:
+    """Holiday-effect weight for a day in the given state.
+
+    1 on holidays, 0 on normal days, and a power of the decay factor on
+    proximity days: decay**n before a holiday, decay**min(n, p) after.
+    """
+    if state == STATE_HOLIDAY:
+        return 1.0
+    if state == STATE_NORMAL:
+        return 0.0
+    if state == STATE_PRE:
+        return float(decay**n)
+    if state == STATE_POST:
+        return float(decay ** min(n, p))
+    raise ValueError(f"unknown state {state}")
+
+
+def fourier_sum(coeffs, t_index: float, period: float) -> float:
+    """Sum of K harmonics; ``coeffs`` is (2, K) with cosine and sine rows.
+
+    The clock is reduced modulo the period before the trigonometric calls so
+    precision does not degrade with large day indices.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    k = np.arange(1, coeffs.shape[1] + 1)
+    ang = 2.0 * math.pi * k * math.fmod(t_index, period) / period
+    return float(coeffs[0] @ np.cos(ang) + coeffs[1] @ np.sin(ang))
+
+
+def mean_vector(params: EmissionParams, day: DayCovariates, state: int) -> np.ndarray:
+    """Conditional mean of log demand, one entry per region."""
+    if (state == STATE_HOLIDAY) != day.is_holiday:
+        raise ValueError("state 2 applies exactly on holidays")
+    mu = np.empty(2)
+    for j in range(2):
+        b = state_weight(float(params.decay_mean[j]), state, day.n, day.p)
+        mu[j] = (
+            params.level[j]
+            + b * params.holiday[j, day.r - 1]
+            + fourier_sum(params.annual[j], day.t_index, 365.25)
+            + fourier_sum(params.weekday[j], day.t_index, 7.0)
+            + (params.weather[j, 0] + params.weather[j, 1] * day.w[j]) * day.w_tilde[j]
+        )
+    return mu
+
+
+@dataclass(frozen=True)
+class PrecisionComponents:
+    """Cross-region regression coefficient and the two precisions."""
+
+    phi: float
+    tau1: float
+    tau2: float
+
+    def __post_init__(self):
+        if self.tau1 <= 0.0 or self.tau2 <= 0.0:
+            raise ValueError("precisions must be positive")
+
+
+def precision_components(
+    params: EmissionParams, day: DayCovariates, state: int
+) -> PrecisionComponents:
+    """Per-day precision parameters (phi, tau1, tau2) for the given state."""
+    if (state == STATE_HOLIDAY) != day.is_holiday:
+        raise ValueError("state 2 applies exactly on holidays")
+    w = state_weight(float(params.decay_prec), state, day.n, day.p)
+    omega = np.empty(3)
+    for i in range(3):
+        omega[i] = (
+            params.prec_base[i]
+            + w * params.prec_holiday[i]
+            + fourier_sum(params.prec_annual[i], day.t_index, 365.25)
+        )
+    ltau = np.clip(omega[1:], -OMEGA_CLAMP, OMEGA_CLAMP)
+    return PrecisionComponents(phi=float(omega[0]), tau1=math.exp(ltau[0]), tau2=math.exp(ltau[1]))
+
+
+def precision_matrix(pc: PrecisionComponents) -> np.ndarray:
+    """Precision matrix T' D^{-1} T with unit-triangular T and D = diag(1/tau).
+
+    The (2, 1) entry of T is -phi, so log det = log tau1 + log tau2 for any phi.
+    """
+    phi, t1, t2 = pc.phi, pc.tau1, pc.tau2
+    return np.array(
+        [
+            [t1 + phi * phi * t2, -phi * t2],
+            [-phi * t2, t2],
+        ]
+    )
+
+
+def covariance_from_components(pc: PrecisionComponents) -> np.ndarray:
+    """Inverse of :func:`precision_matrix`, in closed form."""
+    phi, t1, t2 = pc.phi, pc.tau1, pc.tau2
+    return np.array(
+        [
+            [1.0 / t1, phi / t1],
+            [phi / t1, 1.0 / t2 + phi * phi / t1],
+        ]
+    )
+
+
+def _dense_normal_logpdf(e: np.ndarray, cov: np.ndarray) -> float:
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    quad = (
+        cov[1, 1] * e[0] * e[0] - 2.0 * cov[0, 1] * e[0] * e[1] + cov[0, 0] * e[1] * e[1]
+    ) / det
+    return -LOG_2PI - 0.5 * math.log(det) - 0.5 * quad
+
+
+def log_emission_density(
+    y_t,
+    y_prev,
+    state_t: int,
+    state_prev: int | None,
+    params: EmissionParams,
+    day_t: DayCovariates,
+    day_prev: DayCovariates | None,
+) -> float:
+    """Log density of one day's observation given its (pair of) states.
+
+    For the first observation pass ``y_prev = day_prev = state_prev = None``;
+    the density is then the stationary normal with variance V(A, Omega_1).
+    """
+    y_t = np.asarray(y_t, dtype=np.float64)
+    if y_t.shape != (2,):
+        raise ValueError(f"y_t must be a 2-vector, got shape {y_t.shape}")
+    mu_t = mean_vector(params, day_t, state_t)
+    pc = precision_components(params, day_t, state_t)
+    if y_prev is None:
+        if state_prev is not None or day_prev is not None:
+            raise ValueError("first-day density takes no previous state or day")
+        v = stationary_variance(params.ar_matrix, precision_matrix(pc))
+        return _dense_normal_logpdf(y_t - mu_t, v)
+    y_prev = np.asarray(y_prev, dtype=np.float64)
+    if y_prev.shape != (2,):
+        raise ValueError(f"y_prev must be a 2-vector, got shape {y_prev.shape}")
+    if state_prev is None or day_prev is None:
+        raise ValueError("later-day density needs the previous state and day")
+    mu_prev = mean_vector(params, day_prev, state_prev)
+    e = (y_t - mu_t) - params.ar_matrix @ (y_prev - mu_prev)
+    u2 = e[1] - pc.phi * e[0]
+    return (
+        -LOG_2PI
+        + 0.5 * (math.log(pc.tau1) + math.log(pc.tau2))
+        - 0.5 * (pc.tau1 * e[0] * e[0] + pc.tau2 * u2 * u2)
+    )
+
+
+def logit_pre_entry(trans: TransitionParams, n: int) -> float:
+    """Logit of the normal -> pre-holiday probability, n >= 1 days to the holiday."""
+    if n < 1:
+        raise ValueError("pre-holiday entry is undefined on a holiday (n = 0)")
+    return trans.to_pre_const + trans.to_pre_dist * math.sqrt(n - 1.0) / 10.0
+
+
+def logit_post_exit(trans: TransitionParams, n: int, p: int) -> float:
+    """Logit of the post-holiday -> normal probability, first evaluated at p = 2."""
+    if p < 2:
+        raise ValueError("post-holiday exit is first evaluated at p = 2")
+    return (
+        trans.to_normal_const
+        + trans.to_normal_days * math.sqrt(p - 2.0) / 10.0
+        + (trans.to_normal_eve if n == 1 else 0.0)
+    )
+
+
+def logit_post_entry(trans: TransitionParams, n: int) -> float:
+    """Logit of the holiday -> post-holiday probability."""
+    if n < 1:
+        raise ValueError("holiday -> post-holiday applies on a non-holiday day (n >= 1)")
+    return trans.to_post_const + (trans.to_post_gap2 if n == 2 else 0.0)
+
+
+def augmented_transition_matrix(trans: TransitionParams | None, n: int, p: int) -> np.ndarray:
+    """11x11 row-stochastic matrix over consecutive-state pairs.
+
+    Entry ((a, b), (b', c)) equals the single-day transition probability from
+    b to c at (n, p) when b = b', else zero.
+    """
+    lam = transition_matrix(trans, n, p)
+    out = np.zeros((11, 11))
+    for i, (_, b) in enumerate(AUGMENTED_PAIRS):
+        for j, (b2, c) in enumerate(AUGMENTED_PAIRS):
+            if b == b2:
+                out[i, j] = lam[b - 1, c - 1]
+    return out

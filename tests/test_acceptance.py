@@ -18,16 +18,7 @@ from scipy import stats
 
 from demandhmm.cli import main as cli_main
 from demandhmm.covariates import build_covariates, smooth_cwv_baseline
-from demandhmm.emission import (
-    PrecisionComponents,
-    build_day_tables,
-    build_design,
-    covariance_from_components,
-    fourier_sum,
-    precision_matrix,
-    psi_from_xi,
-    stationary_variance,
-)
+from demandhmm.emission import build_day_tables, build_design, psi_from_xi, stationary_variance
 from demandhmm.filtering import (
     backward_smooth,
     forward_filter,
@@ -42,7 +33,15 @@ from demandhmm.priors import default_hyperparameters, sample_prior, sample_prior
 from demandhmm.sampler import SamplerConfig, run_mcmc
 from demandhmm.states import ModelMode, TransitionParams, transition_matrix
 
-from helpers import draws_from_params, enumeration_oracle, make_cov, small_truth
+from helpers import (
+    PrecisionComponents,
+    covariance_from_components,
+    draws_from_params,
+    enumeration_oracle,
+    fourier_sum,
+    make_cov,
+    small_truth,
+)
 
 DESIGNATED_PARAMETERS = (
     "level_1", "level_2",

@@ -236,6 +236,26 @@ class TestDownstream:
             rows = list(csv.DictReader(fh))
         assert all(r["modal_state"] in {"1", "2", "3", "4"} for r in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_report_one_draw(self, workspace):
+        # one retained draw has no sample standard deviation: sd is nan, quietly
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "3",
+            "--out-dir", str(workspace / "fit1"), "--chains", "1", "--iters", "2",
+            "--thin", "1", "--backend", "adaptive-metropolis",
+        ])
+        assert rc == 0
+        assert dataio.read_draws_csv(str(workspace / "fit1" / "draws.csv")).n_draws == 1
+        rc = main(["report", "--out-dir", str(workspace / "rep1"),
+                   "--draws", str(workspace / "fit1" / "draws.csv")])
+        assert rc == 0
+        with open(workspace / "rep1" / "param_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["sd"] == "nan" for r in rows)
+        assert all(r["mean"] == r["q500"] for r in rows)
+
 
 def _future_cwv(path, data_csv, days):
     """A flat CWV scenario for the ``days`` after the last day of ``data_csv``."""

@@ -9,22 +9,25 @@ from scipy import stats
 from demandhmm.covariates import DayCovariates
 from demandhmm.emission import (
     EmissionParams,
-    PrecisionComponents,
     build_day_tables,
     build_design,
-    covariance_from_components,
-    fourier_sum,
-    log_emission_density,
-    mean_vector,
-    precision_components,
-    precision_matrix,
     psi_from_xi,
-    state_weight,
     stationary_variance,
     xi_from_psi,
 )
 
-from helpers import make_cov, small_truth
+from helpers import (
+    PrecisionComponents,
+    covariance_from_components,
+    fourier_sum,
+    log_emission_density,
+    make_cov,
+    mean_vector,
+    precision_components,
+    precision_matrix,
+    small_truth,
+    state_weight,
+)
 
 
 def _zero_params(k=2, kp=2, **kw):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from demandhmm.emission import build_day_tables, build_design, day_tables, log_emission_density
+from demandhmm.emission import build_day_tables, build_design, day_tables
 from demandhmm.filtering import (
     _smoothed_pairs,
     backward_smooth,
@@ -28,7 +28,7 @@ from demandhmm.states import (
     log_transition_tables,
 )
 
-from helpers import draws_from_params, enumeration_oracle, make_cov, small_truth
+from helpers import draws_from_params, enumeration_oracle, log_emission_density, make_cov, small_truth
 
 
 @pytest.fixture(scope="module")

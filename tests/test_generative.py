@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandhmm.covariates import CovariateSeries
-from demandhmm.emission import build_day_tables, build_design, stationary_variance, precision_matrix, PrecisionComponents
+from demandhmm.emission import build_day_tables, build_design, stationary_variance
 from demandhmm.generative import (
     _draw_path,
     _easter_sunday,
@@ -25,7 +25,7 @@ from demandhmm.states import (
     transition_matrix,
 )
 
-from helpers import make_cov, small_truth
+from helpers import PrecisionComponents, make_cov, precision_matrix, small_truth
 
 
 def _reference_walk(cum, s0, u):

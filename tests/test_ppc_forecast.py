@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from demandhmm import emission as emission_module
-from demandhmm.emission import build_day_tables, build_design, mean_vector
+from demandhmm.emission import build_day_tables, build_design
 from demandhmm.filtering import smooth_states
 from demandhmm.generative import simulate
 from demandhmm.paramspace import ParamSpace
@@ -16,7 +16,7 @@ from demandhmm.priors import default_hyperparameters, sample_prior
 from demandhmm.sampler import PosteriorDraws
 from demandhmm.states import ModelMode, transition_matrix
 
-from helpers import make_cov, small_truth
+from helpers import make_cov, mean_vector, small_truth
 
 
 def _make_draws(params_list, mode=ModelMode.FOUR_STATE, k=2, kp=2):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from demandhmm.diagnostics import ess_bulk, split_rhat
+from demandhmm.emission import day_tables
 from demandhmm.filtering import log_likelihood
 from demandhmm.generative import simulate
 from demandhmm.paramspace import ParamSpace
@@ -113,6 +114,34 @@ class TestLogPosterior:
         values, grads = NumpyPosterior(y_zero, cov, hyper, space).logpost_and_grad_batch(u[None])
         assert values[0] == -np.inf and np.array_equal(grads[0], np.zeros(space.size))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mixed_block_rows_equal_their_lone_evaluation(self, problem):
+        emission, trans, latents, cov, y, hyper, space = problem
+        post = NumpyPosterior(y, cov, hyper, space)
+        u = space.pack(emission, trans, latents)
+        near = u + 0.01 * np.random.default_rng(9).standard_normal(space.size)
+        nan_row = u.copy()
+        nan_row[0] = np.nan
+        far_row = u.copy()                       # the prior's squares overflow: -inf
+        far_row[space.slice("level")] = 1e200
+        singular = u.copy()                      # first-day precision cancels to det <= 0
+        singular[space.slice("prec_base").start] = 1e8
+        with pytest.raises(np.linalg.LinAlgError):
+            day_tables(space.unpack(singular)[0], cov)
+        block = np.stack([u, nan_row, far_row, near, singular])
+        values, grads = post.logpost_and_grad_batch(block)
+        for row, value, grad in zip(block, values, grads):
+            alone_value, alone_grad = post.logpost_and_grad_batch(row[None])
+            assert _digest(value) == _digest(alone_value[0]) and value == post(row)
+            assert _digest(grad) == _digest(alone_grad[0])
+        assert np.all(np.isfinite(values[[0, 3]]))
+        assert np.all(values[[1, 2, 4]] == -np.inf)
+        assert not np.any(grads[[1, 2, 4]])
+        # the finite rows are what they are in a block of their own
+        clean_values, clean_grads = post.logpost_and_grad_batch(block[[0, 3]])
+        assert _digest(clean_values) == _digest(values[[0, 3]])
+        assert _digest(clean_grads) == _digest(grads[[0, 3]])
+
     def test_sensitivity_localised_to_post_holiday_transitions(self):
         # without any holiday inside or at the anchor day, the holiday-exit
         # coefficients cannot affect the likelihood
@@ -168,6 +197,21 @@ class TestRunMcmc:
         assert np.array_equal(d1.free_draws, d2.free_draws)
         assert np.array_equal(d1.logpost, d2.logpost)
         assert np.array_equal(g1.accept_rate, g2.accept_rate)
+
+    def test_rwm_chain_does_not_depend_on_other_chains(self, problem):
+        # the block-major step values all chains in one call; chain 0 must not notice
+        *_, cov, y, hyper, space = problem
+        kept = {}
+        for n_chains in (1, 3):
+            cfg = SamplerConfig(
+                n_chains=n_chains, n_iterations=60, burn_in=0.5, thin=2,
+                algorithm="adaptive-metropolis", seed=15,
+            )
+            draws, _ = run_mcmc(y, cov, hyper, cfg)
+            first = draws.chain == 0
+            kept[n_chains] = (draws.free_draws[first], draws.logpost[first])
+        assert _digest(kept[1][0]) == _digest(kept[3][0])
+        assert _digest(kept[1][1]) == _digest(kept[3][1])
 
     def test_hmc_deterministic(self, problem):
         *_, cov, y, hyper, space = problem

@@ -6,16 +6,14 @@ import pytest
 from demandhmm.states import (
     AUGMENTED_PAIRS,
     TransitionParams,
-    augmented_transition_matrix,
     initial_distribution,
     log_initial_distribution,
     log_transition_tables,
-    logit_post_entry,
-    logit_post_exit,
-    logit_pre_entry,
     sigmoid,
     transition_matrix,
 )
+
+from helpers import augmented_transition_matrix, logit_post_entry, logit_post_exit, logit_pre_entry
 
 
 def _trans(**kw):
