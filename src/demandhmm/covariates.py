@@ -140,6 +140,8 @@ class CovariateSeries:
     epoch: dt.date = field(repr=False, default=None)
     # emission.build_design's results, keyed by harmonic counts; a copy starts empty
     _designs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # filtering.state_slots's results, keyed by whether the model has four states
+    _slots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def T(self) -> int:

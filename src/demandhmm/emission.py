@@ -123,24 +123,52 @@ def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
     psi lie inside the unit disc and omega1 is symmetric positive definite.
     ``omega1`` is one (2, 2) precision matrix or a stack (..., 2, 2) of them,
     solved together; V has the same shape. ``psi`` may carry leading axes of
-    rows, which then lead ``omega1``'s too; each row is one solve.
+    rows, which then lead ``omega1``'s too; each row is one solve. Raises
+    ``LinAlgError`` when an omega1 or a V is not positive definite.
+    """
+    v, omega_ok, v_ok = _stationary_variance_rows(psi, omega1)
+    _raise_unless_positive_definite(omega_ok, v_ok)
+    return v
+
+
+def _stationary_variance_rows(psi, omega1):
+    """``stationary_variance`` without raising: ``(v, omega_ok, v_ok)``.
+
+    ``omega_ok`` and ``v_ok`` (psi's leading axes) say whether each row's
+    omega1, and then its V, are positive definite. A row that fails either
+    gets the identity for V; the other rows are what they are alone.
     """
     psi = np.asarray(psi, dtype=np.float64)
     omega1 = np.asarray(omega1, dtype=np.float64)
-    det = omega1[..., 0, 0] * omega1[..., 1, 1] - omega1[..., 0, 1] * omega1[..., 1, 0]
-    if np.any(det <= 0.0) or np.any(omega1[..., 0, 0] <= 0.0):
-        # a numerical failure: positive precisions can still cancel to det <= 0
-        raise np.linalg.LinAlgError("omega1 must be symmetric positive definite")
     k = psi.ndim - 2    # leading axes of rows
+    within = tuple(range(k, omega1.ndim - 2))          # the axes of one row's matrices
+
+    def by_row(ok, ndim):
+        return ok[(...,) + (None,) * (ndim - k)]
+
+    det = omega1[..., 0, 0] * omega1[..., 1, 1] - omega1[..., 0, 1] * omega1[..., 1, 0]
+    # a numerical failure: positive precisions can still cancel to det <= 0
+    omega_ok = ~np.any((det <= 0.0) | (omega1[..., 0, 0] <= 0.0), axis=within)
+    if not omega_ok.all():
+        omega1 = np.where(by_row(omega_ok, omega1.ndim), omega1, np.eye(2))
+        det = np.where(by_row(omega_ok, det.ndim), det, 1.0)
     s = np.stack([omega1[..., 1, 1] / det, -omega1[..., 0, 1] / det, omega1[..., 0, 0] / det], axis=k)
     rhs = s.reshape(s.shape[: k + 1] + (-1,))          # (..., 3, M): one column per matrix
     sol = np.linalg.solve(_lyapunov_matrix(psi[..., 0, 0], psi[..., 0, 1]), rhs).reshape(s.shape)
     v11, v12, v22 = (sol[(slice(None),) * k + (i,)] for i in range(3))
-    if not (np.all(v11 > 0.0) and np.all(v11 * v22 - v12 * v12 > 0.0)):
-        raise np.linalg.LinAlgError("stationary variance is not positive definite")
+    v_ok = np.all((v11 > 0.0) & (v11 * v22 - v12 * v12 > 0.0), axis=within)
     v = np.empty(omega1.shape)
     v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = v11, v12, v12, v22
-    return v
+    if not (omega_ok & v_ok).all():
+        v = np.where(by_row(omega_ok & v_ok, v.ndim), v, np.eye(2))
+    return v, omega_ok, v_ok
+
+
+def _raise_unless_positive_definite(omega_ok, v_ok) -> None:
+    if not np.all(omega_ok):
+        raise np.linalg.LinAlgError("omega1 must be symmetric positive definite")
+    if not np.all(v_ok):
+        raise np.linalg.LinAlgError("stationary variance is not positive definite")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +222,10 @@ class DayTables:
     (T, 4). ``v_inv`` (4, 2, 2), ``v_logdet`` (4,) and ``v_chol`` (4, 2, 2)
     describe the stationary first-day distribution under each initial state.
     Tables of several draws carry their leading axis of rows on every field.
-    The per-day fields are views of day-last arrays with the per-row axes
-    reversed, so ``reverse_trailing`` gives those arrays without a copy.
+    The per-day fields are views of the one day-last array ``days``
+    (7, 4, T): mu's two regions, phi, ltau1, ltau2, tau1 and tau2, with the
+    per-row axes reversed. ``valid`` says whether each row's first-day law
+    is positive definite; a row where it is not holds the identity for V.
     """
 
     mu: np.ndarray
@@ -208,6 +238,8 @@ class DayTables:
     v_inv: np.ndarray
     v_logdet: np.ndarray
     v_chol: np.ndarray
+    days: np.ndarray
+    valid: np.ndarray
 
 
 def reverse_trailing(x: np.ndarray, k: int) -> np.ndarray:
@@ -227,18 +259,21 @@ def _state_weights(design: DesignMatrices, decay) -> np.ndarray:
     return w
 
 
-def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTables:
+def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bool = False) -> DayTables:
     """Evaluate mean and precision tables for every day and candidate state.
 
     The arrays are built with the day axis last, so numpy's loops run over
     days rather than over 2 regions or 4 states; the tables are (T, ...)
     views of them. Parameters with a leading axis of rows give tables with
-    that axis, each row as that row alone would give it.
+    that axis, each row as that row alone would give it. Raises
+    ``LinAlgError`` when a row's first-day law is not positive definite;
+    with ``per_row`` that row is marked in ``valid`` instead.
     """
     two_k = 2 * params.k_annual
     if design.f_annual.shape[1] != two_k or design.f_prec.shape[1] != 2 * params.k_prec_annual:
         raise ValueError("design matrices were built for different harmonic counts")
     lead = params.level.shape[:-1]
+    days = np.empty(lead + (7, 4, design.n.shape[0]))  # mu (2 regions), phi, ltau1, ltau2, tau1, tau2
 
     # state-independent part of the mean, (..., 2, T)
     base = (
@@ -249,20 +284,22 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTable
         * design.w_tilde.T
     )
     hol_effect = params.holiday[..., design.r_index]  # (..., 2, T)
-    mu = base[..., :, None, :] + _state_weights(design, params.decay_mean) * hol_effect[..., :, None, :]
+    np.add(
+        base[..., :, None, :],
+        _state_weights(design, params.decay_mean) * hol_effect[..., :, None, :],
+        out=days[..., 0:2, :, :],
+    )
 
     tw = _state_weights(design, params.decay_prec)  # (..., 4, T)
     seasonal = params.prec_annual.reshape(lead + (3, 2 * params.k_prec_annual)) @ design.f_prec.T
-    omega = (
-        params.prec_base[..., :, None, None]
-        + tw[..., None, :, :] * params.prec_holiday[..., :, None, None]
-        + seasonal[..., :, None, :]
-    )  # (..., 3, 4, T)
-    phi = omega[..., 0, :, :]
-    ltau1 = np.clip(omega[..., 1, :, :], -OMEGA_CLAMP, OMEGA_CLAMP)
-    ltau2 = np.clip(omega[..., 2, :, :], -OMEGA_CLAMP, OMEGA_CLAMP)
-    tau1 = np.exp(ltau1)
-    tau2 = np.exp(ltau2)
+    np.add(
+        params.prec_base[..., :, None, None] + tw[..., None, :, :] * params.prec_holiday[..., :, None, None],
+        seasonal[..., :, None, :],
+        out=days[..., 2:5, :, :],
+    )  # omega = (phi, log tau1, log tau2), (..., 3, 4, T)
+    np.clip(days[..., 3:5, :, :], -OMEGA_CLAMP, OMEGA_CLAMP, out=days[..., 3:5, :, :])
+    np.exp(days[..., 3:5, :, :], out=days[..., 5:7, :, :])
+    phi, ltau1, ltau2, tau1, tau2 = (days[..., k, :, :] for k in range(2, 7))
 
     psi = params.ar_matrix
     # first-day law under each state: the precision matrix of day 1's components
@@ -271,7 +308,9 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTable
     omega1[..., 0, 0] = t1 + phi0 * phi0 * t2
     omega1[..., 0, 1] = omega1[..., 1, 0] = -phi0 * t2
     omega1[..., 1, 1] = t2
-    v = stationary_variance(psi, omega1)                 # (..., 4, 2, 2)
+    v, omega_ok, v_ok = _stationary_variance_rows(psi, omega1)   # (..., 4, 2, 2)
+    if not per_row:
+        _raise_unless_positive_definite(omega_ok, v_ok)
     v00, v01, v11 = v[..., 0, 0], v[..., 0, 1], v[..., 1, 1]
     det = v00 * v11 - v01 * v01
     v_inv = np.empty(lead + (4, 2, 2))
@@ -286,7 +325,7 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTable
     v_chol[..., 1, 0] = l21
     v_chol[..., 1, 1] = np.sqrt(np.maximum(v11 - l21 * l21, 0.0))  # det > 0 up to rounding
     return DayTables(
-        mu=reverse_trailing(mu, 3),
+        mu=reverse_trailing(days[..., 0:2, :, :], 3),
         phi=reverse_trailing(phi, 2),
         tau1=reverse_trailing(tau1, 2),
         tau2=reverse_trailing(tau2, 2),
@@ -296,6 +335,8 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices) -> DayTable
         v_inv=v_inv,
         v_logdet=v_logdet,
         v_chol=v_chol,
+        days=days,
+        valid=omega_ok & v_ok,
     )
 
 
@@ -343,8 +384,7 @@ def day_tables_adjoint(
     g_omega[..., 0, :, 0] += (g_s1 + 2.0 * phi0 * g_s2) / t1
     g_omega[..., 1, :, 0] -= (g_s0 + phi0 * g_s1 + phi0 * phi0 * g_s2) / t1
     g_omega[..., 2, :, 0] -= g_s2 / t2
-    g_omega[..., 1, :, :] *= np.abs(reverse_trailing(tables.ltau1, 2)) < OMEGA_CLAMP
-    g_omega[..., 2, :, :] *= np.abs(reverse_trailing(tables.ltau2, 2)) < OMEGA_CLAMP
+    g_omega[..., 1:, :, :] *= np.abs(tables.days[..., 3:5, :, :]) < OMEGA_CLAMP
     tw = _state_weights(design, params.decay_prec)      # (..., 4, T)
     # d/d log decay_prec, per power
     g_tw = tw * (params.prec_holiday[..., None, :] @ g_omega.reshape(lead + (3, -1))).reshape(tw.shape)

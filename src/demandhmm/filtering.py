@@ -3,11 +3,21 @@
 The future depends on a (previous, current) state pair only through the
 current state, so the forward filter over the 11 admissible pairs is a
 product of per-day 4x4 kernels ``K_t[b, c] = lambda_t(b, c) f_t(y_t | b, c)``.
-``log_kernels`` builds all of them in one vectorised pass, and a pairwise
-tree reduction in log space multiplies them in O(log T) vectorised steps
-(Hassan, Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in
-hidden Markov models", IEEE TSP 69, 2021). Every caller outside the tests
-uses the tree:
+
+The holiday classification is observed: a holiday admits state 2 only and
+any other day {1, 3, 4}, or {4} in the two-state model. So each day has K
+state slots (``StateSlots``; K = 3, or 1 in the two-state model) and the
+kernels are (K, K): slot i of day t against slot j of day t+1. A state its
+day cannot take only ever contributes exact zeros to the 4x4 sums, and the
+slot sums group the other terms as those sums did, so every result has the
+bits of the 4x4 computation with 27 (i, k, j) terms per tree pair instead of
+64, or 1 in the two-state model. ``_kernel_terms`` builds all the kernels in
+one vectorised pass, and a pairwise tree reduction in log space multiplies
+them in O(log T) vectorised steps (Hassan, Sarkka & Garcia-Fernandez,
+"Temporal parallelization of inference in hidden Markov models", IEEE TSP
+69, 2021). The gradients go back to the four states' layout of the day
+tables and the transition tables, and ``log_kernels`` gives the (T, 4, 4)
+kernels, -inf off the slots. Every caller outside the tests uses the tree:
 
 * the sampler's posterior (``log_likelihood``, ``log_likelihood_tape``) and
   forecast's terminal state (``terminal_log_distribution``) need only the
@@ -36,10 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariates import CovariateSeries
-from .emission import LOG_2PI, DayTables, EmissionParams, day_tables, reverse_trailing
+from .emission import LOG_2PI, DayTables, EmissionParams, day_tables
 from .states import (
     PAIR_CUR,
     PAIR_PREV,
+    STATE_HOLIDAY,
+    STATE_PRE,
     TransitionParams,
     log_initial_distribution,
     log_transition_tables,
@@ -86,51 +98,145 @@ def _validate(y: np.ndarray, cov: CovariateSeries) -> np.ndarray:
     return y
 
 
-def _sum4(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over the length-4 axis ``axis`` (counted from the end, so negative)
-    as three adds; numpy's reduction over so short an axis is several times slower."""
+def _over_slots(op, a: np.ndarray, axis: int) -> np.ndarray:
+    """Reduce the slot axis ``axis`` (counted from the end, so negative) with the
+    ufunc ``op`` as ``a0 op (a1 op a2)``, or copy its one slot.
+
+    Over the four states, states 1-4 reduced as ``(a1 op a2) op (a3 op a4)``,
+    where the terms of the states a day cannot take are exact zeros (-inf for
+    a maximum). On a day that is not a holiday that is ``a1 op (a3 op a4)``
+    over its slots, on a holiday ``a2`` with two zero pads: the same bits.
+    numpy's reduction over so short an axis is several times slower.
+    """
     rest = (slice(None),) * (-axis - 1)
-    return (a[(..., 0) + rest] + a[(..., 1) + rest]) + (a[(..., 2) + rest] + a[(..., 3) + rest])
+    if a.shape[axis] == 1:
+        return a[(..., 0) + rest].copy()
+    return op(a[(..., 0) + rest], op(a[(..., 1) + rest], a[(..., 2) + rest]))
+
+
+@dataclass(frozen=True)
+class StateSlots:
+    """The states each day of a series can take, as K slots a day.
+
+    A holiday admits state 2 only and any other day {1, 3, 4}, or {4} in the
+    two-state model, so K is 3 or 1. A day's admitted states fill its first
+    slots in ascending order; a holiday's other two slots are pads holding
+    states 1 and 3, whose kernels are -inf. ``state_slots`` builds them once
+    per series and model. The methods move day-last arrays between the four
+    states and the slots: every day but the holidays has the slots
+    ``normal``, so each moves whole rows and then mends the holidays.
+    """
+
+    states: np.ndarray      # (T+1, K) 0-based state of each slot of days 0..T
+    normal: np.ndarray      # (K,) the states of a day that is not a holiday
+    holiday: np.ndarray     # (K, 1) the states of a holiday
+    holidays: np.ndarray    # (H,) observation indices t (day t+1) of the holidays
+    pair: np.ndarray        # (K, K, T) flat index of each slot pair into a (T, 4, 4) table
+    near: np.ndarray        # (F,) kernel rows with a holiday on either day
+    near_prev: np.ndarray   # (K, 1, F) their states on the earlier day
+    near_cur: np.ndarray    # (1, K, F) and on the later one
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(..., 4, n) over observation days 1..n to (..., K, n)."""
+        out = x[..., self.normal, :]
+        out[..., self.holidays] = x[..., self.holiday, self.holidays]
+        return out
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """(..., K, n) over observation days 1..n to (..., 4, n), 0 at the other states."""
+        n = x.shape[-1]
+        hol = self.holidays[: np.searchsorted(self.holidays, n)]
+        out = np.zeros(x.shape[:-2] + (4, n))
+        out[..., self.normal, :] = x
+        out[..., hol] = 0.0
+        out[..., self.holiday, hol] = x[..., hol]
+        return out
+
+    def gather_pairs(self, table: np.ndarray) -> np.ndarray:
+        """(..., T, 4, 4) to (..., K, K, T); a pair with a pad reads the
+        (holiday, pre-holiday) entry, which is -inf on every day of both models."""
+        return np.take(table.reshape(table.shape[:-3] + (-1,)), self.pair, axis=-1)
+
+    def scatter_pairs(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(..., K, K, T) to a (..., T, 4, 4) view, ``fill`` at the other pairs."""
+        out = np.full(x.shape[:-3] + (4, 4, x.shape[-1]), fill)
+        out[..., self.normal[:, None], self.normal, :] = x
+        out[..., self.near] = fill
+        out[..., self.near_prev, self.near_cur, self.near] = x[..., self.near]
+        return out.transpose(*range(out.ndim - 3), -1, -3, -2)
+
+
+# 0-based states of the slots of a day that is not a holiday, and of a holiday
+_SLOT_STATES = {True: ((0, 2, 3), (1, 0, 2)), False: ((3,), (1,))}
+# the (holiday, pre-holiday) entry of a day's 4x4 transition table, where pads read theirs
+_NEVER = (STATE_HOLIDAY - 1) * 4 + STATE_PRE - 1
+
+
+def state_slots(cov: CovariateSeries, four_state: bool) -> StateSlots:
+    """The slots of ``cov``'s days in the four- or two-state model, built once and kept on the series."""
+    slots = cov._slots.get(four_state)
+    if slots is None:
+        normal, holiday = (np.array(x) for x in _SLOT_STATES[four_state])
+        hol = cov.is_holiday
+        states = np.where(hol[:, None], holiday, normal)               # (T+1, K)
+        real = ~hol[:, None] | (np.arange(normal.size) == 0)
+        t = np.arange(cov.T)
+        prev, cur = states[:-1].T[:, None, :], states[1:].T[None, :, :]
+        pad = ~(real[:-1].T[:, None, :] & real[1:].T[None, :, :])
+        near = np.flatnonzero(hol[:-1] | hol[1:])
+        slots = cov._slots[four_state] = StateSlots(
+            states=states,
+            normal=normal,
+            holiday=holiday[:, None],
+            holidays=np.flatnonzero(hol[1:]),
+            pair=16 * t + np.where(pad, _NEVER, 4 * prev + cur),
+            near=near,
+            near_prev=prev[..., near],
+            near_cur=cur[..., near],
+        )
+    return slots
 
 
 def _psi_entries(psi: np.ndarray):
-    """The four entries of (..., 2, 2) AR matrices, shaped to broadcast over (..., 4, T) arrays."""
+    """The four entries of (..., 2, 2) AR matrices, shaped to broadcast over (..., K, T) arrays."""
     p = psi[..., None, None]
     return p[..., 0, 0, :, :], p[..., 0, 1, :, :], p[..., 1, 0, :, :], p[..., 1, 1, :, :]
 
 
 def _kernel_terms(y, cov, tables, trans):
-    """(..., 4, 4, T) log kernels, day last, and the terms their adjoint needs.
+    """(..., K, K, T) log kernels over the day slots, day last, and the terms their adjoint needs.
 
-    Day is the last axis of every array here, so numpy's loops run over days
-    rather than over 4 states; ``log_kernels`` transposes the kernels back.
-    Tables with a leading axis of rows give kernels with that axis, each row
-    as that row alone would give it.
+    Entry [i, j, t] is the kernel of row t (see ``log_kernels``) at the
+    states of slot i on day t and slot j on day t+1, -inf where either is a
+    pad. Day is the last axis of every array here, so numpy's loops run over
+    days rather than over states. Tables with a leading axis of rows give
+    kernels with that axis, each row as that row alone would give it.
     """
-    mu = reverse_trailing(tables.mu, 3)
-    phi, tau1, tau2 = (reverse_trailing(x, 2) for x in (tables.phi, tables.tau1, tables.tau2))
-    d0, d1 = y[:, 0] - mu[..., 0, :, :], y[:, 1] - mu[..., 1, :, :]   # (..., 4, T)
+    slots = state_slots(cov, trans is not None)
+    days = slots.gather(tables.days)                                  # (..., 7, K, T)
+    d0, d1 = y[:, 0] - days[..., 0, :, :], y[:, 1] - days[..., 1, :, :]
+    phi, tau1, tau2 = days[..., 2, :, :], days[..., 5, :, :], days[..., 6, :, :]
     p00, p01, p10, p11 = _psi_entries(tables.psi)
     # VAR(1) innovation given (b, c): (y_t - mu_t(c)) - Psi (y_{t-1} - mu_{t-1}(b)),
-    # one (..., b, c, T-1) array per region
+    # one (..., i, j, T-1) array per region; day t's slots are those of observation t-1
     e0 = d0[..., None, :, 1:] - (p00 * d0[..., :-1] + p01 * d1[..., :-1])[..., :, None, :]
     e1 = d1[..., None, :, 1:] - (p10 * d0[..., :-1] + p11 * d1[..., :-1])[..., :, None, :]
     u2 = e1 - phi[..., None, :, 1:] * e0
-    out = np.empty(d0.shape[:-2] + (4, 4, y.shape[0]))
+    out = np.empty(d0.shape[:-1] + d0.shape[-2:])
     # a zero-likelihood observation overflows the squares to inf: its kernel is -inf
     with np.errstate(over="ignore"):
         out[..., 1:] = (
             -LOG_2PI
-            + 0.5 * reverse_trailing(tables.ltau1 + tables.ltau2, 2)[..., None, :, 1:]
+            + 0.5 * (days[..., 3, :, :] + days[..., 4, :, :])[..., None, :, 1:]
             - 0.5 * (tau1[..., None, :, 1:] * (e0 * e0) + tau2[..., None, :, 1:] * (u2 * u2))
         )
-        dev0 = np.stack([d0[..., 0], d1[..., 0]], axis=-1)            # (..., 4, 2)
+        dev0 = y[0] - tables.mu[..., 0, :, :]                         # (..., 4, 2)
         quad0 = np.einsum("...ci,...cij,...cj->...c", dev0, tables.v_inv, dev0)
-    logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
-    out[..., 0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[..., None, :]
-    loglam = log_transition_tables(trans, cov.n[1:], cov.p[1:])       # (..., T, 4, 4)
-    out += loglam.transpose(*range(loglam.ndim - 3), -2, -1, -3)
-    return out, (d0, d1, e0, u2, phi, tau1, tau2)
+    logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))[slots.states[0]]
+    first = (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[..., slots.states[1]]
+    out[..., 0] = logl0[:, None] + first[..., None, :]
+    out += slots.gather_pairs(log_transition_tables(trans, cov.n[1:], cov.p[1:]))
+    return out, (slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2)
 
 
 def log_kernels(
@@ -140,43 +246,45 @@ def log_kernels(
 
     Row t holds observation day t+1 with b the state on day t and c the state
     on day t+1. Day 1's observation follows the stationary law of state c;
-    row 0 also carries the anchor-day log distribution over b. Structurally
-    impossible transitions are -inf.
+    row 0 also carries the anchor-day log distribution over b. Entries with
+    a state its day cannot take, and structurally impossible transitions,
+    are -inf.
     """
-    return np.ascontiguousarray(_kernel_terms(y, cov, tables, trans)[0].transpose(2, 0, 1))
+    logk, (slots, *_) = _kernel_terms(y, cov, tables, trans)
+    return np.ascontiguousarray(slots.scatter_pairs(logk, -np.inf))
 
 
-def _log_kernels_adjoint(g, tables, d0, d1, e0, u2, phi, tau1, tau2):
-    """Adjoint of ``_kernel_terms`` from ``g = d/d log K`` (..., 4, 4, T) to the day tables.
+def _log_kernels_adjoint(g, tables, slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2):
+    """Adjoint of ``_kernel_terms`` from ``g = d/d log K`` (..., K, K, T) to the day tables.
 
     Returns the gradients with respect to ``mu``, ``phi``, ``ltau1``, ``ltau2``
-    (day last, like the terms), ``psi``, ``v_inv`` and ``v_logdet``; the
-    transition tables' gradient is ``g`` itself. Entries of ``g`` on -inf
-    kernels must be 0.
+    (day last, like the terms), ``psi``, ``v_inv`` and ``v_logdet``, over all
+    four states and 0 at those a day cannot take; the transition tables'
+    gradient is ``g`` itself. Entries of ``g`` on -inf kernels must be 0.
     """
-    shape = g.shape[:-3] + (4, g.shape[-1])             # (..., 4, T)
-    gt = g[..., 1:]                                     # (..., b, c, T-1)
+    lead = g.shape[:-3]
+    gs = np.zeros(lead + (5,) + g.shape[-2:])           # (..., 5, K, T): d0, d1, phi, ltau1, ltau2
+    g_d0, g_d1, g_phi, g_ltau1, g_ltau2 = (gs[..., k, :, :] for k in range(5))
+    gt = g[..., 1:]                                     # (..., i, j, T-1)
     p00, p01, p10, p11 = _psi_entries(tables.psi)
-    g_ltau1 = np.zeros(shape)
-    g_ltau2 = np.zeros(shape)
-    g_phi = np.zeros(shape)
-    tau1_c, tau2_c, phi_c = (x[..., None, :, 1:] for x in (tau1, tau2, phi))   # over (b, c)
-    gc = _sum4(gt, -3)                                  # (..., c, T-1)
-    g_ltau1[..., 1:] = 0.5 * gc - 0.5 * tau1[..., 1:] * _sum4(gt * e0 * e0, -3)
-    g_ltau2[..., 1:] = 0.5 * gc - 0.5 * tau2[..., 1:] * _sum4(gt * u2 * u2, -3)
+    tau1_c, tau2_c, phi_c = (x[..., None, :, 1:] for x in (tau1, tau2, phi))   # over (i, j)
+    gc = _over_slots(np.add, gt, -3)                    # (..., j, T-1)
+    g_ltau1[..., 1:] = 0.5 * gc - 0.5 * tau1[..., 1:] * _over_slots(np.add, gt * e0 * e0, -3)
+    g_ltau2[..., 1:] = 0.5 * gc - 0.5 * tau2[..., 1:] * _over_slots(np.add, gt * u2 * u2, -3)
     g_e1 = gt * tau2_c * u2                             # minus d/d e1
-    g_phi[..., 1:] = _sum4(g_e1 * e0, -3)
+    g_phi[..., 1:] = _over_slots(np.add, g_e1 * e0, -3)
     g_e0 = g_e1 * phi_c - gt * tau1_c * e0
-    g_d0 = np.zeros(shape)
-    g_d1 = np.zeros(shape)
-    g_d0[..., 1:] = _sum4(g_e0, -3)
-    g_d1[..., 1:] = -_sum4(g_e1, -3)
-    g_eb0, g_eb1 = _sum4(g_e0, -2), -_sum4(g_e1, -2)    # (..., b, T-1)
-    g_d0[..., :-1] -= p00 * g_eb0 + p10 * g_eb1
-    g_d1[..., :-1] -= p01 * g_eb0 + p11 * g_eb1
-    flat = shape[:-2] + (-1,)
-    p0, p1 = d0[..., :-1].reshape(flat), d1[..., :-1].reshape(flat)
-    g_eb0, g_eb1 = g_eb0.reshape(flat), g_eb1.reshape(flat)
+    g_d0[..., 1:] = _over_slots(np.add, g_e0, -3)
+    g_d1[..., 1:] = -_over_slots(np.add, g_e1, -3)
+    g_eb = np.stack([_over_slots(np.add, g_e0, -2), -_over_slots(np.add, g_e1, -2)], axis=-3)
+    g_d0[..., :-1] -= p00 * g_eb[..., 0, :, :] + p10 * g_eb[..., 1, :, :]
+    g_d1[..., :-1] -= p01 * g_eb[..., 0, :, :] + p11 * g_eb[..., 1, :, :]
+    # the AR matrix's dot products run over all four states' (..., 4 * (T-1)) deviations
+    flat = lead + (-1,)
+    dev = y.T[:, None, :-1] - tables.days[..., 0:2, :, :-1]        # (..., 2, 4, T-1)
+    p0, p1 = dev[..., 0, :, :].reshape(flat), dev[..., 1, :, :].reshape(flat)
+    g_eb = slots.scatter(g_eb)
+    g_eb0, g_eb1 = g_eb[..., 0, :, :].reshape(flat), g_eb[..., 1, :, :].reshape(flat)
     g_psi = -np.stack(
         [
             np.stack([row_dot(g_eb0, p0), row_dot(g_eb0, p1)], axis=-1),
@@ -184,14 +292,16 @@ def _log_kernels_adjoint(g, tables, d0, d1, e0, u2, phi, tau1, tau2):
         ],
         axis=-2,
     )
+    g4 = slots.scatter(gs)                              # (..., 5, 4, T)
     # day 1: -0.5 log det V_c - 0.5 dev' V_c^{-1} dev
-    g0 = _sum4(g[..., 0], -2)                           # (..., c)
-    dev0 = np.stack([d0[..., 0], d1[..., 0]], axis=-1)  # (..., c, 2)
+    g0 = np.zeros(lead + (4,))
+    g0[..., slots.states[1]] = _over_slots(np.add, g[..., 0], -2)   # (..., c)
     vd = g0[..., None] * np.einsum("...cij,...cj->...ci", tables.v_inv, dev0)
-    g_d0[..., 0] -= vd[..., 0]
-    g_d1[..., 0] -= vd[..., 1]
+    g4[..., 0, :, 0] -= vd[..., 0]
+    g4[..., 1, :, 0] -= vd[..., 1]
     g_v_inv = -0.5 * g0[..., None, None] * dev0[..., :, None] * dev0[..., None, :]
-    return -np.stack([g_d0, g_d1], axis=-3), g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, -0.5 * g0
+    return (-g4[..., 0:2, :, :], g4[..., 2, :, :], g4[..., 3, :, :], g4[..., 4, :, :],
+            g_psi, g_v_inv, -0.5 * g0)
 
 
 def _filter_recursion(logk: np.ndarray):
@@ -233,31 +343,31 @@ def forward_filter(
 
 
 def _tree_levels(m: np.ndarray):
-    """Ordered log product of the (..., 4, 4, T) kernels ``m`` and the levels that made it.
+    """Ordered log product of the (..., K, K, T) slot kernels ``m`` and the levels that made it.
 
     Neighbouring matrices are multiplied pairwise in log space, level by
     level; an odd last matrix is carried to the next level. For
     ``x[i, k, j, p] = m_{2p}[i, k] + m_{2p+1}[k, j]`` the pair product is
     ``c + log s`` with ``c = max_k x`` and ``s = sum_k exp(x - c)``; each level
     keeps ``exp(x - c)``, exactly 0 for -inf terms, and ``s`` for the reverse
-    pass. Day is the last axis throughout; leading axes are rows, each
-    reduced as it would be alone.
+    pass. The slots of a day are those of its state in every product, so
+    ``k`` runs over the slots of the day the two factors share. Day is the
+    last axis throughout; leading axes are rows, each reduced as it would be
+    alone.
     """
     levels = []
     while m.shape[-1] > 1:
         even = m.shape[-1] - m.shape[-1] % 2
         n = even // 2
         w = m[..., :, :, None, 0:even:2] + m[..., None, :, :, 1:even:2]   # (..., i, k, j, n)
-        c = np.maximum(
-            np.maximum(w[..., 0, :, :], w[..., 1, :, :]), np.maximum(w[..., 2, :, :], w[..., 3, :, :])
-        )
+        c = _over_slots(np.maximum, w, -3)
         c[c == -np.inf] = 0.0
         w -= c[..., :, None, :, :]
         low = w <= _EXP_FLOOR
         np.maximum(w, _EXP_FLOOR, out=w)
         np.exp(w, out=w)
         np.copyto(w, 0.0, where=low)
-        s = _sum4(w, -3)
+        s = _over_slots(np.add, w, -3)
         levels.append((w, s))
         nxt = np.empty(m.shape[:-1] + (n + m.shape[-1] - even,))
         with np.errstate(divide="ignore"):
@@ -269,7 +379,7 @@ def _tree_levels(m: np.ndarray):
 
 
 def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
-    """Reverse pass of ``_tree_levels``: ``d/d m`` (..., 4, 4, T) from ``d/d product`` (..., 4, 4).
+    """Reverse pass of ``_tree_levels``: ``d/d m`` (..., K, K, T) from ``d/d product`` (..., K, K).
 
     At each level the upstream adjoint of a pair product is spread over its
     terms with weights ``exp(x - c) / s`` and summed over j for the left
@@ -283,8 +393,8 @@ def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
         s[s == 0.0] = 1.0
         w *= (g[..., :n] / s)[..., :, None, :, :]
         out = np.empty(g.shape[:-1] + (n + g.shape[-1],))
-        out[..., 0 : 2 * n : 2] = _sum4(w, -2)
-        out[..., 1 : 2 * n : 2] = _sum4(w, -4)
+        out[..., 0 : 2 * n : 2] = _over_slots(np.add, w, -2)
+        out[..., 1 : 2 * n : 2] = _over_slots(np.add, w, -4)
         out[..., 2 * n :] = g[..., n:]
         g = out
     return g
@@ -293,16 +403,18 @@ def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
 def log_likelihood_tape(y, cov, tables, trans):
     """Tree log likelihood of validated ``y`` and what its adjoint needs.
 
-    Returns ``(loglik, tape)``; the tape holds the log likelihood, the (4, 4)
-    log product ``P`` of all kernels (entry [b, c]: all state paths from
-    anchor state b to final state c), the tree levels and the kernel terms.
+    Returns ``(loglik, tape)``; the tape holds the log likelihood, the (K, K)
+    log product ``P`` of all slot kernels (entry [i, j]: all state paths from
+    the anchor day's slot i to the last day's slot j), the tree levels and
+    the kernel terms, the day slots first. Its logsumexp meets the finite
+    entries in state order, as the one over the 4x4 product did.
     It stays in log space: a probability-space product with per-level
     rescaling returned NaN on extreme prior draws. Tables with a leading axis
     of rows give one log likelihood (an array) and one product per row.
     """
     logk, terms = _kernel_terms(y, cov, tables, trans)
     top, levels = _tree_levels(logk)
-    loglik = _logsumexp(top.reshape(top.shape[:-2] + (16,)), axis=-1)
+    loglik = _logsumexp(top.reshape(top.shape[:-2] + (-1,)), axis=-1)
     if loglik.ndim == 0:
         loglik = float(loglik)
     return loglik, (loglik, top, levels, terms)
@@ -317,7 +429,7 @@ def log_likelihood_adjoint(tape, tables):
     """
     loglik, top, levels, terms = tape
     xi = _tree_adjoint(levels, np.exp(top - np.asarray(loglik)[..., None, None]))
-    return _log_kernels_adjoint(xi, tables, *terms), xi.transpose(*range(xi.ndim - 3), -1, -3, -2)
+    return _log_kernels_adjoint(xi, tables, *terms), terms[0].scatter_pairs(xi)
 
 
 def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPointError:
@@ -359,8 +471,10 @@ def terminal_log_distribution(
     Raises ``FloatingPointError`` on a NaN log likelihood, and naming the
     first day of zero likelihood when the series has none.
     """
-    loglik, product, _, _ = _nonzero_likelihood_tape(_validate(y, cov), cov, tables, trans)
-    return _logsumexp(product, axis=0) - loglik
+    loglik, product, _, (slots, *_) = _nonzero_likelihood_tape(_validate(y, cov), cov, tables, trans)
+    out = np.full(4, -np.inf)
+    out[slots.states[-1]] = _logsumexp(product, axis=0) - loglik
+    return out
 
 
 def _smoothed_pairs(messages: ForwardMessages, logk: np.ndarray) -> np.ndarray:
@@ -414,11 +528,11 @@ def smooth_states(y, cov, emission, trans):
     """
     y = _validate(y, cov)
     tables = day_tables(emission, cov)
-    loglik, top, levels, _ = _nonzero_likelihood_tape(y, cov, tables, trans)
-    xi = _tree_adjoint(levels, np.exp(top - loglik))   # (b, c, T) pair marginals
-    probs = np.empty((y.shape[0] + 1, 4))
-    probs[0] = _sum4(xi[:, :, 0], -1)
-    probs[1:] = _sum4(xi, -3).T
+    loglik, top, levels, (slots, *_) = _nonzero_likelihood_tape(y, cov, tables, trans)
+    xi = _tree_adjoint(levels, np.exp(top - loglik))   # (i, j, T) slot pair marginals
+    probs = np.zeros((y.shape[0] + 1, 4))
+    probs[0, slots.states[0]] = _over_slots(np.add, xi[:, :, 0], -1)
+    probs[1:] = slots.scatter(_over_slots(np.add, xi, -3)).T
     probs /= probs.sum(axis=1, keepdims=True)
     return loglik, SmoothedStates(probs=probs)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .covariates import CovariateSeries
-from .emission import build_design, day_tables, day_tables_adjoint
+from .emission import build_day_tables, build_design, day_tables_adjoint
 from .filtering import _validate, log_likelihood_adjoint, log_likelihood_tape
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, log_prior, log_prior_grad, sample_prior
@@ -190,10 +190,13 @@ class NumpyPosterior:
     def _forward(self, q: np.ndarray):
         """``(values, rows, state)`` at the (C, D) rows of ``q``.
 
-        A row whose prior is not finite is left out of the likelihood; if the
-        day tables or the likelihood raise, each row is valued alone and the
-        failing ones read -inf. ``state`` is what the gradient needs at the
-        rows ``rows``, those of finite value, and None if there are none.
+        A row whose prior is not finite is left out of the likelihood, and
+        so is one whose likelihood is not. A row whose first-day law is not
+        positive definite reads -inf but stays in the pass, so the block's
+        day tables are built once. If the day tables or the likelihood
+        raise, each row is valued alone and the failing ones read -inf.
+        ``state`` is what the gradient needs at the rows ``rows``, and None
+        if there are none.
         """
         values = np.full(q.shape[0], -np.inf)
         rows = np.arange(q.shape[0])
@@ -204,7 +207,8 @@ class NumpyPosterior:
             keep = np.isfinite(lp)
             if keep.all():
                 try:
-                    tables = day_tables(emission, self.cov)
+                    design = build_design(self.cov, emission.k_annual, emission.k_prec_annual)
+                    tables = build_day_tables(emission, design, per_row=True)
                     loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
                 except (ValueError, FloatingPointError):
                     if rows.size == 1:
@@ -215,7 +219,8 @@ class NumpyPosterior:
                 else:
                     keep = np.isfinite(loglik)
                     if keep.all():
-                        values[rows] = loglik + lp + self.space.log_jacobian(full)
+                        value = loglik + lp + self.space.log_jacobian(full)
+                        values[rows] = np.where(tables.valid, value, -np.inf)
                         return values, rows, (full, emission, trans, latents, tables, tape)
             rows = rows[keep]
         return values, rows, None
@@ -247,6 +252,7 @@ class NumpyPosterior:
         grads = np.zeros(np.shape(q))
         if state is not None:
             grads[rows] = self._gradient(*state)
+            grads[values == -np.inf] = 0.0
         return values, grads
 
 

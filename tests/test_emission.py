@@ -353,6 +353,27 @@ class TestDayTables:
         assert np.array_equal(again.f_annual, design.f_annual)
         assert "_designs" not in repr(cov)
 
+    def test_per_row_marks_a_failing_first_day_law(self):
+        emission, _, _ = small_truth()
+        cov = make_cov(dt.date(2021, 4, 1), 8, [], rng=np.random.default_rng(12))
+        design = build_design(cov, emission.k_annual, emission.k_prec_annual)
+        bad = emission.replace(prec_base=emission.prec_base + np.array([1e8, 0.0, 0.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="omega1 must be symmetric positive definite"):
+            build_day_tables(bad, design)
+        rows = [emission, bad, emission.replace(level=emission.level + 0.1)]
+        block = EmissionParams(*(np.stack([getattr(e, f.name) for e in rows])
+                                 for f in dataclasses.fields(EmissionParams)))
+        with pytest.raises(np.linalg.LinAlgError):
+            build_day_tables(block, design)
+        tables = build_day_tables(block, design, per_row=True)
+        assert tables.valid.tolist() == [True, False, True]
+        assert np.array_equal(tables.v_inv[1], np.broadcast_to(np.eye(2), (4, 2, 2)))
+        for r in (0, 2):
+            alone = build_day_tables(rows[r], design)
+            assert alone.valid
+            for f in dataclasses.fields(alone):
+                assert np.array_equal(getattr(tables, f.name)[r], getattr(alone, f.name)), f.name
+
     def test_design_harmonic_count_checked(self):
         rng = np.random.default_rng(10)
         emission, _, _ = small_truth()

@@ -17,12 +17,14 @@ from demandhmm.filtering import (
     log_likelihood_tape,
     rao_blackwell_states,
     smooth_states,
+    state_slots,
     terminal_log_distribution,
 )
 from demandhmm.generative import simulate
 from demandhmm.priors import default_hyperparameters, sample_prior
 from demandhmm.states import (
     AUGMENTED_PAIRS,
+    PAIR_CUR,
     ModelMode,
     log_initial_distribution,
     log_transition_tables,
@@ -103,6 +105,82 @@ class TestDegenerateChains:
         assert np.all(smoothed.probs[~hol, 1] == 0.0)
         day_after = (~hol) & (cov.p == 1)
         assert np.all(smoothed.probs[day_after, 0] == 0.0)
+
+
+_CHRISTMAS = dt.date(2021, 12, 20)
+
+
+class TestStateSlots:
+    """The slots of holidays at the edges of a series agree with the sequential reference."""
+
+    CALENDARS = {
+        "anchor_day_holiday": [(_CHRISTMAS - dt.timedelta(days=1), 2)],
+        "day_1_holiday": [(_CHRISTMAS, 2)],
+        "last_day_holiday": [(_CHRISTMAS + dt.timedelta(days=11), 2)],
+        "christmas_and_boxing_day": [(dt.date(2021, 12, 25), 3), (dt.date(2021, 12, 26), 3)],
+        "no_holiday_after_day_0": [],
+    }
+
+    @pytest.fixture(params=list(CALENDARS), ids=list(CALENDARS))
+    def calendar(self, request):
+        return request.param
+
+    @pytest.fixture(params=list(ModelMode), ids=[m.value for m in ModelMode])
+    def problem(self, request, calendar):
+        emission, trans, _ = small_truth()
+        if request.param is ModelMode.TWO_STATE:
+            trans = None
+        cov = make_cov(_CHRISTMAS, 12, self.CALENDARS[calendar], rng=np.random.default_rng(6))
+        y = simulate(emission, trans, cov, seed=17).y
+        return y, cov, emission, trans
+
+    def test_calendar_has_its_edge(self, calendar):
+        cov = make_cov(_CHRISTMAS, 12, self.CALENDARS[calendar], rng=np.random.default_rng(6))
+        hol = np.flatnonzero(cov.is_holiday)
+        expected = {
+            "anchor_day_holiday": [0], "day_1_holiday": [1], "last_day_holiday": [12],
+            "christmas_and_boxing_day": [6, 7], "no_holiday_after_day_0": [],
+        }[calendar]
+        assert hol.tolist() == expected
+
+    def test_tree_agrees_with_sequential_reference(self, problem):
+        y, cov, emission, trans = problem
+        loglik, messages = forward_filter(y, cov, emission, trans)
+        assert np.isfinite(loglik)
+        assert log_likelihood(y, cov, emission, trans) == pytest.approx(loglik, rel=1e-12)
+        tables = day_tables(emission, cov)
+        logk = log_kernels(y, cov, tables, trans)
+        _, tape = log_likelihood_tape(y, cov, tables, trans)
+        _, pairs = log_likelihood_adjoint(tape, tables)
+        tol = max(1e-9, 1e-15 * abs(loglik))
+        assert pairs.shape == (cov.T, 4, 4)
+        assert np.max(np.abs(pairs - _smoothed_pairs(messages, logk))) <= tol
+        expected = backward_smooth(messages, y, cov, emission, trans).probs
+        tree_loglik, smoothed = smooth_states(y, cov, emission, trans)
+        assert tree_loglik == pytest.approx(loglik, rel=1e-12)
+        assert np.max(np.abs(smoothed.probs - expected)) <= tol
+        # the last day's filtered law: the last row's pair messages summed over the earlier state
+        last = np.zeros(4)
+        np.add.at(last, PAIR_CUR - 1, np.exp(messages.log_messages[-1]))
+        terminal = np.exp(terminal_log_distribution(y, cov, tables, trans))
+        assert np.max(np.abs(terminal - last)) <= 1e-12
+
+    def test_log_kernels_minus_inf_off_the_slots(self, problem):
+        y, cov, emission, trans = problem
+        logk = log_kernels(y, cov, day_tables(emission, cov), trans)
+        allowed = np.zeros((cov.T + 1, 4), dtype=bool)     # the states each day can take
+        allowed[cov.is_holiday, 1] = True
+        allowed[~cov.is_holiday] = [trans is not None, False, trans is not None, True]
+        off = ~(allowed[:-1, :, None] & allowed[1:, None, :])
+        assert np.all(logk[off] == -np.inf)
+        assert np.all(np.isfinite(logk).any(axis=(1, 2)))
+
+    def test_slots_kept_per_series_and_model(self, problem):
+        _, cov, _, trans = problem
+        slots = state_slots(cov, trans is not None)
+        assert state_slots(cov, trans is not None) is slots
+        assert state_slots(cov, trans is None) is not slots
+        assert "_slots" not in repr(cov)
 
 
 class TestMessages:

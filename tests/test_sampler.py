@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from demandhmm import sampler as sampler_module
 from demandhmm.diagnostics import ess_bulk, split_rhat
 from demandhmm.emission import day_tables
 from demandhmm.filtering import log_likelihood
@@ -141,6 +142,30 @@ class TestLogPosterior:
         clean_values, clean_grads = post.logpost_and_grad_batch(block[[0, 3]])
         assert _digest(clean_values) == _digest(values[[0, 3]])
         assert _digest(clean_grads) == _digest(grads[[0, 3]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failing_first_day_law_drops_its_row_in_one_pass(self, problem, monkeypatch):
+        emission, trans, latents, cov, y, hyper, space = problem
+        post = NumpyPosterior(y, cov, hyper, space)
+        u = space.pack(emission, trans, latents)
+        near = u + 0.01 * np.random.default_rng(10).standard_normal(space.size)
+        singular = u.copy()                      # first-day precision cancels to det <= 0
+        singular[space.slice("prec_base").start] = 1e8
+        block = np.stack([u, singular, near])
+        alone = [post.logpost_and_grad_batch(row[None]) for row in block]
+        built, build = [], sampler_module.build_day_tables
+
+        def counted(params, design, per_row=False):
+            built.append(per_row)
+            return build(params, design, per_row=per_row)
+
+        monkeypatch.setattr(sampler_module, "build_day_tables", counted)
+        values, grads = post.logpost_and_grad_batch(block)
+        assert built == [True]
+        assert values[1] == -np.inf and not np.any(grads[1])
+        for r in (0, 2):
+            assert _digest(values[r]) == _digest(alone[r][0][0])
+            assert _digest(grads[r]) == _digest(alone[r][1][0])
 
     def test_sensitivity_localised_to_post_holiday_transitions(self):
         # without any holiday inside or at the anchor day, the holiday-exit
