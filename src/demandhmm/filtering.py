@@ -1,23 +1,23 @@
 """Exact conditional-on-parameters state inference.
 
 The future depends on a (previous, current) state pair only through the
-current state, so the forward filter over the 11 admissible pairs is a
-product of per-day 4x4 kernels ``K_t[b, c] = lambda_t(b, c) f_t(y_t | b, c)``.
+current state, so the likelihood is a product of per-day kernels
+``K_t[b, c] = lambda_t(b, c) f_t(y_t | b, c)``, b the state on day t and c
+the state on day t+1.
 
 The holiday classification is observed: a holiday admits state 2 only and
 any other day {1, 3, 4}, or {4} in the two-state model. So each day has K
 state slots (``StateSlots``; K = 3, or 1 in the two-state model) and the
 kernels are (K, K): slot i of day t against slot j of day t+1. A state its
-day cannot take only ever contributes exact zeros to the 4x4 sums, and the
+day cannot take only ever contributes exact zeros to four-state sums, and the
 slot sums group the other terms as those sums did, so every result has the
-bits of the 4x4 computation with 27 (i, k, j) terms per tree pair instead of
+bits of a 4x4 computation with 27 (i, k, j) terms per tree pair instead of
 64, or 1 in the two-state model. ``_kernel_terms`` builds all the kernels in
 one vectorised pass, and a pairwise tree reduction in log space multiplies
 them in O(log T) vectorised steps (Hassan, Sarkka & Garcia-Fernandez,
 "Temporal parallelization of inference in hidden Markov models", IEEE TSP
 69, 2021). The gradients go back to the four states' layout of the day
-tables and the transition tables, and ``log_kernels`` gives the (T, 4, 4)
-kernels, -inf off the slots. Every caller outside the tests uses the tree:
+tables and the transition tables. The tree is the one filter here:
 
 * the sampler's posterior (``log_likelihood``, ``log_likelihood_tape``) and
   forecast's terminal state (``terminal_log_distribution``) need only the
@@ -29,11 +29,12 @@ kernels, -inf off the slots. Every caller outside the tests uses the tree:
   sampler's gradient, and ``smooth_states`` sums it into the smoothed state
   marginals.
 
-``forward_filter`` and ``backward_smooth`` are the sequential reference: a
-logsumexp over one state per day, returning the per-day messages. Tests and
-the benchmark's reference check compare the tree against them, and the
-filter's recursion names the first day of zero likelihood. Functions given
-``EmissionParams`` build their ``DayTables`` with ``emission.day_tables``.
+``forward_filter`` gives the tree's log likelihood together with per-day
+filtered laws and log increments. Those come from ``_filter_recursion``, a
+logsumexp over one day's slots at a time over the same kernels, which also
+names the first day of zero likelihood. ``backward_smooth`` gives
+``smooth_states``' marginals. Functions given ``EmissionParams`` build their
+``DayTables`` with ``emission.day_tables``.
 
 Rao-Blackwell averaging of the per-draw smoothed marginals over posterior
 draws yields the reported state probabilities.
@@ -48,8 +49,6 @@ import numpy as np
 from .covariates import CovariateSeries
 from .emission import LOG_2PI, DayTables, EmissionParams, day_tables
 from .states import (
-    PAIR_CUR,
-    PAIR_PREV,
     STATE_HOLIDAY,
     STATE_PRE,
     TransitionParams,
@@ -58,8 +57,6 @@ from .states import (
     row_dot,
 )
 
-_PAIR_A = PAIR_PREV - 1
-_PAIR_B = PAIR_CUR - 1
 _logsumexp = np.logaddexp.reduce
 # Terms of a logsumexp this far below its largest term count as exactly 0:
 # next to the largest term's 1 they are below rounding, and numpy's exp of
@@ -69,15 +66,16 @@ _EXP_FLOOR = -700.0
 
 @dataclass(frozen=True)
 class ForwardMessages:
-    """Per-day normalised log messages over the 11 pairs plus log increments.
+    """The filter's normalised log filtered laws of days 1..T and its log increments.
 
-    ``logsumexp(log_messages[t]) = 0`` by construction and
+    ``log_filtered[t]`` is the log law of the state on day t+1 given the
+    observations of days 1..t+1, -inf at the states that day cannot take;
     ``lognorm[: t + 1].sum()`` is the log likelihood of the first t+1 days.
+    From the first day of zero likelihood on, both are -inf.
     """
 
-    log_messages: np.ndarray   # (T, 11)
+    log_filtered: np.ndarray   # (T, 4)
     lognorm: np.ndarray        # (T,)
-    log_likelihood: float
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,8 @@ class SmoothedStates:
     probs: np.ndarray          # (T+1, 4)
 
 
-def _validate(y: np.ndarray, cov: CovariateSeries) -> np.ndarray:
+def validate_series(y: np.ndarray, cov: CovariateSeries) -> np.ndarray:
+    """``y`` as a float (T, 2) array; raises ``ValueError`` unless it is finite and matches ``cov``."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != 2:
         raise ValueError(f"log-demand must be (T, 2), got {y.shape}")
@@ -157,11 +156,11 @@ class StateSlots:
         (holiday, pre-holiday) entry, which is -inf on every day of both models."""
         return np.take(table.reshape(table.shape[:-3] + (-1,)), self.pair, axis=-1)
 
-    def scatter_pairs(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """(..., K, K, T) to a (..., T, 4, 4) view, ``fill`` at the other pairs."""
-        out = np.full(x.shape[:-3] + (4, 4, x.shape[-1]), fill)
+    def scatter_pairs(self, x: np.ndarray) -> np.ndarray:
+        """(..., K, K, T) to a (..., T, 4, 4) view, 0 at the other pairs."""
+        out = np.zeros(x.shape[:-3] + (4, 4, x.shape[-1]))
         out[..., self.normal[:, None], self.normal, :] = x
-        out[..., self.near] = fill
+        out[..., self.near] = 0.0
         out[..., self.near_prev, self.near_cur, self.near] = x[..., self.near]
         return out.transpose(*range(out.ndim - 3), -1, -3, -2)
 
@@ -206,9 +205,12 @@ def _psi_entries(psi: np.ndarray):
 def _kernel_terms(y, cov, tables, trans):
     """(..., K, K, T) log kernels over the day slots, day last, and the terms their adjoint needs.
 
-    Entry [i, j, t] is the kernel of row t (see ``log_kernels``) at the
-    states of slot i on day t and slot j on day t+1, -inf where either is a
-    pad. Day is the last axis of every array here, so numpy's loops run over
+    Entry [i, j, t] is ``log lambda_t(b, c) + log f_t(y_t | b, c)`` for
+    observation day t+1, with b the state of slot i on day t and c that of
+    slot j on day t+1; -inf where either is a pad or the transition is
+    structurally impossible. Day 1's observation follows the stationary law
+    of c, and row 0 also carries the anchor day's log distribution over b.
+    Day is the last axis of every array here, so numpy's loops run over
     days rather than over states. Tables with a leading axis of rows give
     kernels with that axis, each row as that row alone would give it.
     """
@@ -237,21 +239,6 @@ def _kernel_terms(y, cov, tables, trans):
     out[..., 0] = logl0[:, None] + first[..., None, :]
     out += slots.gather_pairs(log_transition_tables(trans, cov.n[1:], cov.p[1:]))
     return out, (slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2)
-
-
-def log_kernels(
-    y: np.ndarray, cov: CovariateSeries, tables: DayTables, trans: TransitionParams | None
-) -> np.ndarray:
-    """(T, 4, 4) log kernels ``log lambda_t(b, c) + log f_t(y_t | b, c)``.
-
-    Row t holds observation day t+1 with b the state on day t and c the state
-    on day t+1. Day 1's observation follows the stationary law of state c;
-    row 0 also carries the anchor-day log distribution over b. Entries with
-    a state its day cannot take, and structurally impossible transitions,
-    are -inf.
-    """
-    logk, (slots, *_) = _kernel_terms(y, cov, tables, trans)
-    return np.ascontiguousarray(slots.scatter_pairs(logk, -np.inf))
 
 
 def _log_kernels_adjoint(g, tables, slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2):
@@ -305,21 +292,24 @@ def _log_kernels_adjoint(g, tables, slots, y, dev0, d0, d1, e0, u2, phi, tau1, t
 
 
 def _filter_recursion(logk: np.ndarray):
-    """Normalised log filtered distributions (T+1, 4) of the states on days 0..T
-    and log increments (T,) of the (T, 4, 4) log kernels; from the first day
-    of zero likelihood on, the increments are -inf and the recursion stops."""
-    T = logk.shape[0]
-    filt = np.zeros((T + 1, 4))   # row 0 of the kernels holds the anchor distribution
+    """Sequential filter over one series' (K, K, T) slot kernels.
+
+    Returns the log filtered laws (T+1, K) over the slots of days 0..T and
+    the log increments (T,). Row 0 is a neutral start of zeros, since kernel
+    row 0 already carries the anchor day's law; row t >= 1 is normalised,
+    -inf at the pads. From the first day of zero likelihood on, the rows and
+    increments are -inf and the recursion stops.
+    """
+    K, _, T = logk.shape
+    filt = np.full((T + 1, K), -np.inf)
+    filt[0] = 0.0
     lognorm = np.full(T, -np.inf)
-    logk_cb = logk.transpose(0, 2, 1)
-    f = filt[0]
     for t in range(T):
-        joint = _logsumexp(f + logk_cb[t], axis=1)
+        joint = _logsumexp(filt[t, :, None] + logk[..., t], axis=0)
         step = _logsumexp(joint)
         if step == -np.inf:
             break
-        f = joint - step
-        filt[t + 1] = f
+        filt[t + 1] = joint - step
         lognorm[t] = step
     return filt, lognorm
 
@@ -327,19 +317,19 @@ def _filter_recursion(logk: np.ndarray):
 def forward_filter(
     y: np.ndarray, cov: CovariateSeries, emission: EmissionParams, trans: TransitionParams | None
 ):
-    """Run the filter; returns ``(log_likelihood, ForwardMessages)``.
+    """``log_likelihood``'s value and the filter's per-day messages; returns
+    ``(log_likelihood, ForwardMessages)``.
 
-    A series of zero likelihood gives ``-inf`` and all-(-inf) messages.
+    A series of zero likelihood gives ``-inf``; raises ``FloatingPointError``
+    when the log likelihood is NaN.
     """
-    y = _validate(y, cov)
-    logk = log_kernels(y, cov, day_tables(emission, cov), trans)
-    T = y.shape[0]
+    y = validate_series(y, cov)
+    logk, (slots, *_) = _kernel_terms(y, cov, day_tables(emission, cov), trans)
+    loglik = _not_nan(_product_loglik(_tree_levels(logk)[0]))
     filt, lognorm = _filter_recursion(logk)
-    if lognorm[-1] == -np.inf:   # the recursion stopped at a day of zero likelihood
-        return -np.inf, ForwardMessages(np.full((T, 11), -np.inf), lognorm, -np.inf)
-    loglik = float(lognorm.sum())
-    alpha = filt[:-1, :, None] + logk - lognorm[:, None, None]
-    return loglik, ForwardMessages(alpha[:, _PAIR_A, _PAIR_B], lognorm, loglik)
+    log_filtered = np.full((y.shape[0] + 1, 4), -np.inf)
+    np.put_along_axis(log_filtered, slots.states, filt, axis=1)
+    return loglik, ForwardMessages(log_filtered[1:], lognorm)
 
 
 def _tree_levels(m: np.ndarray):
@@ -400,23 +390,34 @@ def _tree_adjoint(levels, g_top: np.ndarray) -> np.ndarray:
     return g
 
 
+def _product_loglik(top: np.ndarray):
+    """Log likelihood from the (..., K, K) log product of all the slot kernels:
+    a logsumexp over its entries, which meets the finite ones in state order
+    as the one over the 4x4 product did. A float, or an array over rows."""
+    loglik = _logsumexp(top.reshape(top.shape[:-2] + (-1,)), axis=-1)
+    return float(loglik) if loglik.ndim == 0 else loglik
+
+
+def _not_nan(loglik: float) -> float:
+    if np.isnan(loglik):
+        raise FloatingPointError("log likelihood is NaN")
+    return loglik
+
+
 def log_likelihood_tape(y, cov, tables, trans):
     """Tree log likelihood of validated ``y`` and what its adjoint needs.
 
     Returns ``(loglik, tape)``; the tape holds the log likelihood, the (K, K)
     log product ``P`` of all slot kernels (entry [i, j]: all state paths from
     the anchor day's slot i to the last day's slot j), the tree levels and
-    the kernel terms, the day slots first. Its logsumexp meets the finite
-    entries in state order, as the one over the 4x4 product did.
+    the kernel terms, the day slots first.
     It stays in log space: a probability-space product with per-level
     rescaling returned NaN on extreme prior draws. Tables with a leading axis
     of rows give one log likelihood (an array) and one product per row.
     """
     logk, terms = _kernel_terms(y, cov, tables, trans)
     top, levels = _tree_levels(logk)
-    loglik = _logsumexp(top.reshape(top.shape[:-2] + (-1,)), axis=-1)
-    if loglik.ndim == 0:
-        loglik = float(loglik)
+    loglik = _product_loglik(top)
     return loglik, (loglik, top, levels, terms)
 
 
@@ -442,12 +443,10 @@ def _zero_likelihood(lognorm: np.ndarray, cov: CovariateSeries) -> FloatingPoint
 def _nonzero_likelihood_tape(y, cov, tables, trans):
     """``log_likelihood_tape`` of validated ``y``; raises ``FloatingPointError``
     on a NaN log likelihood, and on zero likelihood naming the first such day,
-    found by the sequential filter."""
+    found by the filter recursion over kernels rebuilt for the purpose."""
     loglik, tape = log_likelihood_tape(y, cov, tables, trans)
-    if np.isnan(loglik):
-        raise FloatingPointError("log likelihood is NaN")
-    if loglik == -np.inf:
-        _, lognorm = _filter_recursion(log_kernels(y, cov, tables, trans))
+    if _not_nan(loglik) == -np.inf:
+        _, lognorm = _filter_recursion(_kernel_terms(y, cov, tables, trans)[0])
         raise _zero_likelihood(lognorm, cov)
     return tape
 
@@ -457,10 +456,8 @@ def log_likelihood(y, cov, emission, trans) -> float:
 
     Raises ``FloatingPointError`` when it is NaN.
     """
-    loglik = log_likelihood_tape(_validate(y, cov), cov, day_tables(emission, cov), trans)[0]
-    if np.isnan(loglik):
-        raise FloatingPointError("log likelihood is NaN")
-    return loglik
+    y = validate_series(y, cov)
+    return _not_nan(log_likelihood_tape(y, cov, day_tables(emission, cov), trans)[0])
 
 
 def terminal_log_distribution(
@@ -471,50 +468,29 @@ def terminal_log_distribution(
     Raises ``FloatingPointError`` on a NaN log likelihood, and naming the
     first day of zero likelihood when the series has none.
     """
-    loglik, product, _, (slots, *_) = _nonzero_likelihood_tape(_validate(y, cov), cov, tables, trans)
+    loglik, product, _, (slots, *_) = _nonzero_likelihood_tape(validate_series(y, cov), cov, tables, trans)
     out = np.full(4, -np.inf)
     out[slots.states[-1]] = _logsumexp(product, axis=0) - loglik
     return out
-
-
-def _smoothed_pairs(messages: ForwardMessages, logk: np.ndarray) -> np.ndarray:
-    """(T, 4, 4) smoothed probability of the (b, c) state pair of each kernel row.
-
-    The backward message is a 4-vector over the current state, scaled by the
-    forward increments so it stays of order one.
-    """
-    T = logk.shape[0]
-    scaled = logk - messages.lognorm[:, None, None]
-    beta = np.zeros((T, 4))   # row t: scaled log p(y after day t+1 | state on day t+1)
-    for t in range(T - 1, 0, -1):
-        beta[t - 1] = _logsumexp(scaled[t] + beta[t], axis=1)
-    alpha = np.full((T, 4, 4), -np.inf)
-    alpha[:, _PAIR_A, _PAIR_B] = messages.log_messages
-    return np.exp(alpha + beta[:, None, :])
 
 
 def backward_smooth(
     messages: ForwardMessages, y: np.ndarray, cov: CovariateSeries,
     emission: EmissionParams, trans: TransitionParams | None,
 ) -> SmoothedStates:
-    """Smoothed state marginals for days 0..T from stored forward messages.
+    """``smooth_states``' marginals for days 0..T, given ``forward_filter``'s
+    messages of the same series.
 
-    Raises ``FloatingPointError`` naming the first day of zero likelihood
-    when the series has none.
+    Raises ``ValueError`` when the messages are of another length, and
+    ``FloatingPointError`` naming the first day of zero likelihood when the
+    messages hold one.
     """
-    y = _validate(y, cov)
-    T = y.shape[0]
-    if messages.log_messages.shape != (T, 11):
+    y = validate_series(y, cov)
+    if messages.log_filtered.shape != (y.shape[0], 4):
         raise ValueError("forward messages do not match the series length")
-    if messages.log_likelihood == -np.inf:
+    if messages.lognorm[-1] == -np.inf:
         raise _zero_likelihood(messages.lognorm, cov)
-    logk = log_kernels(y, cov, day_tables(emission, cov), trans)
-    pair = _smoothed_pairs(messages, logk)
-    probs = np.empty((T + 1, 4))
-    probs[0] = pair[0].sum(axis=1)
-    probs[1:] = pair.sum(axis=1)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return SmoothedStates(probs=probs)
+    return smooth_states(y, cov, emission, trans)[1]
 
 
 def smooth_states(y, cov, emission, trans):
@@ -526,7 +502,7 @@ def smooth_states(y, cov, emission, trans):
     ``FloatingPointError`` on a NaN log likelihood, and naming the first day
     of zero likelihood when the series has none.
     """
-    y = _validate(y, cov)
+    y = validate_series(y, cov)
     tables = day_tables(emission, cov)
     loglik, top, levels, (slots, *_) = _nonzero_likelihood_tape(y, cov, tables, trans)
     xi = _tree_adjoint(levels, np.exp(top - loglik))   # (i, j, T) slot pair marginals
@@ -544,7 +520,7 @@ def rao_blackwell_states(draws, y, cov) -> SmoothedStates:
     """
     if draws.n_draws < 1:
         raise ValueError("at least one posterior draw is required")
-    y = _validate(y, cov)
+    y = validate_series(y, cov)
     total = np.zeros((y.shape[0] + 1, 4))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)

@@ -32,7 +32,7 @@ from .states import (
     TRANS_NAMES,
     ModelMode,
     TransitionParams,
-    log_sigmoid,
+    log_sigmoid_pair,
     logit,
     sigmoid,
 )
@@ -196,7 +196,8 @@ class ParamSpace:
     def log_jacobian(self, u_full: np.ndarray):
         """log |d(constrained) / d(unconstrained)| of the vector transform; one per row of (C, full_size)."""
         x = np.asarray(u_full)[..., self._logit_mask]
-        out = np.sum(log_sigmoid(x) + log_sigmoid(-x), axis=-1)
+        up, down = log_sigmoid_pair(x)
+        out = np.sum(up + down, axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def log_jacobian_chain(self, u_full: np.ndarray, grads: dict) -> np.ndarray:

@@ -40,7 +40,7 @@ import numpy as np
 from . import diagnostics as diag
 from .covariates import CovariateSeries
 from .emission import build_day_tables, build_design, day_tables_adjoint
-from .filtering import _validate, log_likelihood_adjoint, log_likelihood_tape
+from .filtering import log_likelihood_adjoint, log_likelihood_tape, validate_series
 from .paramspace import ParamSpace
 from .priors import Hyperparameters, log_prior, log_prior_grad, sample_prior
 from .states import ModelMode, log_transition_tables_adjoint
@@ -179,7 +179,7 @@ class NumpyPosterior:
         space: ParamSpace,
         base_full: np.ndarray | None = None,
     ):
-        self.y = _validate(y, cov)
+        self.y = validate_series(y, cov)
         self.cov = cov
         self.hyper = hyper
         self.space = space

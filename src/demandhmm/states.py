@@ -8,9 +8,10 @@ with the proximity states 1 and 3 optional. The two-state comparator has no
 proximity states and no transition coefficients: every function here that
 takes ``trans`` reads ``trans is None`` as that model.
 
-The module also defines the 11-pair augmented state space of consecutive
-state pairs used by the filtering algorithms; 5 of the 16 conceivable pairs
-are structurally impossible.
+The filter reads the chain as per-day log transition tables
+(``log_transition_tables``), -inf at structurally impossible transitions;
+``transition_matrix`` and ``initial_distribution`` give one day's law in
+probability space.
 """
 
 from __future__ import annotations
@@ -24,17 +25,6 @@ STATE_PRE = 1
 STATE_HOLIDAY = 2
 STATE_POST = 3
 STATE_NORMAL = 4
-
-# Pairs (previous state, current state) with nonzero probability for some
-# (n, p). The order is fixed; filter messages index into it.
-AUGMENTED_PAIRS = (
-    (1, 1), (1, 2),
-    (2, 2), (2, 3), (2, 4),
-    (3, 2), (3, 3), (3, 4),
-    (4, 1), (4, 2), (4, 4),
-)
-PAIR_PREV = np.array([a for a, _ in AUGMENTED_PAIRS], dtype=np.int64)
-PAIR_CUR = np.array([b for _, b in AUGMENTED_PAIRS], dtype=np.int64)
 
 LOGIT_CLAMP = 35.0
 
@@ -94,10 +84,15 @@ def logit(x):
     return np.log(x) - np.log1p(-x)
 
 
-def log_sigmoid(x):
-    """log(sigmoid(x)) without overflow."""
+def log_sigmoid_pair(x):
+    """``(log sigmoid(x), log sigmoid(-x))`` without overflow, from one ``log1p(exp(-|x|))``;
+    logits are clamped to +/-35."""
     x = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
-    return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
+    a = np.abs(x)
+    near = -np.log1p(np.exp(-a))    # log sigmoid(|x|)
+    far = near - a                  # log sigmoid(-|x|)
+    up = x >= 0
+    return np.where(up, near, far), np.where(up, far, near)
 
 
 def _logit_covariates(n, p):
@@ -179,12 +174,9 @@ def log_transition_tables(
     else:
         l_pre, l_exit, l_post = _logits_clamped(trans, n, p)
         out[..., 0, 0] = 0.0
-        out[..., 1, 2] = log_sigmoid(l_post)
-        out[..., 1, 3] = log_sigmoid(-l_post)
-        out[..., 2, 2] = log_sigmoid(-l_exit)
-        out[..., 2, 3] = log_sigmoid(l_exit)
-        out[..., 3, 0] = log_sigmoid(l_pre)
-        out[..., 3, 3] = log_sigmoid(-l_pre)
+        out[..., 1, 2], out[..., 1, 3] = log_sigmoid_pair(l_post)
+        out[..., 2, 3], out[..., 2, 2] = log_sigmoid_pair(l_exit)
+        out[..., 3, 0], out[..., 3, 3] = log_sigmoid_pair(l_pre)
         out[..., hol, :, :] = -np.inf
     out[..., hol, :, 1] = 0.0
     return out

@@ -3,7 +3,10 @@
 The scalar per-day references of the emission model and the transition
 logits (``mean_vector``, ``precision_components``, ``log_emission_density``,
 ``logit_*``, ...) live here: the program computes the same quantities for
-all days at once, and the tests check it against these.
+all days at once, and the tests check it against these. So does the
+sequential forward-backward recursion over the four states' (T, 4, 4)
+kernels and the 11 admissible state pairs (``sequential_reference``), which
+the tests hold the program's slot tree against.
 """
 
 import datetime as dt
@@ -19,20 +22,33 @@ from demandhmm.covariates import (
     SeasonalCwvBaseline,
     build_covariates,
 )
-from demandhmm.emission import LOG_2PI, OMEGA_CLAMP, EmissionParams, stationary_variance
+from demandhmm.emission import LOG_2PI, OMEGA_CLAMP, EmissionParams, day_tables, stationary_variance
 from demandhmm.generative import default_truth
 from demandhmm.paramspace import ParamSpace
 from demandhmm.sampler import PosteriorDraws
 from demandhmm.states import (
-    AUGMENTED_PAIRS,
     STATE_HOLIDAY,
     STATE_NORMAL,
     STATE_POST,
     STATE_PRE,
     TransitionParams,
     initial_distribution,
+    log_initial_distribution,
+    log_transition_tables,
     transition_matrix,
 )
+
+# Pairs (previous state, current state) with nonzero probability for some
+# (n, p); 5 of the 16 conceivable pairs are structurally impossible. The order
+# is fixed: the reference's pair messages index into it.
+AUGMENTED_PAIRS = (
+    (1, 1), (1, 2),
+    (2, 2), (2, 3), (2, 4),
+    (3, 2), (3, 3), (3, 4),
+    (4, 1), (4, 2), (4, 4),
+)
+_PAIR_PREV = np.array([a - 1 for a, _ in AUGMENTED_PAIRS])
+_PAIR_CUR = np.array([b - 1 for _, b in AUGMENTED_PAIRS])
 
 
 def flat_baseline(value: float = 8.0) -> SeasonalCwvBaseline:
@@ -334,3 +350,78 @@ def augmented_transition_matrix(trans: TransitionParams | None, n: int, p: int) 
             if b == b2:
                 out[i, j] = lam[b - 1, c - 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sequential forward-backward reference over the four states
+
+
+def log_kernels(y, cov, tables, trans) -> np.ndarray:
+    """(T, 4, 4) log kernels ``log lambda_t(b, c) + log f_t(y_t | b, c)`` over all four states.
+
+    Row t holds observation day t+1 with b the state on day t and c the state
+    on day t+1. Day 1's observation follows the stationary law of state c;
+    row 0 also carries the anchor-day log distribution over b. Structurally
+    impossible transitions are -inf, so is every entry whose c its day cannot
+    take; an entry whose b its day cannot take may be finite, but no path of
+    positive probability reaches it.
+    """
+    d = y[:, None, :] - tables.mu                                   # (T, c, 2)
+    e = d[1:, None] - (d[:-1] @ tables.psi.T)[:, :, None]           # (T-1, b, c, 2)
+    u2 = e[..., 1] - tables.phi[1:, None] * e[..., 0]
+    out = np.empty((y.shape[0], 4, 4))
+    # a zero-likelihood observation overflows the squares to inf: its kernel is -inf
+    with np.errstate(over="ignore"):
+        out[1:] = (
+            -LOG_2PI
+            + 0.5 * (tables.ltau1 + tables.ltau2)[1:, None]
+            - 0.5 * (tables.tau1[1:, None] * e[..., 0] ** 2 + tables.tau2[1:, None] * u2**2)
+        )
+        quad0 = np.einsum("ci,cij,cj->c", d[0], tables.v_inv, d[0])
+    logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
+    out[0] = logl0[:, None] + (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)
+    return out + log_transition_tables(trans, cov.n[1:], cov.p[1:])
+
+
+@dataclass(frozen=True)
+class SequentialReference:
+    """Forward-backward results of one series, or ``loglik = -inf`` and no arrays."""
+
+    loglik: float
+    log_messages: np.ndarray | None   # (T, 11) normalised log pair messages, AUGMENTED_PAIRS order
+    pairs: np.ndarray | None          # (T, 4, 4) smoothed probability of each kernel row's (b, c)
+    probs: np.ndarray | None          # (T+1, 4) smoothed state marginals of days 0..T
+
+
+def sequential_reference(y, cov, emission, trans) -> SequentialReference:
+    """Day-by-day forward filter over the 11 state pairs and backward smoother.
+
+    The forward message is a log law over the (previous, current) pairs,
+    normalised each day; the backward message is a 4-vector over the current
+    state, scaled by the forward increments so it stays of order one.
+    """
+    logk = log_kernels(y, cov, day_tables(emission, cov), trans)
+    T = logk.shape[0]
+    f = np.zeros(4)        # row 0 of the kernels holds the anchor distribution
+    alpha = np.empty((T, 4, 4))
+    lognorm = np.empty(T)
+    for t in range(T):
+        joint = f[:, None] + logk[t]
+        lognorm[t] = np.logaddexp.reduce(joint.ravel())
+        if lognorm[t] == -np.inf:
+            return SequentialReference(-np.inf, None, None, None)
+        alpha[t] = joint - lognorm[t]
+        f = np.logaddexp.reduce(alpha[t], axis=0)
+    log_messages = alpha[:, _PAIR_PREV, _PAIR_CUR]
+    scaled = logk - lognorm[:, None, None]
+    beta = np.zeros((T, 4))   # row t: scaled log p(y after day t+1 | state on day t+1)
+    for t in range(T - 1, 0, -1):
+        beta[t - 1] = np.logaddexp.reduce(scaled[t] + beta[t], axis=1)
+    pair_alpha = np.full((T, 4, 4), -np.inf)
+    pair_alpha[:, _PAIR_PREV, _PAIR_CUR] = log_messages
+    pairs = np.exp(pair_alpha + beta[:, None, :])
+    probs = np.empty((T + 1, 4))
+    probs[0] = pairs[0].sum(axis=1)
+    probs[1:] = pairs.sum(axis=1)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return SequentialReference(float(lognorm.sum()), log_messages, pairs, probs)

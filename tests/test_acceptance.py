@@ -19,13 +19,7 @@ from scipy import stats
 from demandhmm.cli import main as cli_main
 from demandhmm.covariates import build_covariates, smooth_cwv_baseline
 from demandhmm.emission import build_day_tables, build_design, psi_from_xi, stationary_variance
-from demandhmm.filtering import (
-    backward_smooth,
-    forward_filter,
-    log_likelihood,
-    rao_blackwell_states,
-    smooth_states,
-)
+from demandhmm.filtering import forward_filter, log_likelihood, rao_blackwell_states, smooth_states
 from demandhmm.generative import default_truth, simulate, sinusoidal_cwv, uk_holiday_calendar
 from demandhmm.paramspace import ParamSpace
 from demandhmm.ppc import coverage_by_gap, posterior_predictive_replicates
@@ -40,6 +34,7 @@ from helpers import (
     enumeration_oracle,
     fourier_sum,
     make_cov,
+    sequential_reference,
     small_truth,
 )
 
@@ -129,7 +124,7 @@ def test_tree_log_likelihood_matches_filter_on_desk_data(desk):
     params = [desk["truth"][:2]] + [sample_prior(desk["hyper"], rng)[:2] for _ in range(5)]
     worst = 0.0
     for emission, trans in params:
-        expected, _ = forward_filter(y, cov, emission, trans)
+        expected = sequential_reference(y, cov, emission, trans).loglik
         got = log_likelihood(y, cov, emission, trans)
         worst = max(worst, abs(got - expected) / abs(expected))
     assert worst <= 1e-13
@@ -145,10 +140,10 @@ def test_tree_smoothing_matches_sequential_smoother_on_desk_data(desk):
     expected = np.zeros((cov.T + 1, 4))
     tol = 1e-9
     for emission, trans, _ in params:
-        loglik, messages = forward_filter(y, cov, emission, trans)
-        expected += backward_smooth(messages, y, cov, emission, trans).probs
+        ref = sequential_reference(y, cov, emission, trans)
+        expected += ref.probs
         # both recursions round exponents of the size of log L
-        tol = max(tol, 1e-15 * abs(loglik))
+        tol = max(tol, 1e-15 * abs(ref.loglik))
     expected /= len(params)
     got = rao_blackwell_states(draws_from_params(params, 6, 12), y, cov).probs
     err = float(np.max(np.abs(got - expected)))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from demandhmm.emission import build_day_tables, build_design, day_tables
 from demandhmm.filtering import (
-    _smoothed_pairs,
+    ForwardMessages,
+    _kernel_terms,
     backward_smooth,
     forward_filter,
-    log_kernels,
     log_likelihood,
     log_likelihood_adjoint,
     log_likelihood_tape,
@@ -22,15 +22,18 @@ from demandhmm.filtering import (
 )
 from demandhmm.generative import simulate
 from demandhmm.priors import default_hyperparameters, sample_prior
-from demandhmm.states import (
-    AUGMENTED_PAIRS,
-    PAIR_CUR,
-    ModelMode,
-    log_initial_distribution,
-    log_transition_tables,
-)
+from demandhmm.states import ModelMode, log_initial_distribution, log_transition_tables
 
-from helpers import draws_from_params, enumeration_oracle, log_emission_density, make_cov, small_truth
+from helpers import (
+    AUGMENTED_PAIRS,
+    draws_from_params,
+    enumeration_oracle,
+    log_emission_density,
+    log_kernels,
+    make_cov,
+    sequential_reference,
+    small_truth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +114,8 @@ _CHRISTMAS = dt.date(2021, 12, 20)
 
 
 class TestStateSlots:
-    """The slots of holidays at the edges of a series agree with the sequential reference."""
+    """The slots of holidays at the edges of a series agree with the sequential
+    four-state reference of ``helpers``."""
 
     CALENDARS = {
         "anchor_day_holiday": [(_CHRISTMAS - dt.timedelta(days=1), 2)],
@@ -145,35 +149,47 @@ class TestStateSlots:
 
     def test_tree_agrees_with_sequential_reference(self, problem):
         y, cov, emission, trans = problem
-        loglik, messages = forward_filter(y, cov, emission, trans)
+        ref = sequential_reference(y, cov, emission, trans)
+        loglik = ref.loglik
         assert np.isfinite(loglik)
         assert log_likelihood(y, cov, emission, trans) == pytest.approx(loglik, rel=1e-12)
         tables = day_tables(emission, cov)
-        logk = log_kernels(y, cov, tables, trans)
         _, tape = log_likelihood_tape(y, cov, tables, trans)
         _, pairs = log_likelihood_adjoint(tape, tables)
         tol = max(1e-9, 1e-15 * abs(loglik))
         assert pairs.shape == (cov.T, 4, 4)
-        assert np.max(np.abs(pairs - _smoothed_pairs(messages, logk))) <= tol
-        expected = backward_smooth(messages, y, cov, emission, trans).probs
+        assert np.max(np.abs(pairs - ref.pairs)) <= tol
         tree_loglik, smoothed = smooth_states(y, cov, emission, trans)
         assert tree_loglik == pytest.approx(loglik, rel=1e-12)
-        assert np.max(np.abs(smoothed.probs - expected)) <= tol
+        assert np.max(np.abs(smoothed.probs - ref.probs)) <= tol
         # the last day's filtered law: the last row's pair messages summed over the earlier state
         last = np.zeros(4)
-        np.add.at(last, PAIR_CUR - 1, np.exp(messages.log_messages[-1]))
+        np.add.at(last, [c - 1 for _, c in AUGMENTED_PAIRS], np.exp(ref.log_messages[-1]))
         terminal = np.exp(terminal_log_distribution(y, cov, tables, trans))
         assert np.max(np.abs(terminal - last)) <= 1e-12
 
-    def test_log_kernels_minus_inf_off_the_slots(self, problem):
+    def test_forward_filter_and_backward_smooth_answer_from_the_tree(self, problem):
         y, cov, emission, trans = problem
-        logk = log_kernels(y, cov, day_tables(emission, cov), trans)
+        loglik, messages = forward_filter(y, cov, emission, trans)
+        assert loglik == log_likelihood(y, cov, emission, trans)
+        probs = backward_smooth(messages, y, cov, emission, trans).probs
+        assert np.array_equal(probs, smooth_states(y, cov, emission, trans)[1].probs)
+
+    def test_slot_kernels_drop_only_states_of_zero_mass(self, problem):
+        y, cov, emission, trans = problem
+        tables = day_tables(emission, cov)
+        logk = log_kernels(y, cov, tables, trans)      # the four states' kernels
         allowed = np.zeros((cov.T + 1, 4), dtype=bool)     # the states each day can take
         allowed[cov.is_holiday, 1] = True
         allowed[~cov.is_holiday] = [trans is not None, False, trans is not None, True]
         off = ~(allowed[:-1, :, None] & allowed[1:, None, :])
-        assert np.all(logk[off] == -np.inf)
+        # no transition enters a state its day cannot take, and no path reaches one
+        assert np.all(logk[~allowed[1:, None, :].repeat(4, axis=1)] == -np.inf)
+        assert np.all(sequential_reference(y, cov, emission, trans).pairs[off] == 0.0)
         assert np.all(np.isfinite(logk).any(axis=(1, 2)))
+        # at the slots, the slot kernels are the four states' kernels
+        slot_logk, (slots, *_) = _kernel_terms(y, cov, tables, trans)
+        assert np.allclose(slot_logk, slots.gather_pairs(logk), rtol=1e-13, atol=0.0)
 
     def test_slots_kept_per_series_and_model(self, problem):
         _, cov, _, trans = problem
@@ -187,17 +203,22 @@ class TestMessages:
     def test_messages_normalised(self, setup):
         emission, trans, cov, y = setup
         loglik, msgs = forward_filter(y, cov, emission, trans)
-        tot = np.exp(msgs.log_messages).sum(axis=1)
+        tot = np.exp(msgs.log_filtered).sum(axis=1)
         assert tot == pytest.approx(np.ones(cov.T), abs=1e-12)
         assert loglik == pytest.approx(msgs.lognorm.sum(), rel=1e-13)
+        assert np.all(msgs.log_filtered[~cov.is_holiday[1:], 1] == -np.inf)
+        # the reference's pair messages summed over the earlier state
+        ref = sequential_reference(y, cov, emission, trans)
+        filtered = np.zeros((cov.T, 4))
+        for i, (_, c) in enumerate(AUGMENTED_PAIRS):
+            filtered[:, c - 1] += np.exp(ref.log_messages[:, i])
+        assert np.exp(msgs.log_filtered) == pytest.approx(filtered, abs=1e-12)
 
     def test_terminal_smoothed_equals_filtered(self, setup):
         emission, trans, cov, y = setup
         _, msgs = forward_filter(y, cov, emission, trans)
         smoothed = backward_smooth(msgs, y, cov, emission, trans)
-        filtered = np.zeros(4)
-        for i, (_, b) in enumerate(AUGMENTED_PAIRS):
-            filtered[b - 1] += math.exp(msgs.log_messages[-1, i])
+        filtered = np.exp(msgs.log_filtered[-1])
         assert smoothed.probs[-1] == pytest.approx(filtered, abs=1e-12)
         terminal = np.exp(terminal_log_distribution(y, cov, day_tables(emission, cov), trans))
         assert terminal == pytest.approx(filtered, abs=1e-12)
@@ -230,6 +251,16 @@ class TestMessages:
         emission, trans, cov, y = setup
         with pytest.raises(ValueError):
             forward_filter(y[:-1], cov, emission, trans)
+
+    def test_backward_smooth_checks_its_messages(self, setup):
+        emission, trans, cov, y = setup
+        _, msgs = forward_filter(y, cov, emission, trans)
+        short = ForwardMessages(msgs.log_filtered[:-1], msgs.lognorm[:-1])
+        with pytest.raises(ValueError, match="series length"):
+            backward_smooth(short, y, cov, emission, trans)
+        zero = ForwardMessages(msgs.log_filtered, np.where(np.arange(cov.T) >= 3, -np.inf, msgs.lognorm))
+        with pytest.raises(FloatingPointError, match=rf"day 4 \({cov.dates[3]}\)"):
+            backward_smooth(zero, y, cov, emission, trans)
 
 
 class TestPairOrderInvariance:
@@ -345,29 +376,28 @@ class TestFilterProperties:
     @given(_problems())
     def test_smooth_states_matches_sequential_smoother(self, problem):
         y, cov, emission, trans = problem
-        loglik, messages = forward_filter(y, cov, emission, trans)
-        assume(np.isfinite(loglik))
-        expected = backward_smooth(messages, y, cov, emission, trans).probs
+        ref = sequential_reference(y, cov, emission, trans)
+        assume(np.isfinite(ref.loglik))
         tree_loglik, smoothed = smooth_states(y, cov, emission, trans)
-        assert tree_loglik == pytest.approx(loglik, rel=1e-12)
+        assert tree_loglik == pytest.approx(ref.loglik, rel=1e-12)
         # both recursions round exponents of the size of log L
-        tol = max(1e-9, 1e-15 * abs(loglik))
-        assert np.max(np.abs(smoothed.probs - expected)) <= tol
+        tol = max(1e-9, 1e-15 * abs(ref.loglik))
+        assert np.max(np.abs(smoothed.probs - ref.probs)) <= tol
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_problems())
     def test_tree_adjoint_is_smoothed_pair_probability(self, problem):
         # Fisher's identity: d log L / d log K_t(b, c) is the smoothed pair probability
         y, cov, emission, trans = problem
-        loglik, messages = forward_filter(y, cov, emission, trans)
-        assume(np.isfinite(loglik))
+        ref = sequential_reference(y, cov, emission, trans)
+        assume(np.isfinite(ref.loglik))
         tables = build_day_tables(emission, build_design(cov, 2, 2))
         _, tape = log_likelihood_tape(y, cov, tables, trans)
         _, xi = log_likelihood_adjoint(tape, tables)
         logk = log_kernels(y, cov, tables, trans)
         # both recursions round exponents of the size of log L
-        tol = max(1e-9, 1e-15 * abs(loglik))
-        assert np.max(np.abs(xi - _smoothed_pairs(messages, logk))) <= tol
+        tol = max(1e-9, 1e-15 * abs(ref.loglik))
+        assert np.max(np.abs(xi - ref.pairs)) <= tol
         assert np.all(xi[logk == -np.inf] == 0.0)
 
 
@@ -420,6 +450,8 @@ class TestNanLikelihood:
                 smooth_states(y, cov, huge, trans)
             with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
                 log_likelihood(y, cov, huge, trans)
+            with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
+                forward_filter(y, cov, huge, trans)
             with pytest.raises(FloatingPointError, match="log likelihood is NaN"):
                 terminal_log_distribution(y, cov, day_tables(huge, cov), trans)
             with pytest.raises(FloatingPointError, match="^draw 1: log likelihood is NaN"):

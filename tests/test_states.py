@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from demandhmm.states import (
-    AUGMENTED_PAIRS,
+    LOGIT_CLAMP,
     TransitionParams,
     initial_distribution,
     log_initial_distribution,
+    log_sigmoid_pair,
     log_transition_tables,
     sigmoid,
     transition_matrix,
 )
 
-from helpers import augmented_transition_matrix, logit_post_entry, logit_post_exit, logit_pre_entry
+from helpers import (
+    AUGMENTED_PAIRS,
+    augmented_transition_matrix,
+    logit_post_entry,
+    logit_post_exit,
+    logit_pre_entry,
+)
 
 
 def _trans(**kw):
@@ -77,6 +84,24 @@ class TestLogits:
         assert float(sigmoid(1e3)) == pytest.approx(1.0, abs=1e-15)
         assert 0.0 <= float(sigmoid(-1e3)) <= 1e-15
         assert np.isfinite(sigmoid(np.array([-1e3, -35.0, 0.0, 35.0, 1e3]))).all()
+
+    def test_log_sigmoid_pair_has_the_bits_of_two_one_sided_calls(self):
+        def one_sided(x):   # log(sigmoid(x)) as two branches, one call per sign
+            x = np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP)
+            return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
+
+        rng = np.random.default_rng(12)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 700.0, -700.0, 35.0, -35.0,
+                 np.nextafter(35.0, 0.0), np.nextafter(35.0, 36.0), 1e-300, -1e-300]
+        x = np.concatenate([
+            edges,
+            rng.uniform(-40.0, 40.0, 500_000),
+            rng.standard_normal(250_000) * 1e-3,
+            rng.uniform(-800.0, 800.0, 250_000 - len(edges)),
+        ])
+        up, down = log_sigmoid_pair(x)
+        assert up.tobytes() == one_sided(x).tobytes()
+        assert down.tobytes() == one_sided(-x).tobytes()
 
 
 class TestTransitionMatrix:
