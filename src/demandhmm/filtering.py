@@ -481,15 +481,13 @@ def backward_smooth(
     """``smooth_states``' marginals for days 0..T, given ``forward_filter``'s
     messages of the same series.
 
-    Raises ``ValueError`` when the messages are of another length, and
-    ``FloatingPointError`` naming the first day of zero likelihood when the
-    messages hold one.
+    Raises ``ValueError`` when the messages are of another length, and, as
+    ``smooth_states`` does, ``FloatingPointError`` naming the first day of
+    zero likelihood.
     """
     y = validate_series(y, cov)
     if messages.log_filtered.shape != (y.shape[0], 4):
         raise ValueError("forward messages do not match the series length")
-    if messages.lognorm[-1] == -np.inf:
-        raise _zero_likelihood(messages.lognorm, cov)
     return smooth_states(y, cov, emission, trans)[1]
 
 

@@ -113,6 +113,20 @@ class TestDegenerateChains:
 _CHRISTMAS = dt.date(2021, 12, 20)
 
 
+def _allowed_states(cov, trans):
+    """(T+1, 4) mask of the states each day can take."""
+    allowed = np.zeros((cov.T + 1, 4), dtype=bool)
+    allowed[cov.is_holiday, 1] = True
+    allowed[~cov.is_holiday] = [trans is not None, False, trans is not None, True]
+    return allowed
+
+
+def _off_slot_pairs(cov, trans):
+    """(T, 4, 4) mask of the transitions from or into a state its day cannot take."""
+    allowed = _allowed_states(cov, trans)
+    return ~(allowed[:-1, :, None] & allowed[1:, None, :])
+
+
 class TestStateSlots:
     """The slots of holidays at the edges of a series agree with the sequential
     four-state reference of ``helpers``."""
@@ -179,10 +193,8 @@ class TestStateSlots:
         y, cov, emission, trans = problem
         tables = day_tables(emission, cov)
         logk = log_kernels(y, cov, tables, trans)      # the four states' kernels
-        allowed = np.zeros((cov.T + 1, 4), dtype=bool)     # the states each day can take
-        allowed[cov.is_holiday, 1] = True
-        allowed[~cov.is_holiday] = [trans is not None, False, trans is not None, True]
-        off = ~(allowed[:-1, :, None] & allowed[1:, None, :])
+        allowed = _allowed_states(cov, trans)
+        off = _off_slot_pairs(cov, trans)
         # no transition enters a state its day cannot take, and no path reaches one
         assert np.all(logk[~allowed[1:, None, :].repeat(4, axis=1)] == -np.inf)
         assert np.all(sequential_reference(y, cov, emission, trans).pairs[off] == 0.0)
@@ -258,9 +270,11 @@ class TestMessages:
         short = ForwardMessages(msgs.log_filtered[:-1], msgs.lognorm[:-1])
         with pytest.raises(ValueError, match="series length"):
             backward_smooth(short, y, cov, emission, trans)
-        zero = ForwardMessages(msgs.log_filtered, np.where(np.arange(cov.T) >= 3, -np.inf, msgs.lognorm))
+        y = y.copy()
+        y[3, 0] = 1e200          # beyond every state's emission law
+        _, msgs = forward_filter(y, cov, emission, trans)
         with pytest.raises(FloatingPointError, match=rf"day 4 \({cov.dates[3]}\)"):
-            backward_smooth(zero, y, cov, emission, trans)
+            backward_smooth(msgs, y, cov, emission, trans)
 
 
 class TestPairOrderInvariance:
@@ -399,6 +413,7 @@ class TestFilterProperties:
         tol = max(1e-9, 1e-15 * abs(ref.loglik))
         assert np.max(np.abs(xi - ref.pairs)) <= tol
         assert np.all(xi[logk == -np.inf] == 0.0)
+        assert np.all(xi[_off_slot_pairs(cov, trans)] == 0.0)
 
 
 class TestZeroLikelihood:
