@@ -277,8 +277,7 @@ def _cmd_forecast(args) -> int:
         raise dataio.DataError(
             f"future CWV must start the day after the data ends ({ds.dates[-1]})"
         )
-    baseline = smooth_cwv_baseline(ds.dates, ds.cov.w, args.cwv_window)
-    future_cov = build_covariates(fdates, ds.calendar, fw, baseline, epoch=ds.cov.epoch)
+    future_cov = build_covariates(fdates, ds.calendar, fw, ds.baseline, epoch=ds.cov.epoch)
     paths = forecast(draws, ds.y, ds.cov, future_cov, args.seed)
     dataio.write_forecast_csv(os.path.join(args.out_dir, "forecast.csv"), future_cov, paths)
     if args.write_paths:

@@ -138,14 +138,19 @@ class CovariateSeries:
     day_of_year: np.ndarray             # (T,) int64 in 1..366
     t_index: np.ndarray                 # (T,) int64 Fourier clock
     epoch: dt.date = field(repr=False, default=None)
-    # emission.build_design's results, keyed by harmonic counts; a copy starts empty
-    _designs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # filtering.state_slots's results, keyed by whether the model has four states
-    _slots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # what ``derived`` has built, by key; a copy starts empty
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def T(self) -> int:
         return len(self.dates)
+
+    def derived(self, key, build):
+        """``build()`` the first time ``key`` is asked for, then kept: data derived from the series alone."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     @property
     def is_holiday(self) -> np.ndarray:

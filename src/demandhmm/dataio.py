@@ -15,7 +15,9 @@ CSV; and a ``manifest.json`` capturing input hashes, the configuration
 snapshot, seed, software version and command line, which together determine
 the outputs bit for bit.
 
-Every input table is read by :func:`read_columns`, every CSV output written by
+The demand, future-CWV and report input tables are read by :func:`read_columns`;
+the holidays CSV (``HolidayCalendar.from_csv``) and the draws CSV
+(:func:`read_draws_csv`) have their own loops. Every CSV output is written by
 :func:`write_rows` and every JSON output but ``error.json`` by :func:`write_json`.
 """
 
@@ -32,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .covariates import CovariateSeries, HolidayCalendar, build_covariates, smooth_cwv_baseline
+from .covariates import (
+    CovariateSeries, HolidayCalendar, SeasonalCwvBaseline, build_covariates, smooth_cwv_baseline,
+)
 from .paramspace import ParamSpace
 from .priors import hyperparameters_to_dict
 from .sampler import PosteriorDraws
@@ -132,14 +136,15 @@ class Dataset:
     y: np.ndarray            # log demand
     cov: CovariateSeries
     calendar: HolidayCalendar
+    baseline: SeasonalCwvBaseline   # the seasonal CWV baseline that centres ``cov``'s weather
 
 
-def load_dataset(data_path, holidays_path, window_halfwidth: int = 10, epoch=None) -> Dataset:
+def load_dataset(data_path, holidays_path, window_halfwidth: int = 10) -> Dataset:
     dates, y_raw, w = read_demand_csv(data_path)
     calendar = HolidayCalendar.from_csv(holidays_path)
     baseline = smooth_cwv_baseline(dates, w, window_halfwidth)
-    cov = build_covariates(dates, calendar, w, baseline, epoch=epoch)
-    return Dataset(dates=tuple(dates), y=np.log(y_raw), cov=cov, calendar=calendar)
+    cov = build_covariates(dates, calendar, w, baseline)
+    return Dataset(dates=tuple(dates), y=np.log(y_raw), cov=cov, calendar=calendar, baseline=baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their mean rank."""
     flat = x.ravel()
     order = np.argsort(flat, kind="mergesort")
-    ranks = np.empty(flat.size, dtype=np.float64)
     sorted_vals = flat[order]
-    i = 0
-    while i < flat.size:
-        j = i
-        while j + 1 < flat.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each sorted value's tie run spans i (first index) to j (last index)
+    i = np.searchsorted(sorted_vals, sorted_vals, side="left")
+    j = np.searchsorted(sorted_vals, sorted_vals, side="right") - 1
+    ranks = np.empty(flat.size, dtype=np.float64)
+    ranks[order] = 0.5 * (i + j) + 1.0
     return ranks.reshape(x.shape)
 
 

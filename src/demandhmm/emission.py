@@ -96,14 +96,6 @@ def _matrix(rows) -> np.ndarray:
     return m.transpose(tuple(range(2, m.ndim)) + (0, 1))
 
 
-def xi_from_psi(psi) -> np.ndarray:
-    """Inverse of :func:`psi_from_xi` for symmetric stationary matrices."""
-    psi = np.asarray(psi, dtype=np.float64)
-    chi1 = psi[0, 0] + psi[0, 1]
-    chi2 = psi[0, 0] - psi[0, 1]
-    return np.array([(chi1 + 1.0) / 2.0, (chi2 + 1.0) / 2.0])
-
-
 def _lyapunov_matrix(a, b) -> np.ndarray:
     """(..., 3, 3) system of V = psi V psi' + S in (V11, V12, V22) for psi = [[a, b], [b, a]]."""
     return _matrix(
@@ -197,11 +189,9 @@ def _fourier_design(t_index: np.ndarray, period: float, k: int) -> np.ndarray:
 
 def build_design(cov: CovariateSeries, k_annual: int, k_prec_annual: int) -> DesignMatrices:
     """The design of ``cov`` for these harmonic counts, built once and kept on the series."""
-    key = (k_annual, k_prec_annual)
-    design = cov._designs.get(key)
-    if design is None:
+    def build():
         t = cov.t_index.astype(np.float64)
-        design = cov._designs[key] = DesignMatrices(
+        return DesignMatrices(
             f_annual=_fourier_design(t, 365.25, k_annual),
             f_prec=_fourier_design(t, 365.25, k_prec_annual),
             f_week=_fourier_design(t, 7.0, 3),
@@ -211,29 +201,28 @@ def build_design(cov: CovariateSeries, k_annual: int, k_prec_annual: int) -> Des
             w=cov.w,
             w_tilde=cov.w_tilde,
         )
-    return design
+
+    return cov.derived(("design", k_annual, k_prec_annual), build)
 
 
 @dataclass(frozen=True)
 class DayTables:
     """Per-day, per-state emission quantities consumed by the filter and simulator.
 
-    ``mu`` is (T, 4, 2); ``phi``, ``tau1``, ``tau2``, ``ltau1``, ``ltau2`` are
-    (T, 4). ``v_inv`` (4, 2, 2), ``v_logdet`` (4,) and ``v_chol`` (4, 2, 2)
-    describe the stationary first-day distribution under each initial state.
-    Tables of several draws carry their leading axis of rows on every field.
-    The per-day fields are views of the one day-last array ``days``
-    (7, 4, T): mu's two regions, phi, ltau1, ltau2, tau1 and tau2, with the
-    per-row axes reversed. ``valid`` says whether each row's first-day law
-    is positive definite; a row where it is not holds the identity for V.
+    ``mu`` is (T, 4, 2); ``phi``, ``tau1``, ``tau2`` are (T, 4). ``v_inv``
+    (4, 2, 2), ``v_logdet`` (4,) and ``v_chol`` (4, 2, 2) describe the
+    stationary first-day distribution under each initial state. Tables of
+    several draws carry their leading axis of rows on every field. The
+    per-day fields are views of the one day-last array ``days`` (7, 4, T),
+    with the per-row axes reversed: mu's two regions, phi, log tau1, log
+    tau2, tau1 and tau2. ``valid`` says whether each row's first-day law is
+    positive definite; a row where it is not holds the identity for V.
     """
 
     mu: np.ndarray
     phi: np.ndarray
     tau1: np.ndarray
     tau2: np.ndarray
-    ltau1: np.ndarray
-    ltau2: np.ndarray
     psi: np.ndarray
     v_inv: np.ndarray
     v_logdet: np.ndarray
@@ -299,7 +288,7 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bo
     )  # omega = (phi, log tau1, log tau2), (..., 3, 4, T)
     np.clip(days[..., 3:5, :, :], -OMEGA_CLAMP, OMEGA_CLAMP, out=days[..., 3:5, :, :])
     np.exp(days[..., 3:5, :, :], out=days[..., 5:7, :, :])
-    phi, ltau1, ltau2, tau1, tau2 = (days[..., k, :, :] for k in range(2, 7))
+    phi, tau1, tau2 = days[..., 2, :, :], days[..., 5, :, :], days[..., 6, :, :]
 
     psi = params.ar_matrix
     # first-day law under each state: the precision matrix of day 1's components
@@ -329,8 +318,6 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bo
         phi=reverse_trailing(phi, 2),
         tau1=reverse_trailing(tau1, 2),
         tau2=reverse_trailing(tau2, 2),
-        ltau1=reverse_trailing(ltau1, 2),
-        ltau2=reverse_trailing(ltau2, 2),
         psi=psi,
         v_inv=v_inv,
         v_logdet=v_logdet,
@@ -349,13 +336,14 @@ def day_tables_adjoint(
     params: EmissionParams,
     design: DesignMatrices,
     tables: DayTables,
-    g_mu, g_phi, g_ltau1, g_ltau2, g_psi, g_v_inv, g_v_logdet,
+    g_days, g_psi, g_v_inv, g_v_logdet,
 ) -> dict:
     """Adjoint of :func:`build_day_tables`.
 
-    Takes the gradients of a scalar with respect to the tables, the per-day
-    ones transposed to put the day last (``filtering._log_kernels_adjoint``
-    returns them so), and gives its gradients with respect to the
+    Takes the gradients of a scalar with respect to the tables, as
+    ``filtering.log_likelihood_adjoint`` returns them (``g_days`` is over the
+    first five rows of ``tables.days``, up to the log precisions, and is
+    overwritten), and gives its gradients with respect to the
     ``EmissionParams`` fields, keyed by field name, on their natural scale.
     Clamped log precisions pass no gradient.
     """
@@ -380,7 +368,7 @@ def day_tables_adjoint(
     # omega = (phi, log tau1, log tau2); S_c = [[1/t1, phi/t1], [phi/t1, 1/t2 + phi^2/t1]]
     phi0, t1, t2 = tables.phi[..., 0, :], tables.tau1[..., 0, :], tables.tau2[..., 0, :]
     g_s0, g_s1, g_s2 = g_s[..., 0, :], g_s[..., 1, :], g_s[..., 2, :]
-    g_omega = np.stack([g_phi, g_ltau1, g_ltau2], axis=-3)   # (..., 3, 4, T)
+    g_mu, g_omega = g_days[..., 0:2, :, :], g_days[..., 2:5, :, :]   # (..., 2 | 3, 4, T)
     g_omega[..., 0, :, 0] += (g_s1 + 2.0 * phi0 * g_s2) / t1
     g_omega[..., 1, :, 0] -= (g_s0 + phi0 * g_s1 + phi0 * phi0 * g_s2) / t1
     g_omega[..., 2, :, 0] -= g_s2 / t2

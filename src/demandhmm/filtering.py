@@ -19,7 +19,7 @@ them in O(log T) vectorised steps (Hassan, Sarkka & Garcia-Fernandez,
 69, 2021). The gradients go back to the four states' layout of the day
 tables and the transition tables. The tree is the one filter here:
 
-* the sampler's posterior (``log_likelihood``, ``log_likelihood_tape``) and
+* ``log_likelihood``, the sampler's posterior (``log_likelihood_tape``) and
   forecast's terminal state (``terminal_log_distribution``) need only the
   product of all the kernels;
 * the tree's reverse pass gives d log L / d log K_t(b, c), which is the
@@ -122,8 +122,9 @@ class StateSlots:
     slots in ascending order; a holiday's other two slots are pads holding
     states 1 and 3, whose kernels are -inf. ``state_slots`` builds them once
     per series and model. The methods move day-last arrays between the four
-    states and the slots: every day but the holidays has the slots
-    ``normal``, so each moves whole rows and then mends the holidays.
+    states and the slots. Every day but the holidays has the slots
+    ``normal``, so ``gather`` and ``scatter`` move whole rows and then mend
+    the holidays; ``gather_pairs`` and ``scatter_pairs`` go through ``pair``.
     """
 
     states: np.ndarray      # (T+1, K) 0-based state of each slot of days 0..T
@@ -131,9 +132,6 @@ class StateSlots:
     holiday: np.ndarray     # (K, 1) the states of a holiday
     holidays: np.ndarray    # (H,) observation indices t (day t+1) of the holidays
     pair: np.ndarray        # (K, K, T) flat index of each slot pair into a (T, 4, 4) table
-    near: np.ndarray        # (F,) kernel rows with a holiday on either day
-    near_prev: np.ndarray   # (K, 1, F) their states on the earlier day
-    near_cur: np.ndarray    # (1, K, F) and on the later one
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """(..., 4, n) over observation days 1..n to (..., K, n)."""
@@ -157,12 +155,12 @@ class StateSlots:
         return np.take(table.reshape(table.shape[:-3] + (-1,)), self.pair, axis=-1)
 
     def scatter_pairs(self, x: np.ndarray) -> np.ndarray:
-        """(..., K, K, T) to a (..., T, 4, 4) view, 0 at the other pairs."""
-        out = np.zeros(x.shape[:-3] + (4, 4, x.shape[-1]))
-        out[..., self.normal[:, None], self.normal, :] = x
-        out[..., self.near] = 0.0
-        out[..., self.near_prev, self.near_cur, self.near] = x[..., self.near]
-        return out.transpose(*range(out.ndim - 3), -1, -3, -2)
+        """(..., K, K, T) to (..., T, 4, 4), 0 at the other pairs: each slot pair
+        goes back where ``gather_pairs`` read it. The pads all land on the
+        (holiday, pre-holiday) entry, so that entry holds no pair's value."""
+        out = np.zeros(x.shape[:-3] + (16 * x.shape[-1],))
+        out[..., self.pair] = x
+        return out.reshape(x.shape[:-3] + (x.shape[-1], 4, 4))
 
 
 # 0-based states of the slots of a day that is not a holiday, and of a holiday
@@ -173,27 +171,22 @@ _NEVER = (STATE_HOLIDAY - 1) * 4 + STATE_PRE - 1
 
 def state_slots(cov: CovariateSeries, four_state: bool) -> StateSlots:
     """The slots of ``cov``'s days in the four- or two-state model, built once and kept on the series."""
-    slots = cov._slots.get(four_state)
-    if slots is None:
+    def build():
         normal, holiday = (np.array(x) for x in _SLOT_STATES[four_state])
         hol = cov.is_holiday
         states = np.where(hol[:, None], holiday, normal)               # (T+1, K)
         real = ~hol[:, None] | (np.arange(normal.size) == 0)
-        t = np.arange(cov.T)
         prev, cur = states[:-1].T[:, None, :], states[1:].T[None, :, :]
         pad = ~(real[:-1].T[:, None, :] & real[1:].T[None, :, :])
-        near = np.flatnonzero(hol[:-1] | hol[1:])
-        slots = cov._slots[four_state] = StateSlots(
+        return StateSlots(
             states=states,
             normal=normal,
             holiday=holiday[:, None],
             holidays=np.flatnonzero(hol[1:]),
-            pair=16 * t + np.where(pad, _NEVER, 4 * prev + cur),
-            near=near,
-            near_prev=prev[..., near],
-            near_cur=cur[..., near],
+            pair=16 * np.arange(cov.T) + np.where(pad, _NEVER, 4 * prev + cur),
         )
-    return slots
+
+    return cov.derived(("slots", four_state), build)
 
 
 def _psi_entries(psi: np.ndarray):
@@ -244,10 +237,11 @@ def _kernel_terms(y, cov, tables, trans):
 def _log_kernels_adjoint(g, tables, slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2):
     """Adjoint of ``_kernel_terms`` from ``g = d/d log K`` (..., K, K, T) to the day tables.
 
-    Returns the gradients with respect to ``mu``, ``phi``, ``ltau1``, ``ltau2``
-    (day last, like the terms), ``psi``, ``v_inv`` and ``v_logdet``, over all
-    four states and 0 at those a day cannot take; the transition tables'
-    gradient is ``g`` itself. Entries of ``g`` on -inf kernels must be 0.
+    Returns the gradients with respect to the first five rows of
+    ``tables.days`` (mu's two regions, phi, log tau1, log tau2) in its
+    (..., 5, 4, T) layout, then ``psi``, ``v_inv`` and ``v_logdet``; 0 at the
+    states a day cannot take. The transition tables' gradient is ``g``
+    itself. Entries of ``g`` on -inf kernels must be 0.
     """
     lead = g.shape[:-3]
     gs = np.zeros(lead + (5,) + g.shape[-2:])           # (..., 5, K, T): d0, d1, phi, ltau1, ltau2
@@ -287,8 +281,8 @@ def _log_kernels_adjoint(g, tables, slots, y, dev0, d0, d1, e0, u2, phi, tau1, t
     g4[..., 0, :, 0] -= vd[..., 0]
     g4[..., 1, :, 0] -= vd[..., 1]
     g_v_inv = -0.5 * g0[..., None, None] * dev0[..., :, None] * dev0[..., None, :]
-    return (-g4[..., 0:2, :, :], g4[..., 2, :, :], g4[..., 3, :, :], g4[..., 4, :, :],
-            g_psi, g_v_inv, -0.5 * g0)
+    np.negative(g4[..., 0:2, :, :], out=g4[..., 0:2, :, :])   # d0, d1 to mu
+    return g4, g_psi, g_v_inv, -0.5 * g0
 
 
 def _filter_recursion(logk: np.ndarray):
@@ -425,7 +419,8 @@ def log_likelihood_adjoint(tape, tables):
     """Gradient of a finite tree log likelihood with respect to its inputs.
 
     Returns ``(g_tables, g_loglam)``: ``g_tables`` is the tuple of
-    ``_log_kernels_adjoint`` and ``g_loglam`` (..., T, 4, 4) the gradient with
+    ``_log_kernels_adjoint``, the arguments ``emission.day_tables_adjoint``
+    takes after the tables, and ``g_loglam`` (..., T, 4, 4) the gradient with
     respect to ``log_transition_tables``, which is the smoothed pair marginal.
     """
     loglik, top, levels, terms = tape

@@ -136,14 +136,12 @@ def _draw_path(tables: DayTables, cum: np.ndarray, start, u: np.ndarray, z: np.n
 # Synthetic inputs
 
 
-def sinusoidal_cwv(
-    dates, rng: np.random.Generator, base=(8.0, 8.5), amplitude=(5.5, 5.0), noise_sd=1.3
-) -> np.ndarray:
+def sinusoidal_cwv(dates, rng: np.random.Generator, noise_sd=1.3) -> np.ndarray:
     """Seasonal CWV scenario: annual cosine (coldest late January) plus noise."""
     doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
     out = np.empty((len(dates), 2))
-    for j in range(2):
-        seasonal = base[j] - amplitude[j] * np.cos(2.0 * np.pi * (doy - 25.0) / 365.25)
+    for j, (base, amplitude) in enumerate(((8.0, 5.5), (8.5, 5.0))):   # each region's mean and swing
+        seasonal = base - amplitude * np.cos(2.0 * np.pi * (doy - 25.0) / 365.25)
         out[:, j] = seasonal + noise_sd * rng.standard_normal(len(dates))
     return out
 

@@ -223,9 +223,6 @@ class ParamSpace:
         """Natural-space value of every scalar, in layout order."""
         return _on_mask(u_full, self._logit_mask, sigmoid)
 
-    def unconstrained_from_values(self, values: np.ndarray) -> np.ndarray:
-        return _on_mask(values, self._logit_mask, logit)
-
     def free_constrained(self, u_free: np.ndarray) -> np.ndarray:
         """Natural-space values of free-coordinate rows, shape (..., size)."""
         return _on_mask(u_free, self._free_logit_mask, sigmoid)

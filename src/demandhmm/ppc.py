@@ -98,11 +98,10 @@ def coverage_by_gap(
     replicates: np.ndarray,
     y: np.ndarray,
     cov: CovariateSeries,
-    buckets=GAP_BUCKETS,
 ) -> PpcSummary:
-    """Bucketed central-95% exceedance of the observations under the replicates.
+    """Central-95% exceedance of the observations under the replicates, by ``GAP_BUCKETS``.
 
-    The last bucket is open-ended (``>= buckets[-1]``); days falling between
+    The last bucket is open-ended (``>= GAP_BUCKETS[-1]``); days falling between
     the last closed bucket and the open one are not assigned to any bucket
     but still appear in the per-day summaries.
     """
@@ -120,14 +119,14 @@ def coverage_by_gap(
     outside = (y < q025) | (y > q975)
     gap = cov.gap[1:]
 
-    labels = tuple(str(g) for g in buckets[:-1]) + (f"{buckets[-1]}+",)
-    count = np.zeros((len(buckets), 2))
-    out_count = np.zeros((len(buckets), 2))
-    for i, g in enumerate(buckets[:-1]):
+    labels = tuple(str(g) for g in GAP_BUCKETS[:-1]) + (f"{GAP_BUCKETS[-1]}+",)
+    count = np.zeros((len(GAP_BUCKETS), 2))
+    out_count = np.zeros((len(GAP_BUCKETS), 2))
+    for i, g in enumerate(GAP_BUCKETS[:-1]):
         mask = gap == g
         count[i] = mask.sum()
         out_count[i] = outside[mask].sum(axis=0)
-    mask = gap >= buckets[-1]
+    mask = gap >= GAP_BUCKETS[-1]
     count[-1] = mask.sum()
     out_count[-1] = outside[mask].sum(axis=0)
 

@@ -164,11 +164,12 @@ class NumpyPosterior:
     ``__call__`` and ``logpost_and_grad_batch`` share one forward pass
     (unpack, prior, day tables, kernels, tree product, log-Jacobian) that
     values all the rows of a (C, D) block at once, every array carrying a
-    leading row axis; one row (D,) is the block of one. The gradient runs its
-    adjoints in reverse over the intermediates that pass keeps, over the same
-    axis. Each row's value and gradient are bit for bit what that row gives
-    alone: numpy's stacked products, solves and last-axis reductions treat
-    each row as it would treat it alone.
+    leading row axis, over the design built once in ``__init__``; one row
+    (D,) is the block of one. The gradient runs its adjoints in reverse over
+    the intermediates that pass keeps, over the same axis. Each row's value
+    and gradient are bit for bit what that row gives alone: numpy's stacked
+    products, solves and last-axis reductions treat each row as it would
+    treat it alone.
     """
 
     def __init__(
@@ -181,6 +182,7 @@ class NumpyPosterior:
     ):
         self.y = validate_series(y, cov)
         self.cov = cov
+        self.design = build_design(cov, space.k_annual, space.k_prec_annual)
         self.hyper = hyper
         self.space = space
         self.base_full = (
@@ -207,8 +209,7 @@ class NumpyPosterior:
             keep = np.isfinite(lp)
             if keep.all():
                 try:
-                    design = build_design(self.cov, emission.k_annual, emission.k_prec_annual)
-                    tables = build_day_tables(emission, design, per_row=True)
+                    tables = build_day_tables(emission, self.design, per_row=True)
                     loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
                 except (ValueError, FloatingPointError):
                     if rows.size == 1:
@@ -234,8 +235,7 @@ class NumpyPosterior:
     def _gradient(self, full, emission, trans, latents, tables, tape) -> np.ndarray:
         g_tables, g_loglam = log_likelihood_adjoint(tape, tables)
         grads = log_prior_grad(emission, trans, latents, self.hyper)
-        design = build_design(self.cov, emission.k_annual, emission.k_prec_annual)
-        for name, g in day_tables_adjoint(emission, design, tables, *g_tables).items():
+        for name, g in day_tables_adjoint(emission, self.design, tables, *g_tables).items():
             grads[name] = grads.get(name, 0.0) + g
         if trans is not None:
             n, p = self.cov.n[1:], self.cov.p[1:]

@@ -374,7 +374,7 @@ def log_kernels(y, cov, tables, trans) -> np.ndarray:
     with np.errstate(over="ignore"):
         out[1:] = (
             -LOG_2PI
-            + 0.5 * (tables.ltau1 + tables.ltau2)[1:, None]
+            + 0.5 * (tables.days[3] + tables.days[4]).T[1:, None]    # log tau1 + log tau2
             - 0.5 * (tables.tau1[1:, None] * e[..., 0] ** 2 + tables.tau2[1:, None] * u2**2)
         )
         quad0 = np.einsum("ci,cij,cj->c", d[0], tables.v_inv, d[0])

@@ -11,6 +11,7 @@ import pytest
 
 from demandhmm import cli, dataio
 from demandhmm.cli import main
+from demandhmm.covariates import smooth_cwv_baseline
 from demandhmm.filtering import forward_filter
 from demandhmm.generative import default_truth, simulate, uk_holiday_calendar
 from demandhmm.sampler import PosteriorDraws, SamplerConfig, run_mcmc
@@ -83,6 +84,9 @@ class TestSimulate:
         path = workspace / "roundtrip.csv"
         dataio.write_demand_csv(path, ds.cov.dates, np.exp(sim.y), ds.cov.w)
         ds2 = dataio.load_dataset(path, workspace / "holidays.csv")
+        # the dataset keeps the baseline that centred its weather
+        assert np.array_equal(ds2.baseline.m, smooth_cwv_baseline(ds2.dates, ds2.cov.w).m)
+        assert np.array_equal(ds2.cov.w_tilde, ds2.cov.w - ds2.baseline.lookup(ds2.cov.day_of_year))
         ll_mem, _ = forward_filter(sim.y, ds.cov, emission, trans)
         ll_rt, _ = forward_filter(ds2.y, ds2.cov, emission, trans)
         assert ll_rt == ll_mem

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -153,6 +154,23 @@ class TestBuildCovariates:
             dates, cal, np.full((5, 2), 8.0), flat_baseline(), epoch=dt.date(2021, 4, 29)
         )
         assert list(cov2.t_index) == [3, 4, 5, 6, 7]
+
+    def test_derived_is_built_once_per_key_and_series(self):
+        cov = build_covariates(
+            _range(dt.date(2021, 5, 1), 5), _cal((dt.date(2021, 4, 5), 1), (dt.date(2021, 9, 1), 2)),
+            np.full((5, 2), 8.0), flat_baseline(),
+        )
+        built = []
+
+        def build():
+            built.append(1)
+            return object()
+
+        first = cov.derived(("a", 1), build)
+        assert cov.derived(("a", 1), build) is first and len(built) == 1
+        assert cov.derived(("a", 2), build) is not first and len(built) == 2
+        assert dataclasses.replace(cov).derived(("a", 1), build) is not first   # a copy starts empty
+        assert "_derived" not in repr(cov)
 
 
 class TestDayOfYear:

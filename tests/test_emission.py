@@ -13,7 +13,6 @@ from demandhmm.emission import (
     build_design,
     psi_from_xi,
     stationary_variance,
-    xi_from_psi,
 )
 
 from helpers import (
@@ -75,7 +74,9 @@ class TestArParameterisation:
         rng = np.random.default_rng(1)
         for _ in range(50):
             xi = rng.uniform(1e-6, 1 - 1e-6, size=2)
-            assert np.max(np.abs(xi_from_psi(psi_from_xi(xi)) - xi)) <= 1e-15
+            psi = psi_from_xi(xi)     # diagonal (chi1 + chi2) / 2, off-diagonal (chi1 - chi2) / 2
+            back = np.array([psi[0, 0] + psi[0, 1] + 1.0, psi[0, 0] - psi[0, 1] + 1.0]) / 2.0
+            assert np.max(np.abs(back - xi)) <= 1e-15
 
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):
@@ -351,7 +352,7 @@ class TestDayTables:
         again = build_design(copy, 2, 2)
         assert again is not design
         assert np.array_equal(again.f_annual, design.f_annual)
-        assert "_designs" not in repr(cov)
+        assert "_derived" not in repr(cov)
 
     def test_per_row_marks_a_failing_first_day_law(self):
         emission, _, _ = small_truth()

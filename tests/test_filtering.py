@@ -208,7 +208,7 @@ class TestStateSlots:
         slots = state_slots(cov, trans is not None)
         assert state_slots(cov, trans is not None) is slots
         assert state_slots(cov, trans is None) is not slots
-        assert "_slots" not in repr(cov)
+        assert "_derived" not in repr(cov)
 
 
 class TestMessages:
@@ -305,7 +305,7 @@ def _reference_filter(y, loglam, logl0, tables, pairs):
         d = y[t - 1] - tables.mu[t - 1, b]
         e = y[t] - tables.mu[t, c] - tables.psi @ d
         u2 = e[1] - tables.phi[t, c] * e[0]
-        return (-math.log(2 * math.pi) + 0.5 * (tables.ltau1[t, c] + tables.ltau2[t, c])
+        return (-math.log(2 * math.pi) + 0.5 * (tables.days[3, c, t] + tables.days[4, c, t])
                 - 0.5 * (tables.tau1[t, c] * e[0] ** 2 + tables.tau2[t, c] * u2 ** 2))
 
     msg = {}

@@ -1,5 +1,6 @@
 """Every name a program module imports is used in that module, and none is
-another program module's private (``_name``) one."""
+another program module's private (``_name``) one; no program module reads or
+writes a private attribute that another module's class defines."""
 
 import ast
 import pathlib
@@ -32,6 +33,42 @@ def private_imports(source: str) -> list:
     return private
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def class_private_names(source: str) -> set:
+    """``_name``s the module's classes define: fields, methods and what their methods set on ``self``."""
+    names = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        names.update(
+            node.attr for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        )
+    return {name for name in names if _is_private(name)}
+
+
+def foreign_private_attributes(source: str, others) -> list:
+    """``_name`` attributes the module reads or writes on anything but ``self`` or ``cls``
+    that a class of one of the ``others`` sources defines and none of its own classes does."""
+    foreign = set().union(*map(class_private_names, others)) - class_private_names(source)
+    return sorted({
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in foreign
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    })
+
+
 def test_detects_an_unused_import():
     source = "import os\nfrom math import pi, tau\nfrom . import x as y\nprint(os.sep, tau)\n"
     assert unused_imports(source) == ["pi", "y"]
@@ -53,3 +90,24 @@ def test_detects_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_detects_a_foreign_private_attribute():
+    owner = (
+        "class Series:\n    _cache: dict\n    _kind = 1\n    __slots__ = ()\n"
+        "    def _build(self):\n        self._memo = 1\n    def public(self):\n        return self._cache\n"
+    )
+    assert class_private_names(owner) == {"_cache", "_kind", "_build", "_memo"}
+    user = (
+        "import numpy as np\nclass Own:\n    _kind = 2\n"
+        "def f(cov, self):\n    cov._cache[1] = cov._build()\n"
+        "    return cov._memo, cov._kind, cov.public(), self._cache, cov._other, np._core\n"
+    )
+    assert foreign_private_attributes(user, [owner]) == ["_build", "_cache", "_memo"]
+    assert foreign_private_attributes(owner, [user]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_foreign_private_attributes(path):
+    others = [p.read_text() for p in MODULES if p != path]
+    assert foreign_private_attributes(path.read_text(), others) == []

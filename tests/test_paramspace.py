@@ -141,7 +141,7 @@ class TestPackUnpack:
         emission, trans, latents = sample_prior(hyper, np.random.default_rng(2))
         u = space.pack(emission, trans, latents)
         values = space.constrained_values(u)
-        back = space.unconstrained_from_values(values)
+        back = space.free_unconstrained(values)      # every coordinate of this space is free
         assert back == pytest.approx(u, abs=1e-9)
         k = space.names.index("decay_prec")
         assert values[k] == pytest.approx(emission.decay_prec, abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from demandhmm import sampler as sampler_module
-from demandhmm.diagnostics import ess_bulk, split_rhat
+from demandhmm.diagnostics import _average_ranks, ess_bulk, split_rhat
 from demandhmm.emission import day_tables
 from demandhmm.filtering import log_likelihood
 from demandhmm.generative import simulate
@@ -166,6 +166,53 @@ class TestLogPosterior:
         for r in (0, 2):
             assert _digest(values[r]) == _digest(alone[r][0][0])
             assert _digest(grads[r]) == _digest(alone[r][1][0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_are_valued_alone_when_the_block_tables_raise(self, problem, monkeypatch):
+        emission, trans, latents, cov, y, hyper, space = problem
+        post = NumpyPosterior(y, cov, hyper, space)
+        u = space.pack(emission, trans, latents)
+        block = u + 0.01 * np.random.default_rng(11).standard_normal((3, space.size))
+        alone = [post.logpost_and_grad_batch(row[None]) for row in block]
+        marked = space.unpack(block[1])[0].level[0]
+        build = sampler_module.build_day_tables
+
+        def failing_with_marked_row(params, design, per_row=False):
+            if np.any(params.level[..., 0] == marked):
+                raise np.linalg.LinAlgError("a marked row")
+            return build(params, design, per_row=per_row)
+
+        monkeypatch.setattr(sampler_module, "build_day_tables", failing_with_marked_row)
+        values, grads = post.logpost_and_grad_batch(block)
+        assert values[1] == -np.inf and not np.any(grads[1])
+        for r in (0, 2):
+            assert _digest(values[r]) == _digest(alone[r][0][0])
+            assert _digest(grads[r]) == _digest(alone[r][1][0])
+
+        def failing_on_blocks(params, design, per_row=False):
+            if params.level.shape[0] > 1:     # a block of more than one row; each row alone passes
+                raise np.linalg.LinAlgError("a block")
+            return build(params, design, per_row=per_row)
+
+        monkeypatch.setattr(sampler_module, "build_day_tables", failing_on_blocks)
+        with pytest.raises(np.linalg.LinAlgError, match="a block"):
+            post.logpost_and_grad_batch(block)
+
+    def test_design_is_built_once_per_posterior(self, problem, monkeypatch):
+        emission, trans, latents, cov, y, hyper, space = problem
+        built, build = [], sampler_module.build_design
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(sampler_module, "build_design", counted)
+        post = NumpyPosterior(y, cov, hyper, space)
+        u = space.pack(emission, trans, latents)
+        post(u)
+        post.logpost_and_grad_batch(np.stack([u, u]))
+        post.logpost_and_grad_batch(u[None])
+        assert len(built) == 1
 
     def test_sensitivity_localised_to_post_holiday_transitions(self):
         # without any holiday inside or at the anchor day, the holiday-exit
@@ -345,6 +392,24 @@ class TestDiagnostics:
         perm = x[[2, 0, 3, 1]]
         assert split_rhat(x) == pytest.approx(split_rhat(perm), rel=1e-12)
         assert ess_bulk(x) == pytest.approx(ess_bulk(perm), rel=1e-12)
+
+    def test_average_ranks_equal_the_tie_loop(self):
+        def loop_ranks(x):       # each run of ties shares the mean of its 1-based ranks
+            flat = x.ravel()
+            order = np.argsort(flat, kind="mergesort")
+            ranks, i = np.empty(flat.size), 0
+            while i < flat.size:
+                j = i
+                while j + 1 < flat.size and flat[order[j + 1]] == flat[order[i]]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks.reshape(x.shape)
+
+        rng = np.random.default_rng(14)
+        for x in (rng.integers(0, 7, (4, 50)).astype(float), rng.standard_normal((3, 41)),
+                  np.array([[0.0, -0.0, 1.0], [1.0, 1.0, -2.0]]), np.ones((2, 5)), np.array([[3.0]])):
+            assert _digest(_average_ranks(x)) == _digest(loop_ranks(x))
 
     def test_separated_chains_flagged(self):
         rng = np.random.default_rng(13)
