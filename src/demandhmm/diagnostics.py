@@ -1,8 +1,9 @@
 """Convergence diagnostics for multi-chain MCMC output.
 
-Implements the rank-normalised split potential scale reduction factor and
-bulk effective sample size: draws are replaced by normal scores of their
-pooled average ranks, chains are split in half, and
+``rank_diagnostics`` gives the rank-normalised split potential scale
+reduction factor and bulk effective sample size of one scalar from one pass:
+draws are replaced by normal scores of their pooled average ranks, chains
+are split in half, and
 
 * ``R-hat = sqrt(((n - 1) / n * W + B / n) / W)`` with ``W``/``B`` the within
   and between split-chain variances of the scores;
@@ -57,27 +58,6 @@ def _split_chains(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[:, :half], x[:, n - half :]], axis=0)
 
 
-def split_rhat(x: np.ndarray) -> float:
-    """Rank-normalised split R-hat for draws shaped (n_chains, n_iter)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("draws must be (n_chains, n_iterations)")
-    if x.shape[1] < 4:
-        return np.nan
-    if np.all(x == x.ravel()[0]):
-        return 1.0
-    z = _rank_normalize(x)
-    s = _split_chains(z)
-    m, n = s.shape
-    means = s.mean(axis=1)
-    w = s.var(axis=1, ddof=1).mean()
-    b = n * means.var(ddof=1)
-    if w == 0.0:
-        return np.inf
-    var_plus = (n - 1) / n * w + b / n
-    return float(np.sqrt(var_plus / w))
-
-
 def _autocovariance(x: np.ndarray) -> np.ndarray:
     """Biased autocovariance by FFT, one row per chain."""
     m, n = x.shape
@@ -88,29 +68,29 @@ def _autocovariance(x: np.ndarray) -> np.ndarray:
     return acov / n
 
 
-def ess_bulk(x: np.ndarray) -> float:
-    """Bulk effective sample size for draws shaped (n_chains, n_iter)."""
+def rank_diagnostics(x: np.ndarray) -> tuple:
+    """Rank-normalised split R-hat and bulk ESS for draws shaped (n_chains, n_iter)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("draws must be (n_chains, n_iterations)")
-    m0 = x.shape[0]
     if x.shape[1] < 4:
-        return np.nan
+        return np.nan, np.nan
     if np.all(x == x.ravel()[0]):
-        return float(x.size)
-    per_chain_const = np.all(x == x[:, :1], axis=1)
-    if np.all(per_chain_const):
-        return float(m0)
-    z = _rank_normalize(x)
-    s = _split_chains(z)
+        return 1.0, float(x.size)
+    m0 = x.shape[0]
+    s = _split_chains(_rank_normalize(x))
     m, n = s.shape
+    between = s.mean(axis=1).var(ddof=1)        # B / n
+    w = s.var(axis=1, ddof=1).mean()
+    rhat = np.inf if w == 0.0 else float(np.sqrt(((n - 1) / n * w + n * between / n) / w))
+    if np.all(x == x[:, :1]):   # each chain constant
+        return rhat, float(m0)
+
     acov = _autocovariance(s)
     w = (acov[:, 0] * n / (n - 1)).mean()
-    means = s.mean(axis=1)
-    b_over_n = means.var(ddof=1)
-    var_plus = (n - 1) / n * w + b_over_n
+    var_plus = (n - 1) / n * w + between
     if var_plus == 0.0:
-        return float(m0)
+        return rhat, float(m0)
 
     rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
     rho[0] = 1.0
@@ -128,5 +108,4 @@ def ess_bulk(x: np.ndarray) -> float:
         prev_pair = pair
         t += 2
     tau = max(2.0 * tau - 1.0, 1.0 / np.log10(n + 10.0))
-    ess = m * n / tau
-    return float(min(ess, m * n * np.log10(m * n)))
+    return rhat, float(min(m * n / tau, m * n * np.log10(m * n)))

@@ -116,7 +116,8 @@ def stationary_variance(psi: np.ndarray, omega1: np.ndarray) -> np.ndarray:
     ``omega1`` is one (2, 2) precision matrix or a stack (..., 2, 2) of them,
     solved together; V has the same shape. ``psi`` may carry leading axes of
     rows, which then lead ``omega1``'s too; each row is one solve. Raises
-    ``LinAlgError`` when an omega1 or a V is not positive definite.
+    ``LinAlgError`` when an omega1 or a V is not positive definite, or the
+    system is singular.
     """
     v, omega_ok, v_ok = _stationary_variance_rows(psi, omega1)
     _raise_unless_positive_definite(omega_ok, v_ok)
@@ -127,8 +128,10 @@ def _stationary_variance_rows(psi, omega1):
     """``stationary_variance`` without raising: ``(v, omega_ok, v_ok)``.
 
     ``omega_ok`` and ``v_ok`` (psi's leading axes) say whether each row's
-    omega1, and then its V, are positive definite. A row that fails either
-    gets the identity for V; the other rows are what they are alone.
+    omega1, and then its V, are positive definite; a singular 3x3 system
+    (determinant 0.0, on which ``np.linalg.solve`` would raise) is solved as
+    the identity and fails ``v_ok``. A row that fails either gets the
+    identity for V; the other rows are what they are alone.
     """
     psi = np.asarray(psi, dtype=np.float64)
     omega1 = np.asarray(omega1, dtype=np.float64)
@@ -146,9 +149,11 @@ def _stationary_variance_rows(psi, omega1):
         det = np.where(by_row(omega_ok, det.ndim), det, 1.0)
     s = np.stack([omega1[..., 1, 1] / det, -omega1[..., 0, 1] / det, omega1[..., 0, 0] / det], axis=k)
     rhs = s.reshape(s.shape[: k + 1] + (-1,))          # (..., 3, M): one column per matrix
-    sol = np.linalg.solve(_lyapunov_matrix(psi[..., 0, 0], psi[..., 0, 1]), rhs).reshape(s.shape)
+    system = _lyapunov_matrix(psi[..., 0, 0], psi[..., 0, 1])
+    solvable = np.linalg.det(system) != 0.0
+    sol = np.linalg.solve(np.where(solvable[..., None, None], system, np.eye(3)), rhs).reshape(s.shape)
     v11, v12, v22 = (sol[(slice(None),) * k + (i,)] for i in range(3))
-    v_ok = np.all((v11 > 0.0) & (v11 * v22 - v12 * v12 > 0.0), axis=within)
+    v_ok = solvable & np.all((v11 > 0.0) & (v11 * v22 - v12 * v12 > 0.0), axis=within)
     v = np.empty(omega1.shape)
     v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = v11, v12, v12, v22
     if not (omega_ok & v_ok).all():
@@ -216,7 +221,8 @@ class DayTables:
     per-day fields are views of the one day-last array ``days`` (7, 4, T),
     with the per-row axes reversed: mu's two regions, phi, log tau1, log
     tau2, tau1 and tau2. ``valid`` says whether each row's first-day law is
-    positive definite; a row where it is not holds the identity for V.
+    positive definite, its Lyapunov system solvable; a row where it is not
+    holds the identity for V.
     """
 
     mu: np.ndarray
@@ -255,8 +261,9 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bo
     days rather than over 2 regions or 4 states; the tables are (T, ...)
     views of them. Parameters with a leading axis of rows give tables with
     that axis, each row as that row alone would give it. Raises
-    ``LinAlgError`` when a row's first-day law is not positive definite;
-    with ``per_row`` that row is marked in ``valid`` instead.
+    ``LinAlgError`` when a row's first-day law is not positive definite or
+    its Lyapunov system is singular; with ``per_row`` that row is marked in
+    ``valid`` instead.
     """
     two_k = 2 * params.k_annual
     if design.f_annual.shape[1] != two_k or design.f_prec.shape[1] != 2 * params.k_prec_annual:
@@ -357,7 +364,9 @@ def day_tables_adjoint(
     g_v = g_v_logdet[..., None, None] * v_inv - v_inv @ g_v_inv.swapaxes(-1, -2) @ v_inv
     a, b = tables.psi[..., 0, 0], tables.psi[..., 0, 1]
     g_v3 = np.stack([g_v[..., 0, 0], g_v[..., 0, 1] + g_v[..., 1, 0], g_v[..., 1, 1]], axis=-2)
-    g_s = np.linalg.solve(_lyapunov_matrix(a, b).swapaxes(-1, -2), g_v3)
+    # a row marked invalid reads -inf and its gradient is not used: solve it as the identity
+    system = np.where(tables.valid[..., None, None], _lyapunov_matrix(a, b), np.eye(3))
+    g_s = np.linalg.solve(system.swapaxes(-1, -2), g_v3)
     g_coef = -g_s @ v.swapaxes(-1, -2)
     zero = np.zeros_like(a)
     dcoef_da = _matrix([[-2 * a, -2 * b, zero], [-b, -2 * a, -b], [zero, -2 * b, -2 * a]])

@@ -120,15 +120,9 @@ def coverage_by_gap(
     gap = cov.gap[1:]
 
     labels = tuple(str(g) for g in GAP_BUCKETS[:-1]) + (f"{GAP_BUCKETS[-1]}+",)
-    count = np.zeros((len(GAP_BUCKETS), 2))
-    out_count = np.zeros((len(GAP_BUCKETS), 2))
-    for i, g in enumerate(GAP_BUCKETS[:-1]):
-        mask = gap == g
-        count[i] = mask.sum()
-        out_count[i] = outside[mask].sum(axis=0)
-    mask = gap >= GAP_BUCKETS[-1]
-    count[-1] = mask.sum()
-    out_count[-1] = outside[mask].sum(axis=0)
+    masks = [gap == g for g in GAP_BUCKETS[:-1]] + [gap >= GAP_BUCKETS[-1]]
+    count = np.array([[mask.sum()] * 2 for mask in masks], dtype=np.float64)
+    out_count = np.array([outside[mask].sum(axis=0) for mask in masks], dtype=np.float64)
 
     return PpcSummary(
         bucket_labels=labels,

@@ -23,7 +23,8 @@ handing ``run_mcmc`` its chains' states after every iteration:
 All chains are valued in one batched pass: ``NumpyPosterior`` runs its
 forward and reverse passes once over a (C, D) block, and each row's value
 and gradient are bit for bit what that row gives alone, so a chain's draws
-do not depend on how many chains run beside it.
+do not depend on how many chains run beside it. A row that cannot be valued
+is marked, not retried: it reads -inf, with a zero gradient, in that pass.
 
 Both use numpy RNG streams spawned deterministically from the master seed
 (stream ``[seed, 1000 + c]`` drives chain ``c``, ``[seed, 999]`` the shared
@@ -137,7 +138,8 @@ class Diagnostics:
 
     @property
     def max_rhat(self) -> float:
-        vals = [v for v in self.rhat.values() if np.isfinite(v)]
+        """The largest R-hat, infinite ones included; NaN (undefined) ones are skipped."""
+        vals = [v for v in self.rhat.values() if not np.isnan(v)]
         return max(vals) if vals else np.nan
 
     @property
@@ -193,12 +195,11 @@ class NumpyPosterior:
         """``(values, rows, state)`` at the (C, D) rows of ``q``.
 
         A row whose prior is not finite is left out of the likelihood, and
-        so is one whose likelihood is not. A row whose first-day law is not
-        positive definite reads -inf but stays in the pass, so the block's
-        day tables are built once. If the day tables or the likelihood
-        raise, each row is valued alone and the failing ones read -inf.
-        ``state`` is what the gradient needs at the rows ``rows``, and None
-        if there are none.
+        so is one whose likelihood is not. A row whose first-day law cannot
+        be valued (``DayTables.valid`` is False: not positive definite, or a
+        singular Lyapunov system) reads -inf but stays in the pass, so the
+        block's day tables are built once. ``state`` is what the gradient
+        needs at the rows ``rows``, and None if there are none.
         """
         values = np.full(q.shape[0], -np.inf)
         rows = np.arange(q.shape[0])
@@ -208,21 +209,13 @@ class NumpyPosterior:
             lp = log_prior(emission, trans, latents, self.hyper)
             keep = np.isfinite(lp)
             if keep.all():
-                try:
-                    tables = build_day_tables(emission, self.design, per_row=True)
-                    loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
-                except (ValueError, FloatingPointError):
-                    if rows.size == 1:
-                        break
-                    keep = np.isfinite([self(q[r]) for r in rows])
-                    if keep.all():   # every row passes alone: the failure is not a row's
-                        raise
-                else:
-                    keep = np.isfinite(loglik)
-                    if keep.all():
-                        value = loglik + lp + self.space.log_jacobian(full)
-                        values[rows] = np.where(tables.valid, value, -np.inf)
-                        return values, rows, (full, emission, trans, latents, tables, tape)
+                tables = build_day_tables(emission, self.design, per_row=True)
+                loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
+                keep = np.isfinite(loglik)
+                if keep.all():
+                    value = loglik + lp + self.space.log_jacobian(full)
+                    values[rows] = np.where(tables.valid, value, -np.inf)
+                    return values, rows, (full, emission, trans, latents, tables, tape)
             rows = rows[keep]
         return values, rows, None
 
@@ -703,14 +696,14 @@ def run_mcmc(
 
 
 def compute_diagnostics(draws: PosteriorDraws, accept_rate, divergences: int) -> Diagnostics:
-    """Split R-hat and bulk ESS per scalar; R-hat needs at least two chains."""
+    """Split R-hat and bulk ESS per scalar, from one rank-normalised pass each;
+    R-hat needs at least two chains."""
     by_chain = draws.by_chain()  # (C, n, d)
     n_chains = by_chain.shape[0]
     rhat, ess = {}, {}
     for k, name in enumerate(draws.names):
-        x = by_chain[:, :, k]
-        ess[name] = diag.ess_bulk(x)
-        rhat[name] = diag.split_rhat(x) if n_chains >= 2 else np.nan
+        r, ess[name] = diag.rank_diagnostics(by_chain[:, :, k])
+        rhat[name] = r if n_chains >= 2 else np.nan
     return Diagnostics(
         rhat=rhat,
         ess=ess,

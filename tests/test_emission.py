@@ -11,6 +11,7 @@ from demandhmm.emission import (
     EmissionParams,
     build_day_tables,
     build_design,
+    _stationary_variance_rows,
     psi_from_xi,
     stationary_variance,
 )
@@ -239,6 +240,22 @@ class TestStationaryVariance:
             assert np.max(np.abs(resid)) <= 1e-12
             assert v[0, 1] == v[1, 0]
             assert np.all(np.linalg.eigvalsh(v) > 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_system_marks_its_row(self):
+        # eigenvalue 1: the 3x3 Lyapunov system's determinant is exactly 0.0
+        singular = np.array([[0.5, 0.5], [0.5, 0.5]])
+        psi = np.stack([psi_from_xi([0.3, 0.8]), singular, psi_from_xi([0.9, 0.05])])
+        a = np.random.default_rng(6).standard_normal((3, 4, 2, 2))
+        omega = a @ a.swapaxes(-1, -2) + 0.05 * np.eye(2)
+        v, omega_ok, v_ok = _stationary_variance_rows(psi, omega)
+        assert omega_ok.tolist() == [True, True, True]
+        assert v_ok.tolist() == [True, False, True]
+        assert np.array_equal(v[1], np.broadcast_to(np.eye(2), (4, 2, 2)))
+        for r in (0, 2):
+            assert v[r].tobytes() == stationary_variance(psi[r], omega[r]).tobytes()
+        with pytest.raises(np.linalg.LinAlgError, match="stationary variance is not positive definite"):
+            stationary_variance(singular, omega[1])
 
 
 class TestLogDensity:

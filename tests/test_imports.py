@@ -1,6 +1,8 @@
 """Every name a program module imports is used in that module, and none is
 another program module's private (``_name``) one; no program module reads or
-writes a private attribute that another module's class defines."""
+writes a private attribute that another module's class defines; and every
+``except`` handler in a program module ends in ``raise``, but for the few
+sites named in ``HANDLED_HERE``."""
 
 import ast
 import pathlib
@@ -9,6 +11,14 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "demandhmm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# The functions whose ``except`` handlers may end without ``raise``, and why.
+HANDLED_HERE = {
+    "cli.main": "maps each error to its exit code",
+    "cli._params_from_json": "marks the value bad and raises ConfigError after",
+    "dataio.write_error_json": "error.json is best effort; the JSON still goes to stderr",
+    "sampler._BlockAdapter.chol": "keeps the last good proposal factor",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -69,6 +79,24 @@ def foreign_private_attributes(source: str, others) -> list:
     })
 
 
+def handlers_without_raise(source: str) -> list:
+    """Dotted names of the functions (``Class.method`` in a class) holding an
+    ``except`` handler whose last statement is not ``raise``, once per handler."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.ExceptHandler) and not isinstance(child.body[-1], ast.Raise):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
 def test_detects_an_unused_import():
     source = "import os\nfrom math import pi, tau\nfrom . import x as y\nprint(os.sep, tau)\n"
     assert unused_imports(source) == ["pi", "y"]
@@ -111,3 +139,27 @@ def test_detects_a_foreign_private_attribute():
 def test_no_foreign_private_attributes(path):
     others = [p.read_text() for p in MODULES if p != path]
     assert foreign_private_attributes(path.read_text(), others) == []
+
+
+def test_detects_a_handler_without_raise():
+    source = (
+        "try:\n    import x\nexcept ImportError:\n    x = None\n"
+        "class Step:\n    def go(self):\n        try:\n            f()\n"
+        "        except ValueError:\n            return 0\n        except KeyError as exc:\n"
+        "            raise TypeError() from exc\n"
+        "def run():\n    def inner():\n        try:\n            f()\n"
+        "        except OSError:\n            raise\n    try:\n        inner()\n"
+        "    except Exception:\n        if g():\n            raise\n"
+    )
+    assert handlers_without_raise(source) == ["", "Step.go", "run"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_exception_as_control_flow(path):
+    sites = {f"{path.stem}.{name}" for name in handlers_without_raise(path.read_text())}
+    assert sorted(sites - set(HANDLED_HERE)) == []
+
+
+def test_every_exempt_handler_exists():
+    sites = {f"{p.stem}.{name}" for p in MODULES for name in handlers_without_raise(p.read_text())}
+    assert set(HANDLED_HERE) <= sites

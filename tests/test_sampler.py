@@ -5,14 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from demandhmm import emission as emission_module
 from demandhmm import sampler as sampler_module
-from demandhmm.diagnostics import _average_ranks, ess_bulk, split_rhat
+from demandhmm.diagnostics import _average_ranks, rank_diagnostics
 from demandhmm.emission import day_tables
 from demandhmm.filtering import log_likelihood
 from demandhmm.generative import simulate
 from demandhmm.paramspace import ParamSpace
 from demandhmm.priors import default_hyperparameters, log_prior, sample_prior
 from demandhmm.sampler import (
+    Diagnostics,
     NumpyPosterior,
     SamplerConfig,
     compute_diagnostics,
@@ -168,35 +170,45 @@ class TestLogPosterior:
             assert _digest(grads[r]) == _digest(alone[r][1][0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rows_are_valued_alone_when_the_block_tables_raise(self, problem, monkeypatch):
+    def test_singular_first_day_system_drops_its_row_in_one_pass(self, problem, monkeypatch):
         emission, trans, latents, cov, y, hyper, space = problem
         post = NumpyPosterior(y, cov, hyper, space)
         u = space.pack(emission, trans, latents)
         block = u + 0.01 * np.random.default_rng(11).standard_normal((3, space.size))
         alone = [post.logpost_and_grad_batch(row[None]) for row in block]
-        marked = space.unpack(block[1])[0].level[0]
-        build = sampler_module.build_day_tables
+        marked = space.unpack(block[1])[0].ar_matrix[0, 0]
+        lyapunov, build, built = emission_module._lyapunov_matrix, sampler_module.build_day_tables, []
 
-        def failing_with_marked_row(params, design, per_row=False):
-            if np.any(params.level[..., 0] == marked):
-                raise np.linalg.LinAlgError("a marked row")
+        def singular_on_marked_row(a, b):
+            return np.where(np.asarray(a == marked)[..., None, None], 0.0, lyapunov(a, b))
+
+        def counted(params, design, per_row=False):
+            built.append(per_row)
             return build(params, design, per_row=per_row)
 
-        monkeypatch.setattr(sampler_module, "build_day_tables", failing_with_marked_row)
+        monkeypatch.setattr(emission_module, "_lyapunov_matrix", singular_on_marked_row)
+        monkeypatch.setattr(sampler_module, "build_day_tables", counted)
         values, grads = post.logpost_and_grad_batch(block)
+        assert built == [True]
         assert values[1] == -np.inf and not np.any(grads[1])
         for r in (0, 2):
             assert _digest(values[r]) == _digest(alone[r][0][0])
             assert _digest(grads[r]) == _digest(alone[r][1][0])
 
-        def failing_on_blocks(params, design, per_row=False):
-            if params.level.shape[0] > 1:     # a block of more than one row; each row alone passes
-                raise np.linalg.LinAlgError("a block")
-            return build(params, design, per_row=per_row)
+    def test_an_error_in_the_day_tables_reaches_the_caller(self, problem, monkeypatch):
+        emission, trans, latents, cov, y, hyper, space = problem
+        post = NumpyPosterior(y, cov, hyper, space)
+        u = space.pack(emission, trans, latents)
+        block = u + 0.01 * np.random.default_rng(12).standard_normal((3, space.size))
+        error = np.linalg.LinAlgError("the day tables failed")
 
-        monkeypatch.setattr(sampler_module, "build_day_tables", failing_on_blocks)
-        with pytest.raises(np.linalg.LinAlgError, match="a block"):
+        def failing(params, design, per_row=False):
+            raise error
+
+        monkeypatch.setattr(sampler_module, "build_day_tables", failing)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
             post.logpost_and_grad_batch(block)
+        assert raised.value is error
 
     def test_design_is_built_once_per_posterior(self, problem, monkeypatch):
         emission, trans, latents, cov, y, hyper, space = problem
@@ -332,7 +344,7 @@ class TestRunMcmc:
     @pytest.mark.parametrize("case, digest", [
         ("hmc_four_state", "ff05535a64bcc95b545d256bbae35adb34762bcd7960502c72314f9ff4e5d004"),
         ("hmc_two_state", "055ccd4506c3b668edd2ef6fd005ac17f5f15af4a84d5b97f659304786efae0a"),
-        ("rwm_four_state", "fdac9fd37bc32d160484398722325801bafb872c8b11fc26828dc2786bfd262a"),
+        ("rwm_four_state", "b415040f5ae04d2701e6ff5c00088c7d5c0cca0139abd3fb2b1fb099eaf4d2c1"),
         ("rwm_free_subset", "141b1475931a01a86d9a2e30f6be39f535db23f6d921a59bc68b0f23fd01274a"),
     ])
     def test_draws_pinned(self, problem, case, digest):
@@ -376,22 +388,23 @@ class TestDiagnostics:
     def test_iid_normal(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 2000))
-        assert 0.99 <= split_rhat(x) <= 1.01
-        assert ess_bulk(x) >= 0.8 * x.size
+        rhat, ess = rank_diagnostics(x)
+        assert 0.99 <= rhat <= 1.01
+        assert ess >= 0.8 * x.size
 
     def test_constant_chains(self):
         x = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 50))
-        assert split_rhat(x) == np.inf
-        assert ess_bulk(x) <= 8.0
+        rhat, ess = rank_diagnostics(x)
+        assert rhat == np.inf
+        assert ess <= 8.0
         same = np.ones((4, 50))
-        assert split_rhat(same) == 1.0
+        assert rank_diagnostics(same)[0] == 1.0
 
     def test_chain_label_permutation_invariant(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 500)) + np.array([[0.0], [0.1], [0.0], [0.2]])
         perm = x[[2, 0, 3, 1]]
-        assert split_rhat(x) == pytest.approx(split_rhat(perm), rel=1e-12)
-        assert ess_bulk(x) == pytest.approx(ess_bulk(perm), rel=1e-12)
+        assert rank_diagnostics(x) == pytest.approx(rank_diagnostics(perm), rel=1e-12)
 
     def test_average_ranks_equal_the_tie_loop(self):
         def loop_ranks(x):       # each run of ties shares the mean of its 1-based ranks
@@ -415,7 +428,13 @@ class TestDiagnostics:
         rng = np.random.default_rng(13)
         x = 0.1 * rng.standard_normal((4, 500))
         x[0] += 5.0
-        assert split_rhat(x) > 1.5
+        assert rank_diagnostics(x)[0] > 1.5
+
+    def test_max_rhat_keeps_infinite_and_skips_undefined(self):
+        dg = Diagnostics(rhat={"a": 1.0, "b": np.inf, "c": np.nan}, ess={"a": 10.0},
+                         accept_rate=np.zeros(2), divergences=0, n_retained=8)
+        assert dg.max_rhat == np.inf
+        assert dg.to_dict()["max_rhat"] is None
 
     def test_compute_diagnostics_names(self, problem):
         *_, cov, y, hyper, space = problem
