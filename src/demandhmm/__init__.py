@@ -7,53 +7,37 @@ bivariate AR(1) around a state-dependent mean with a state-dependent
 precision. The package covers covariate construction, exact filtering and
 smoothing, Bayesian MCMC fitting, simulation, forecasting and posterior
 predictive checking, plus a batch CLI.
+
+Importing the package loads none of its modules: each name below is looked
+up in its module on first access, so a CLI command loads only what it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .covariates import (
-    CovariateSeries,
-    HolidayCalendar,
-    SeasonalCwvBaseline,
-    build_covariates,
-    smooth_cwv_baseline,
-)
-from .emission import EmissionParams
-from .filtering import backward_smooth, forward_filter, rao_blackwell_states, smooth_states
-from .generative import SimulationOutput, default_truth, simulate, uk_holiday_calendar
-from .priors import (
-    HyperLatents,
-    Hyperparameters,
-    default_hyperparameters,
-    log_prior,
-    sample_prior,
-)
-from .sampler import PosteriorDraws, SamplerConfig, run_mcmc
-from .states import ModelMode, TransitionParams
+_HOMES = {
+    "covariates": (
+        "CovariateSeries", "HolidayCalendar", "SeasonalCwvBaseline", "build_covariates",
+        "smooth_cwv_baseline",
+    ),
+    "emission": ("EmissionParams",),
+    "filtering": ("backward_smooth", "forward_filter", "rao_blackwell_states", "smooth_states"),
+    "generative": ("SimulationOutput", "default_truth", "simulate", "uk_holiday_calendar"),
+    "paramspace": ("PosteriorDraws",),
+    "priors": (
+        "HyperLatents", "Hyperparameters", "default_hyperparameters", "log_prior", "sample_prior",
+    ),
+    "sampler": ("SamplerConfig", "run_mcmc"),
+    "states": ("ModelMode", "TransitionParams"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "CovariateSeries",
-    "EmissionParams",
-    "HolidayCalendar",
-    "HyperLatents",
-    "Hyperparameters",
-    "ModelMode",
-    "PosteriorDraws",
-    "SamplerConfig",
-    "SeasonalCwvBaseline",
-    "SimulationOutput",
-    "TransitionParams",
-    "backward_smooth",
-    "build_covariates",
-    "default_hyperparameters",
-    "default_truth",
-    "forward_filter",
-    "log_prior",
-    "rao_blackwell_states",
-    "run_mcmc",
-    "sample_prior",
-    "simulate",
-    "smooth_cwv_baseline",
-    "smooth_states",
-    "uk_holiday_calendar",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # not cached here, so a name always reads its module's current binding
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

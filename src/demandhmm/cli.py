@@ -7,6 +7,9 @@ and reports failures as machine-readable JSON on stderr with exit codes:
 traceback), 2 input error, 3 numerical failure, 4 non-convergence under
 ``--strict``. All randomness derives from the single seed via documented
 stream splitting, so identical invocations produce identical outputs.
+
+Each command imports the modules it runs when it starts, so only ``fit``
+loads the sampler.
 """
 
 from __future__ import annotations
@@ -22,12 +25,7 @@ import numpy as np
 
 from . import __version__, dataio
 from .covariates import CovariateError, HolidayCalendar, build_covariates, smooth_cwv_baseline
-from .diagnostics import json_number
-from .filtering import rao_blackwell_states
-from .generative import default_truth, simulate, sinusoidal_cwv
-from .ppc import coverage_by_gap, forecast, posterior_predictive_replicates
 from .priors import ConfigError, load_hyperparameters
-from .sampler import BACKENDS, SamplerConfig, SamplingError, run_mcmc
 from .states import ModelMode
 
 
@@ -41,7 +39,8 @@ EXIT_NUMERICAL = 3
 EXIT_CONVERGENCE = 4
 
 _INPUT_ERRORS = (dataio.DataError, CovariateError, ConfigError, FileNotFoundError, ValueError)
-_NUMERICAL_ERRORS = (SamplingError, np.linalg.LinAlgError, FloatingPointError, ArithmeticError)
+# ArithmeticError holds FloatingPointError and sampler.SamplingError
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
 
 # The arguments that name an input file; the manifest hashes each one a command was given.
 _INPUT_FILES = (
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--burn-in", type=float, default=0.5)
     p.add_argument("--thin", type=int, default=10)
-    p.add_argument("--backend", default="hmc", choices=list(BACKENDS))
+    p.add_argument("--backend", default="hmc", help="hmc or adaptive-metropolis")
     p.add_argument("--leapfrog", type=int, default=16)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when the R-hat threshold is breached")
@@ -134,6 +133,8 @@ def _params_from_json(doc, k_annual: int, k_prec_annual: int, mode: ModelMode):
     finite numbers shaped as the config's harmonic counts imply. ``trans`` may
     be left out in two-state mode.
     """
+    from .generative import default_truth
+
     reference = dict(zip(("emission", "trans", "latents"), default_truth(k_annual, k_prec_annual)))
     required = {"emission", "latents"} | ({"trans"} if mode is ModelMode.FOUR_STATE else set())
     if not isinstance(doc, dict) or not required <= set(doc) <= set(reference):
@@ -196,6 +197,8 @@ def _write_manifest(args, hyper=None, **extra):
 
 
 def _cmd_simulate(args) -> int:
+    from .generative import default_truth, simulate, sinusoidal_cwv
+
     hyper, _, _ = _load(args)
     calendar = HolidayCalendar.from_csv(args.holidays)
     start = dt.date.fromisoformat(args.start)
@@ -229,6 +232,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .diagnostics import json_number
+    from .sampler import SamplerConfig, run_mcmc
+
     hyper, ds, _ = _load(args)
     cfg = SamplerConfig(
         n_chains=args.chains,
@@ -255,6 +261,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
+    from .filtering import rao_blackwell_states
+
     hyper, ds, draws = _load(args)
     smoothed = rao_blackwell_states(draws, ds.y, ds.cov)
     dataio.write_smoothed_csv(os.path.join(args.out_dir, "smoothed.csv"), ds.cov, smoothed.probs)
@@ -263,6 +271,8 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
+    from .ppc import forecast
+
     if args.horizon < 1:
         raise dataio.DataError(f"horizon must be at least 1 day, got {args.horizon}")
     hyper, ds, draws = _load(args)
@@ -289,6 +299,8 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_ppc(args) -> int:
+    from .ppc import coverage_by_gap, posterior_predictive_replicates
+
     hyper, ds, draws = _load(args)
     replicates = posterior_predictive_replicates(draws, ds.y, ds.cov, args.seed)
     summary = coverage_by_gap(replicates, ds.y, ds.cov)

@@ -37,9 +37,8 @@ from . import __version__
 from .covariates import (
     CovariateSeries, HolidayCalendar, SeasonalCwvBaseline, build_covariates, smooth_cwv_baseline,
 )
-from .paramspace import ParamSpace
+from .paramspace import ParamSpace, PosteriorDraws
 from .priors import hyperparameters_to_dict
-from .sampler import PosteriorDraws
 from .states import ModelMode
 
 

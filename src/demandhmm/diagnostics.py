@@ -19,11 +19,7 @@ undefined or infinite values as JSON ``null``.
 
 from __future__ import annotations
 
-from statistics import NormalDist
-
 import numpy as np
-
-_PHI_INV = NormalDist().inv_cdf
 
 
 def json_number(x) -> float | None:
@@ -46,10 +42,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
+    from statistics import NormalDist  # a slow import, needed only here
+
     s = x.size
     ranks = _average_ranks(x)
     z = (ranks - 0.375) / (s + 0.25)
-    return np.vectorize(_PHI_INV)(z)
+    return np.vectorize(NormalDist().inv_cdf)(z)
 
 
 def _split_chains(x: np.ndarray) -> np.ndarray:

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the functions perfbench traces are called through their module, where its tracer wraps them
+from . import states as states_module
 from .covariates import CovariateSeries
 from .emission import LOG_2PI, DayTables, EmissionParams, day_tables
 from .states import (
@@ -53,7 +55,6 @@ from .states import (
     STATE_PRE,
     TransitionParams,
     log_initial_distribution,
-    log_transition_tables,
     row_dot,
 )
 
@@ -230,7 +231,7 @@ def _kernel_terms(y, cov, tables, trans):
     logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))[slots.states[0]]
     first = (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[..., slots.states[1]]
     out[..., 0] = logl0[:, None] + first[..., None, :]
-    out += slots.gather_pairs(log_transition_tables(trans, cov.n[1:], cov.p[1:]))
+    out += slots.gather_pairs(states_module.log_transition_tables(trans, cov.n[1:], cov.p[1:]))
     return out, (slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2)
 
 
@@ -509,7 +510,7 @@ def smooth_states(y, cov, emission, trans):
 def rao_blackwell_states(draws, y, cov) -> SmoothedStates:
     """Average per-draw smoothed marginals over retained posterior draws.
 
-    ``draws`` is a ``sampler.PosteriorDraws``; each draw's ``trans`` names its model.
+    ``draws`` is a ``paramspace.PosteriorDraws``; each draw's ``trans`` names its model.
     """
     if draws.n_draws < 1:
         raise ValueError("at least one posterior draw is required")

@@ -14,7 +14,8 @@ parameters; ``assemble_params`` pins the latter.
 
 A subset of parameter families can be declared free; the remaining families
 are pinned to a base vector. This is how conditional posteriors (for example
-with only the intercepts free) are sampled.
+with only the intercepts free) are sampled. ``PosteriorDraws`` holds a
+sampler's retained draws in a space's free coordinates.
 """
 
 from __future__ import annotations
@@ -230,6 +231,47 @@ class ParamSpace:
     def free_unconstrained(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`free_constrained`."""
         return _on_mask(values, self._free_logit_mask, logit)
+
+
+@dataclass
+class PosteriorDraws:
+    """Retained draws in unconstrained free coordinates plus provenance."""
+
+    free_draws: np.ndarray              # (M, d)
+    logpost: np.ndarray                 # (M,)
+    chain: np.ndarray                   # (M,)
+    iteration: np.ndarray               # (M,)
+    space: ParamSpace
+    base_full: np.ndarray               # pinned values for non-free entries
+
+    @property
+    def n_draws(self) -> int:
+        return self.free_draws.shape[0]
+
+    @property
+    def mode(self) -> ModelMode:
+        return self.space.mode
+
+    @property
+    def names(self) -> tuple:
+        return self.space.free_names
+
+    def full_vector(self, i: int) -> np.ndarray:
+        return self.space.insert_free(self.base_full, self.free_draws[i])
+
+    def params_at(self, i: int):
+        return self.space.unpack(self.full_vector(i))
+
+    def constrained(self) -> np.ndarray:
+        """(M, d) natural-space values of the free coordinates."""
+        return self.space.free_constrained(self.free_draws)
+
+    def by_chain(self) -> np.ndarray:
+        """(n_chains, n_per_chain, d) view; requires balanced chains."""
+        chains = np.unique(self.chain)
+        per = [self.free_draws[self.chain == c] for c in chains]
+        n = min(p.shape[0] for p in per)
+        return np.stack([p[:n] for p in per])
 
 
 def _on_mask(x, mask: np.ndarray, fn) -> np.ndarray:

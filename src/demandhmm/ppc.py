@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the functions perfbench traces are called through their module, where its tracer wraps them
+from . import generative
 from .covariates import CovariateSeries
 from .diagnostics import json_number
 from .emission import day_tables
 from .filtering import terminal_log_distribution
-from .generative import continue_simulation, simulate
-from .sampler import PosteriorDraws
+from .paramspace import PosteriorDraws
 
 GAP_BUCKETS = (0, 1, 2, 3, 10)
 
@@ -88,7 +89,7 @@ def posterior_predictive_replicates(
     out = np.empty((draws.n_draws, cov.T, 2))
     for i in range(draws.n_draws):
         emission, trans, _ = draws.params_at(i)
-        out[i] = simulate(emission, trans, cov, rng).y
+        out[i] = generative.simulate(emission, trans, cov, rng).y
         if not np.all(np.isfinite(out[i])):
             raise FloatingPointError(f"draw {i}: replicate is not finite")
     return out
@@ -170,6 +171,8 @@ def forecast(
         last_probs = np.exp(log_last)
         last_state = int(rng.choice(4, p=last_probs / last_probs.sum())) + 1
         last_mu = tables.mu[-1, last_state - 1]
-        _, path = continue_simulation(emission, trans, future_cov, last_state, y[-1], last_mu, rng)
+        _, path = generative.continue_simulation(
+            emission, trans, future_cov, last_state, y[-1], last_mu, rng
+        )
         paths[i] = path
     return paths

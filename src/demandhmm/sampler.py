@@ -39,11 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics as diag
+# the functions perfbench traces are called through their module, where its tracer wraps them
+from . import emission as emission_module
+from . import priors
 from .covariates import CovariateSeries
-from .emission import build_day_tables, build_design, day_tables_adjoint
+from .emission import day_tables_adjoint
 from .filtering import log_likelihood_adjoint, log_likelihood_tape, validate_series
-from .paramspace import ParamSpace
-from .priors import Hyperparameters, log_prior, log_prior_grad, sample_prior
+from .paramspace import ParamSpace, PosteriorDraws
+from .priors import Hyperparameters, log_prior_grad
 from .states import ModelMode, log_transition_tables_adjoint
 
 
@@ -58,7 +61,7 @@ _RWM_TARGET_ACCEPT = 0.234
 _MAX_INIT_RETRIES = 100
 
 
-class SamplingError(RuntimeError):
+class SamplingError(ArithmeticError):
     """Raised when sampling cannot start or breaks down numerically."""
 
 
@@ -84,47 +87,6 @@ class SamplerConfig:
             raise ValueError("thin must be >= 1")
         if self.algorithm not in BACKENDS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-
-
-@dataclass
-class PosteriorDraws:
-    """Retained draws in unconstrained free coordinates plus provenance."""
-
-    free_draws: np.ndarray              # (M, d)
-    logpost: np.ndarray                 # (M,)
-    chain: np.ndarray                   # (M,)
-    iteration: np.ndarray               # (M,)
-    space: ParamSpace
-    base_full: np.ndarray               # pinned values for non-free entries
-
-    @property
-    def n_draws(self) -> int:
-        return self.free_draws.shape[0]
-
-    @property
-    def mode(self) -> ModelMode:
-        return self.space.mode
-
-    @property
-    def names(self) -> tuple:
-        return self.space.free_names
-
-    def full_vector(self, i: int) -> np.ndarray:
-        return self.space.insert_free(self.base_full, self.free_draws[i])
-
-    def params_at(self, i: int):
-        return self.space.unpack(self.full_vector(i))
-
-    def constrained(self) -> np.ndarray:
-        """(M, d) natural-space values of the free coordinates."""
-        return self.space.free_constrained(self.free_draws)
-
-    def by_chain(self) -> np.ndarray:
-        """(n_chains, n_per_chain, d) view; requires balanced chains."""
-        chains = np.unique(self.chain)
-        per = [self.free_draws[self.chain == c] for c in chains]
-        n = min(p.shape[0] for p in per)
-        return np.stack([p[:n] for p in per])
 
 
 @dataclass
@@ -184,7 +146,7 @@ class NumpyPosterior:
     ):
         self.y = validate_series(y, cov)
         self.cov = cov
-        self.design = build_design(cov, space.k_annual, space.k_prec_annual)
+        self.design = emission_module.build_design(cov, space.k_annual, space.k_prec_annual)
         self.hyper = hyper
         self.space = space
         self.base_full = (
@@ -206,10 +168,10 @@ class NumpyPosterior:
         while rows.size:
             full = self.space.insert_free(self.base_full, q[rows])
             emission, trans, latents = self.space.unpack(full)
-            lp = log_prior(emission, trans, latents, self.hyper)
+            lp = priors.log_prior(emission, trans, latents, self.hyper)
             keep = np.isfinite(lp)
             if keep.all():
-                tables = build_day_tables(emission, self.design, per_row=True)
+                tables = emission_module.build_day_tables(emission, self.design, per_row=True)
                 loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
                 keep = np.isfinite(loglik)
                 if keep.all():
@@ -302,7 +264,7 @@ def _initial_points(posterior, rngs):
     points, values = [], []
     for c, rng in enumerate(rngs):
         for _ in range(_MAX_INIT_RETRIES):
-            u_full = space.pack(*sample_prior(posterior.hyper, rng, space.mode))
+            u_full = space.pack(*priors.sample_prior(posterior.hyper, rng, space.mode))
             u_free = space.extract_free(_moment_overrides(u_full, posterior, rng))
             lp = posterior(u_free)
             if np.isfinite(lp):

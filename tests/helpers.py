@@ -38,6 +38,10 @@ from demandhmm.states import (
     transition_matrix,
 )
 
+# The program modules that ``import demandhmm.cli`` loads; every other module
+# loads when a command first runs it.
+CLI_MODULES = frozenset({"cli", "covariates", "dataio", "emission", "paramspace", "priors", "states"})
+
 # Pairs (previous state, current state) with nonzero probability for some
 # (n, p); 5 of the 16 conceivable pairs are structurally impossible. The order
 # is fixed: the reference's pair messages index into it.

@@ -660,6 +660,36 @@ class TestInputErrors:
         assert "n_iterations must be >= 1" in err["message"]
         assert not (out / "draws.csv").exists()
 
+    def test_unknown_backend_is_input_error(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "3",
+            "--out-dir", str(out), "--iters", "4", "--backend", "nope",
+        ])
+        assert rc == 2
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "ValueError" and "unknown algorithm 'nope'" in err["message"]
+        assert not (out / "draws.csv").exists()
+
+    def test_fit_without_a_finite_start_is_numerical_failure(self, workspace, tmp_path, monkeypatch):
+        from demandhmm.sampler import NumpyPosterior
+
+        monkeypatch.setattr(NumpyPosterior, "__call__", lambda self, u_free: -np.inf)
+        out = tmp_path / "out"
+        rc = main([
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "3",
+            "--out-dir", str(out), "--iters", "4", "--backend", "adaptive-metropolis",
+        ])
+        assert rc == 3
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["type"] == "SamplingError"
+        assert "no finite log posterior found for chain 0" in err["message"]
+        assert not (out / "draws.csv").exists()
+
     @pytest.mark.parametrize("line", ["k_annual = 2.7", "k_prec_annual = 0"])
     def test_bad_harmonic_count(self, workspace, tmp_path, line):
         config = tmp_path / "config.txt"

@@ -1,13 +1,25 @@
 """Every name a program module imports is used in that module, and none is
 another program module's private (``_name``) one; no program module reads or
-writes a private attribute that another module's class defines; and every
+writes a private attribute that another module's class defines; every
 ``except`` handler in a program module ends in ``raise``, but for the few
-sites named in ``HANDLED_HERE``."""
+sites named in ``HANDLED_HERE``; and a fresh interpreter loads only the
+modules a command runs, the package's names resolving on first access."""
 
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import demandhmm
+from demandhmm import dataio
+from demandhmm.cli import main
+from demandhmm.generative import uk_holiday_calendar
+from helpers import CLI_MODULES, draws_from_params, small_truth
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "demandhmm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -163,3 +175,78 @@ def test_no_exception_as_control_flow(path):
 def test_every_exempt_handler_exists():
     sites = {f"{p.stem}.{name}" for p in MODULES for name in handlers_without_raise(p.read_text())}
     assert set(HANDLED_HERE) <= sites
+
+
+def fresh_imports(code: str) -> tuple:
+    """``(program modules, every module)`` a fresh interpreter has loaded after running ``code``.
+
+    Program modules are named without the ``demandhmm.`` prefix.
+    """
+    probe = f"{code}\nimport sys\nprint(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    return {name.partition(".")[2] for name in loaded if name.startswith("demandhmm.")}, loaded
+
+
+def command_imports(argv) -> set:
+    """The program modules a fresh interpreter loads to run the CLI command ``argv``."""
+    program, _ = fresh_imports(f"from demandhmm.cli import main\nassert main({argv!r}) == 0")
+    return program
+
+
+@pytest.fixture(scope="module")
+def short_inputs(tmp_path_factory):
+    """A simulated year, its holidays and config, and one draw at the truth."""
+    root = tmp_path_factory.mktemp("imports")
+    uk_holiday_calendar(2020, 2022).to_csv(root / "holidays.csv")
+    (root / "config.txt").write_text("preset = paper-like\nk_annual = 2\nk_prec_annual = 2\n")
+    common = ["--holidays", str(root / "holidays.csv"), "--config", str(root / "config.txt"),
+              "--seed", "5"]
+    assert main(["simulate", *common, "--out-dir", str(root / "sim"),
+                 "--start", "2021-03-01", "--days", "370"]) == 0
+    dataio.write_draws_csv(root / "draws.csv", draws_from_params([small_truth()]))
+    return root, common
+
+
+def test_package_import_loads_no_module():
+    program, _ = fresh_imports("import demandhmm")
+    assert program == set()
+
+
+def test_cli_import_loads_what_every_command_needs():
+    program, loaded = fresh_imports("import demandhmm.cli")
+    assert program == CLI_MODULES
+    assert "statistics" not in loaded
+
+
+def test_simulate_loads_no_sampler_filter_or_ppc(short_inputs):
+    root, common = short_inputs
+    program = command_imports(["simulate", *common, "--out-dir", str(root / "resim"),
+                               "--start", "2021-03-01", "--days", "40"])
+    assert "generative" in program
+    assert program.isdisjoint({"sampler", "filtering", "ppc", "diagnostics"})
+
+
+def test_smooth_loads_no_sampler_simulator_or_ppc(short_inputs):
+    root, common = short_inputs
+    program = command_imports(["smooth", *common, "--out-dir", str(root / "smooth"),
+                               "--data", str(root / "sim" / "data.csv"),
+                               "--draws", str(root / "draws.csv")])
+    assert "filtering" in program
+    assert program.isdisjoint({"sampler", "generative", "ppc"})
+
+
+@pytest.mark.parametrize("name", demandhmm.__all__)
+def test_package_name_is_its_modules_object(name):
+    obj = getattr(demandhmm, name)
+    home = obj.__module__
+    assert home.startswith("demandhmm.")
+    assert getattr(importlib.import_module(home), name) is obj
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(demandhmm, "no_such_name")
+    assert not hasattr(demandhmm, "no_such_name")

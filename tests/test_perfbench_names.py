@@ -5,6 +5,12 @@ functions listed in ``perfbench/tracing.py``'s ``TARGETS``, and its scripts
 import from ``demandhmm``. A renamed or removed name would break the
 benchmark, not the program's own tests, so these tests read perfbench's
 source (without importing or changing it) and look each name up.
+
+The tracer swaps each target for a wrapper in the modules loaded when it
+starts, and puts the originals back there when it stops. A module that first
+loads in between and binds a target by name (``from .states import f``)
+would keep the wrapper, so the modules that load on demand call another
+module's targets through that module.
 """
 
 import ast
@@ -13,7 +19,10 @@ import pathlib
 
 import pytest
 
+from helpers import CLI_MODULES
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "demandhmm"
 
 
 def tracer_targets(source: str) -> list:
@@ -33,6 +42,21 @@ def demandhmm_imports(source: str) -> list:
         and (node.module == "demandhmm" or node.module.startswith("demandhmm."))
         for a in node.names
     ]
+
+
+def targets_bound_by_name(source: str, targets) -> list:
+    """The ``module:function`` targets that the source's ``from ... import`` statements bind.
+
+    Methods (``Class.method`` targets) are wrapped on their class, so they are
+    not among them.
+    """
+    functions = {(m, q) for m, q in targets if "." not in q}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("demandhmm")):
+            module = f"demandhmm.{node.module}" if node.level else node.module
+            found += [f"{module}:{a.name}" for a in node.names if (module, a.name) in functions]
+    return found
 
 
 def resolves(module: str, qualname: str) -> bool:
@@ -78,3 +102,20 @@ def test_tracer_target_resolves(module, qualname):
 @pytest.mark.parametrize("module, name", IMPORTS, ids=[f"{m}:{n}" for m, n in IMPORTS])
 def test_imported_name_resolves(module, name):
     assert resolves(module, name)
+
+
+def test_detects_a_target_bound_by_name():
+    targets = [("demandhmm.states", "f"), ("demandhmm.a", "C.m"), ("demandhmm.a", "g")]
+    source = (
+        "from . import states\nfrom .states import f, h\nfrom .a import C\n"
+        "def run():\n    from demandhmm.a import g\n    return states.f(), C.m(), g()\n"
+    )
+    assert targets_bound_by_name(source, targets) == ["demandhmm.states:f", "demandhmm.a:g"]
+
+
+ON_DEMAND = sorted(p for p in SRC.glob("*.py") if p.stem not in CLI_MODULES | {"__init__"})
+
+
+@pytest.mark.parametrize("path", ON_DEMAND, ids=[p.stem for p in ON_DEMAND])
+def test_on_demand_module_binds_no_target_by_name(path):
+    assert targets_bound_by_name(path.read_text(), TARGETS) == []

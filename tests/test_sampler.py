@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from demandhmm import emission as emission_module
-from demandhmm import sampler as sampler_module
 from demandhmm.diagnostics import _average_ranks, rank_diagnostics
 from demandhmm.emission import day_tables
 from demandhmm.filtering import log_likelihood
@@ -155,13 +154,13 @@ class TestLogPosterior:
         singular[space.slice("prec_base").start] = 1e8
         block = np.stack([u, singular, near])
         alone = [post.logpost_and_grad_batch(row[None]) for row in block]
-        built, build = [], sampler_module.build_day_tables
+        built, build = [], emission_module.build_day_tables
 
         def counted(params, design, per_row=False):
             built.append(per_row)
             return build(params, design, per_row=per_row)
 
-        monkeypatch.setattr(sampler_module, "build_day_tables", counted)
+        monkeypatch.setattr(emission_module, "build_day_tables", counted)
         values, grads = post.logpost_and_grad_batch(block)
         assert built == [True]
         assert values[1] == -np.inf and not np.any(grads[1])
@@ -177,7 +176,7 @@ class TestLogPosterior:
         block = u + 0.01 * np.random.default_rng(11).standard_normal((3, space.size))
         alone = [post.logpost_and_grad_batch(row[None]) for row in block]
         marked = space.unpack(block[1])[0].ar_matrix[0, 0]
-        lyapunov, build, built = emission_module._lyapunov_matrix, sampler_module.build_day_tables, []
+        lyapunov, build, built = emission_module._lyapunov_matrix, emission_module.build_day_tables, []
 
         def singular_on_marked_row(a, b):
             return np.where(np.asarray(a == marked)[..., None, None], 0.0, lyapunov(a, b))
@@ -187,7 +186,7 @@ class TestLogPosterior:
             return build(params, design, per_row=per_row)
 
         monkeypatch.setattr(emission_module, "_lyapunov_matrix", singular_on_marked_row)
-        monkeypatch.setattr(sampler_module, "build_day_tables", counted)
+        monkeypatch.setattr(emission_module, "build_day_tables", counted)
         values, grads = post.logpost_and_grad_batch(block)
         assert built == [True]
         assert values[1] == -np.inf and not np.any(grads[1])
@@ -205,20 +204,20 @@ class TestLogPosterior:
         def failing(params, design, per_row=False):
             raise error
 
-        monkeypatch.setattr(sampler_module, "build_day_tables", failing)
+        monkeypatch.setattr(emission_module, "build_day_tables", failing)
         with pytest.raises(np.linalg.LinAlgError) as raised:
             post.logpost_and_grad_batch(block)
         assert raised.value is error
 
     def test_design_is_built_once_per_posterior(self, problem, monkeypatch):
         emission, trans, latents, cov, y, hyper, space = problem
-        built, build = [], sampler_module.build_design
+        built, build = [], emission_module.build_design
 
         def counted(*args):
             built.append(args)
             return build(*args)
 
-        monkeypatch.setattr(sampler_module, "build_design", counted)
+        monkeypatch.setattr(emission_module, "build_design", counted)
         post = NumpyPosterior(y, cov, hyper, space)
         u = space.pack(emission, trans, latents)
         post(u)
