@@ -3,13 +3,13 @@
 ``run_mcmc`` runs every sampler: it builds the posterior and the chain RNGs,
 draws the chain starts, runs the chosen backend's iterations, counts
 acceptance and divergences after warmup and keeps every ``thin``-th state.
-Each backend in ``BACKENDS`` runs its own pre-phase and then only steps,
-handing ``run_mcmc`` its chains' states after every iteration:
+Each backend in ``BACKENDS`` only steps from the chain starts, handing
+``run_mcmc`` its chains' states after every iteration:
 
-* ``hmc``: an Adam ascent into the typical set, then fixed-trajectory
-  Hamiltonian Monte Carlo with jittered leapfrog count, dual-averaging
-  step-size adaptation and a diagonal mass matrix estimated during warmup.
-  Gradients are exact reverse mode in numpy
+* ``hmc``: fixed-trajectory Hamiltonian Monte Carlo with jittered leapfrog
+  count, per-chain dual-averaging step-size adaptation and one diagonal mass
+  matrix, estimated during warmup from all chains' draws together and shared
+  by every chain. Gradients are exact reverse mode in numpy
   (``NumpyPosterior.logpost_and_grad_batch``), checked against finite
   differences in the tests; the chains advance together, one batched call
   per leapfrog step.
@@ -22,9 +22,11 @@ handing ``run_mcmc`` its chains' states after every iteration:
 
 All chains are valued in one batched pass: ``NumpyPosterior`` runs its
 forward and reverse passes once over a (C, D) block, and each row's value
-and gradient are bit for bit what that row gives alone, so a chain's draws
-do not depend on how many chains run beside it. A row that cannot be valued
-is marked, not retried: it reads -inf, with a zero gradient, in that pass.
+and gradient are bit for bit what that row gives alone. So under adaptive
+Metropolis a chain's draws do not depend on how many chains run beside it;
+HMC's chains share their warmup metric, so theirs do. A row that cannot be
+valued, or whose gradient is not finite, is marked, not retried: it reads
+-inf, with a zero gradient, in that pass.
 
 Both use numpy RNG streams spawned deterministically from the master seed
 (stream ``[seed, 1000 + c]`` drives chain ``c``, ``[seed, 999]`` the shared
@@ -200,13 +202,18 @@ class NumpyPosterior:
     def logpost_and_grad_batch(self, q: np.ndarray):
         """Values (C,) and gradients (C, D) at the rows of ``q``, in one pass.
 
-        Each value and gradient equals that of the row alone exactly, and
-        each value equals ``self(q[c])``; where it is -inf the gradient is 0.
+        Each value and gradient equals that of the row alone exactly. A row
+        whose gradient is not finite (far out, its adjoint overflows) is
+        marked: it reads -inf, though ``self(q[c])`` may be finite there.
+        Every other value equals ``self(q[c])``. Where a value is -inf the
+        gradient is 0.
         """
         values, rows, state = self._forward(np.asarray(q, dtype=np.float64))
         grads = np.zeros(np.shape(q))
         if state is not None:
-            grads[rows] = self._gradient(*state)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads[rows] = self._gradient(*state)
+            values[~np.isfinite(grads).all(axis=1)] = -np.inf
             grads[values == -np.inf] = 0.0
         return values, grads
 
@@ -312,66 +319,6 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-# Parameters held at their initial draws during the first ascent stage.
-# Released too early, the holiday/decay/transition blocks can absorb a wrong
-# intercept by relabelling the whole state path, and the AR eigenvalues can
-# race to the unit-root boundary where the level is unidentified, stranding
-# chains in minor modes.
-_ASCENT_STAGE2_FAMILIES = (
-    "trans", "holiday", "mu_holiday", "prec_holiday", "ar_eig01",
-    "decay_mean", "decay_prec", "logit_decay_mean", "mu_logit_decay",
-)
-
-
-def _ascend(posterior, q):
-    """Adam ascent moving each start into the typical set before warmup.
-
-    Handles the posterior's widely varying per-coordinate curvature, which a
-    plain gradient step cannot. Runs in two stages: the bulk regression
-    parameters first, then everything. Warmup-only preprocessing; the Markov
-    kernel used for retained draws is untouched.
-    """
-    stage2 = set(_ASCENT_STAGE2_FAMILIES)
-    mask = np.array([n not in stage2 for n in _family_of_free(posterior.space)], dtype=np.float64)
-    q, _, _ = _adam_phase(posterior, q, 800, 0.1, mask)
-    q, _, _ = _adam_phase(posterior, q, 400, 0.05, np.ones_like(mask))
-    q, lp, grad = _adam_phase(posterior, q, 600, 0.01, np.ones_like(mask))
-    return q, lp, grad
-
-
-def _family_of_free(space: ParamSpace):
-    """Family name of each free coordinate, in free-vector order."""
-    family = [f.name for f in space.families for _ in f.scalar_names]
-    return [family[i] for i in space.free_idx]
-
-
-def _adam_phase(posterior, q, n_steps: int, lr: float, mask: np.ndarray):
-    """One Adam stage over all chains; keeps the best point seen per chain."""
-    q = q.copy()
-    lp, grad = posterior.logpost_and_grad_batch(q)
-    best_q, best_lp, best_grad = q.copy(), lp.copy(), grad.copy()
-    m = np.zeros_like(q)
-    v = np.zeros_like(q)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    stall = np.zeros(q.shape[0])
-    for step in range(1, n_steps + 1):
-        g = np.where(np.isfinite(grad), grad, 0.0) * mask[None, :]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        mh = m / (1.0 - b1**step)
-        vh = v / (1.0 - b2**step)
-        q = q + lr * mh / (np.sqrt(vh) + eps)
-        lp, grad = posterior.logpost_and_grad_batch(q)
-        improved = np.isfinite(lp) & (lp > best_lp)
-        best_q[improved] = q[improved]
-        best_grad[improved] = grad[improved]
-        stall = np.where(improved & (lp > best_lp + 0.5), 0, stall + 1)
-        best_lp = np.where(improved, lp, best_lp)
-        if np.all(stall > 50):
-            break
-    return best_q, best_lp, best_grad
-
-
 def _hmc_step(posterior, q0, lp0, g0, p0, log_u, eps, inv_mass, n_leap):
     """One leapfrog trajectory and accept step for every chain (leading axis).
 
@@ -409,14 +356,16 @@ def _hmc_step(posterior, q0, lp0, g0, p0, log_u, eps, inv_mass, n_leap):
 
 
 def _hmc(posterior, q, lp, rngs, warmup, config):
-    """HMC after an Adam ascent from ``q``; yields each iteration's hand-off.
+    """HMC from the chain starts ``q``; yields each iteration's hand-off.
 
-    Warmup adapts the step size by dual averaging and the diagonal mass matrix
-    over expanding windows; ``lp`` is recomputed by the ascent.
+    The starts' values ``lp`` are taken again with their gradients, in one
+    batched call. Warmup adapts each chain's step size by dual averaging, and
+    one diagonal mass matrix over expanding windows: each window's variance
+    is taken over every chain's draws, and all chains share it.
     """
     jitter_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 999]))
     C, D = q.shape
-    q, lp, grad = _ascend(posterior, q)
+    lp, grad = posterior.logpost_and_grad_batch(q)
 
     # expanding variance-estimation windows between step-size-only buffers,
     # so slow coordinates get progressively better mass estimates
@@ -434,7 +383,7 @@ def _hmc(posterior, q, lp, rngs, warmup, config):
     window_ends_set = set(window_ends)
     win_lo = buffer
     eps = np.full(C, _INIT_STEP_SIZE)
-    inv_mass = np.ones((C, D))
+    inv_mass = np.ones(D)
     das = [_DualAveraging(_INIT_STEP_SIZE, _HMC_TARGET_ACCEPT) for _ in range(C)]
     window: list = []
 
@@ -455,7 +404,7 @@ def _hmc(posterior, q, lp, rngs, warmup, config):
             if it >= win_lo:
                 window.append(q.copy())
             if (it + 1) in window_ends_set and len(window) >= 5:
-                w = np.stack(window)  # (n, C, D)
+                w = np.concatenate(window)  # (n C, D)
                 n_w = w.shape[0]
                 var = w.var(axis=0, ddof=1)
                 inv_mass = var * (n_w / (n_w + 5.0)) + 1e-5 * (5.0 / (n_w + 5.0))
@@ -488,7 +437,8 @@ _BLOCK_GROUPS = (
 
 def _free_blocks(space: ParamSpace):
     """Free-vector indices of each ``_BLOCK_GROUPS`` group that has free coordinates."""
-    family = np.array(_family_of_free(space), dtype=object)
+    family = np.array([f.name for f in space.families for _ in f.scalar_names], dtype=object)
+    family = family[space.free_idx]
     blocks = [np.flatnonzero(np.isin(family, group)) for group in _BLOCK_GROUPS]
     return [b for b in blocks if b.size]
 
@@ -593,10 +543,10 @@ def _rwm(posterior, q, lp, rngs, warmup, config):
 # Driver
 
 
-# Each backend runs its own pre-phase from the chain starts, then yields
-# ``(it, q, lp, accepted, proposed, divergent)`` after every iteration ``it``:
-# the (C, d) states and (C,) log posteriors, the moves accepted and proposed
-# per chain and the divergent trajectories.
+# Each backend steps from the chain starts (the random walk after its greedy
+# climb) and yields ``(it, q, lp, accepted, proposed, divergent)`` after every
+# iteration ``it``: the (C, d) states and (C,) log posteriors, the moves
+# accepted and proposed per chain and the divergent trajectories.
 BACKENDS = {"hmc": _hmc, "adaptive-metropolis": _rwm}
 
 

@@ -1,8 +1,9 @@
 """Every name a program module imports is used in that module, and none is
-another program module's private (``_name``) one; no program module reads or
-writes a private attribute that another module's class defines; every
-``except`` handler in a program module ends in ``raise``, but for the few
-sites named in ``HANDLED_HERE``; and a fresh interpreter loads only the
+another program module's private (``_name``) one; every private name a
+program file binds at its top level is read in that file; no program module
+reads or writes a private attribute that another module's class defines;
+every ``except`` handler in a program module ends in ``raise``, but for the
+few sites named in ``HANDLED_HERE``; and a fresh interpreter loads only the
 modules a command runs, the package's names resolving on first access."""
 
 import ast
@@ -22,7 +23,8 @@ from demandhmm.generative import uk_holiday_calendar
 from helpers import CLI_MODULES, draws_from_params, small_truth
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "demandhmm"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 # The functions whose ``except`` handlers may end without ``raise``, and why.
 HANDLED_HERE = {
@@ -57,6 +59,21 @@ def private_imports(source: str) -> list:
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
+
+
+def orphaned_private_names(source: str) -> list:
+    """``_name``s the module binds at its top level (functions, classes,
+    assignments) that nothing in the module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if _is_private(name) and name not in read]
 
 
 def class_private_names(source: str) -> set:
@@ -130,6 +147,21 @@ def test_detects_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_detects_an_orphaned_private_name():
+    source = (
+        "import numpy as _np\n_USED = 1\n_UNUSED = 2\n_typed: int = 3\n__all__ = []\n"
+        "def _helper():\n    return _USED\nclass _Kept:\n    _inner = 4\n"
+        "async def _gone():\n    _local = 5\n"
+        "def public():\n    return _helper(), _Kept\n"
+    )
+    assert orphaned_private_names(source) == ["_UNUSED", "_typed", "_gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_orphaned_private_names(path):
+    assert orphaned_private_names(path.read_text()) == []
 
 
 def test_detects_a_foreign_private_attribute():
