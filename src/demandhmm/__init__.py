@@ -24,10 +24,8 @@ _HOMES = {
     "emission": ("EmissionParams",),
     "filtering": ("backward_smooth", "forward_filter", "rao_blackwell_states", "smooth_states"),
     "generative": ("SimulationOutput", "default_truth", "simulate", "uk_holiday_calendar"),
-    "paramspace": ("PosteriorDraws",),
-    "priors": (
-        "HyperLatents", "Hyperparameters", "default_hyperparameters", "log_prior", "sample_prior",
-    ),
+    "paramspace": ("HyperLatents", "PosteriorDraws"),
+    "priors": ("Hyperparameters", "default_hyperparameters", "log_prior", "sample_prior"),
     "sampler": ("SamplerConfig", "run_mcmc"),
     "states": ("ModelMode", "TransitionParams"),
 }

@@ -25,8 +25,10 @@ import numpy as np
 
 from . import __version__, dataio
 from .covariates import CovariateError, HolidayCalendar, build_covariates, smooth_cwv_baseline
+from .emission import EmissionParams
+from .paramspace import HyperLatents, ParamSpace
 from .priors import ConfigError, load_hyperparameters
-from .states import ModelMode
+from .states import ModelMode, TransitionParams
 
 
 class ConvergenceError(RuntimeError):
@@ -116,12 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 # Parameter JSON for simulate
 
 
+_PARTS = {"emission": EmissionParams, "trans": TransitionParams, "latents": HyperLatents}
+
+
 def _params_to_json(emission, trans, latents) -> dict:
     """The ``params.json`` document: every dataclass field of each part, by name."""
-    parts = {"emission": emission, "trans": trans, "latents": latents}
     return {
         key: {f.name: np.asarray(getattr(part, f.name)).tolist() for f in fields(part)}
-        for key, part in parts.items()
+        for key, part in zip(_PARTS, (emission, trans, latents))
         if part is not None
     }
 
@@ -130,28 +134,25 @@ def _params_from_json(doc, k_annual: int, k_prec_annual: int, mode: ModelMode):
     """Inverse of :func:`_params_to_json`; a malformed document raises ``ConfigError``.
 
     Each part must name every field of its dataclass and nothing else, as
-    finite numbers shaped as the config's harmonic counts imply. ``trans`` may
-    be left out in two-state mode.
+    finite numbers of the layout's shapes (one per ``trans`` field) at the
+    config's harmonic counts. ``trans`` may be left out in two-state mode.
     """
-    from .generative import default_truth
-
-    reference = dict(zip(("emission", "trans", "latents"), default_truth(k_annual, k_prec_annual)))
+    shapes = {f.name: f.shape for f in ParamSpace(k_annual, k_prec_annual).families}
     required = {"emission", "latents"} | ({"trans"} if mode is ModelMode.FOUR_STATE else set())
-    if not isinstance(doc, dict) or not required <= set(doc) <= set(reference):
+    if not isinstance(doc, dict) or not required <= set(doc) <= set(_PARTS):
         raise ConfigError(
             f"params file must hold the parts {sorted(required)} (and optionally 'trans')"
         )
     parts = {}
     for key, part in doc.items():
-        ref = reference[key]
-        names = [f.name for f in fields(ref)]
+        names = [f.name for f in fields(_PARTS[key])]
         if not isinstance(part, dict) or set(part) != set(names):
             got = set(part) if isinstance(part, dict) else set()
             missing, unknown = sorted(set(names) - got), sorted(got - set(names))
             raise ConfigError(f"params '{key}': missing {missing}, unknown {unknown}")
         values = {}
         for name in names:
-            shape = np.shape(getattr(ref, name))
+            shape = () if key == "trans" else shapes[name]
             try:
                 value = np.asarray(part[name], dtype=np.float64)
             except (TypeError, ValueError):
@@ -159,7 +160,7 @@ def _params_from_json(doc, k_annual: int, k_prec_annual: int, mode: ModelMode):
             if value is None or value.shape != shape or not np.all(np.isfinite(value)):
                 raise ConfigError(f"params '{key}.{name}' must be finite numbers of shape {shape}")
             values[name] = float(value) if value.ndim == 0 else value
-        parts[key] = type(ref)(**values)
+        parts[key] = _PARTS[key](**values)
     return parts["emission"], parts.get("trans"), parts["latents"]
 
 

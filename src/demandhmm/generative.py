@@ -28,7 +28,7 @@ from .covariates import (
     HolidayCalendar,
 )
 from .emission import DayTables, EmissionParams, day_tables
-from .priors import HyperLatents
+from .paramspace import HyperLatents
 from .states import TransitionParams, initial_distribution
 
 

@@ -5,12 +5,13 @@ The samplers work on an unconstrained real vector. Unit-interval parameters
 on the logit scale; everything else is unchanged.
 
 The layout is one table of parameter families, ``_TABLE``: each family's
-name, the struct that holds it, its shape in terms of the harmonic counts and
-whether it travels on the logit scale. The scalar names (the draws.csv
-header), ``pack`` and ``unpack`` are all read off it, and
-``priors.assemble_params`` builds the structs from the unpacked values. The
-restricted two-state model carries no transition coefficients and no decay
-parameters; ``assemble_params`` pins the latter.
+name, the struct that holds it, its shape in terms of the harmonic counts,
+whether it travels on the logit scale and its parent in the prior's
+hierarchy. The scalar names (the draws.csv header), ``pack``, ``unpack``,
+the prior's shapes and hierarchy and the random-walk blocks are all read off
+it, and :func:`assemble_params` builds the structs from the unpacked values.
+The restricted two-state model carries no transition coefficients and no
+decay parameters; ``assemble_params`` pins the latter.
 
 A subset of parameter families can be declared free; the remaining families
 are pinned to a base vector. This is how conditional posteriors (for example
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .emission import EmissionParams
-from .priors import HyperLatents, assemble_params
 from .states import (
     LOGIT_CLAMP,
     TRANS_NAMES,
@@ -37,6 +37,20 @@ from .states import (
     logit,
     sigmoid,
 )
+
+
+@dataclass(frozen=True)
+class HyperLatents:
+    """Latent hyperprior means shared between the two regions."""
+
+    mu_level: float
+    mu_weather: np.ndarray      # (2,)
+    mu_weekday: np.ndarray      # (2, 3) cos/sin x harmonic
+    mu_annual: np.ndarray       # (2, K)
+    mu_holiday: np.ndarray      # (3,)
+    logit_decay_mean: float     # shared centre of the two mean-decay logits
+    mu_logit_decay: float       # grand mean of the decay hierarchy
+
 
 _CS = "cos/sin"  # shape marker: an axis of length 2 whose scalars are named cos, sin
 
@@ -48,19 +62,20 @@ class _Spec:
     shape: tuple            # ints, "kg"/"kp" for the harmonic counts, or _CS
     logit: bool = False     # travels on the logit scale
     four_state: bool = False  # absent from the two-state model
+    parent: str | None = None  # the family whose value is this one's prior mean
 
 
 # One entry per parameter family, in layout order (the draws.csv column order).
 _TABLE = (
     _Spec("trans", "trans", (len(TRANS_NAMES),), four_state=True),
     _Spec("ar_eig01", "emission", (2,), logit=True),
-    _Spec("level", "emission", (2,)),
-    _Spec("holiday", "emission", (2, 3)),
-    _Spec("annual", "emission", (2, _CS, "kg")),
-    _Spec("weekday", "emission", (2, _CS, 3)),
-    _Spec("weather", "emission", (2, 2)),
-    _Spec("decay_mean", "emission", (2,), logit=True, four_state=True),
-    _Spec("decay_prec", "emission", (), logit=True, four_state=True),
+    _Spec("level", "emission", (2,), parent="mu_level"),
+    _Spec("holiday", "emission", (2, 3), parent="mu_holiday"),
+    _Spec("annual", "emission", (2, _CS, "kg"), parent="mu_annual"),
+    _Spec("weekday", "emission", (2, _CS, 3), parent="mu_weekday"),
+    _Spec("weather", "emission", (2, 2), parent="mu_weather"),
+    _Spec("decay_mean", "emission", (2,), logit=True, four_state=True, parent="logit_decay_mean"),
+    _Spec("decay_prec", "emission", (), logit=True, four_state=True, parent="mu_logit_decay"),
     _Spec("prec_base", "emission", (3,)),
     _Spec("prec_holiday", "emission", (3,)),
     _Spec("prec_annual", "emission", (3, _CS, "kp")),
@@ -69,7 +84,7 @@ _TABLE = (
     _Spec("mu_weekday", "latents", (_CS, 3)),
     _Spec("mu_annual", "latents", (_CS, "kg")),
     _Spec("mu_holiday", "latents", (3,)),
-    _Spec("logit_decay_mean", "latents", (), four_state=True),
+    _Spec("logit_decay_mean", "latents", (), four_state=True, parent="mu_logit_decay"),
     _Spec("mu_logit_decay", "latents", (), four_state=True),
 )
 
@@ -80,6 +95,7 @@ class _Family:
     part: str
     shape: tuple[int, ...]
     logit: bool
+    parent: str | None
     slice: slice
     scalar_names: tuple[str, ...]
 
@@ -114,7 +130,7 @@ class ParamSpace:
                 continue
             shape = tuple(dims.get(m, m) for m in spec.shape)
             size = math.prod(shape)
-            fams.append(_Family(spec.name, spec.part, shape, spec.logit,
+            fams.append(_Family(spec.name, spec.part, shape, spec.logit, spec.parent,
                                 slice(pos, pos + size), _scalar_names(spec, shape)))
             pos += size
         self.families = tuple(fams)
@@ -231,6 +247,37 @@ class ParamSpace:
     def free_unconstrained(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`free_constrained`."""
         return _on_mask(values, self._free_logit_mask, logit)
+
+
+def assemble_params(values: dict, mode: ModelMode = ModelMode.FOUR_STATE):
+    """(EmissionParams, TransitionParams | None, HyperLatents) from natural values.
+
+    ``values`` maps family names (the struct field names, plus ``trans``) to
+    arrays of the field's shape; 0-d values become floats. The two-state model
+    has no transition coefficients, and its decay factors are pinned at 1/2
+    (logit 0), freshly built on each call. Values with a leading axis of rows
+    give structs whose fields all carry it.
+    """
+    if mode is ModelMode.FOUR_STATE:
+        trans = TransitionParams.from_array(values["trans"])
+    else:
+        trans = None
+        lead = np.shape(values["level"])[:-1]
+        values = dict(values, decay_mean=np.full(lead + (2,), 0.5), decay_prec=np.full(lead, 0.5),
+                      logit_decay_mean=np.zeros(lead), mu_logit_decay=np.zeros(lead))
+
+    def struct(cls):
+        return cls(**{name: _field_value(values[name]) for name in _FIELD_NAMES[cls]})
+
+    return struct(EmissionParams), trans, struct(HyperLatents)
+
+
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (EmissionParams, HyperLatents)}
+
+
+def _field_value(x):
+    """Arrays stay as they are; 0-d values become floats."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 @dataclass

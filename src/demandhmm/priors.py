@@ -12,7 +12,8 @@ Marginal moments implied by the decay hierarchy (logit scale):
 ``Cor = sqrt(r_decay_1) * r_decay_2`` between a mean decay and the precision
 decay.
 
-The prior is declared once, as a factor table cached per ``Hyperparameters``;
+The prior's laws and fixed means are declared once, as a factor table cached
+per ``Hyperparameters``; shapes and parents come from ``paramspace``'s layout.
 :func:`log_prior`, :func:`log_prior_grad` and :func:`sample_prior_batch` walk it.
 
 Hyperparameters are plain data, configurable from a flat ``key = value`` text
@@ -30,24 +31,12 @@ from functools import cached_property
 import numpy as np
 
 from .emission import LOG_2PI, EmissionParams
+from .paramspace import HyperLatents, ParamSpace, assemble_params
 from .states import TRANS_NAMES, ModelMode, TransitionParams, logit
 
 
 class ConfigError(ValueError):
     """Raised for malformed or unknown configuration entries."""
-
-
-@dataclass(frozen=True)
-class HyperLatents:
-    """Latent hyperprior means shared between the two regions."""
-
-    mu_level: float
-    mu_weather: np.ndarray      # (2,)
-    mu_weekday: np.ndarray      # (2, 3) cos/sin x harmonic
-    mu_annual: np.ndarray       # (2, K)
-    mu_holiday: np.ndarray      # (3,)
-    logit_decay_mean: float     # shared centre of the two mean-decay logits
-    mu_logit_decay: float       # grand mean of the decay hierarchy
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,8 @@ class Hyperparameters:
     def _factor_tables(self) -> dict:
         """Factor tables of the four-state (key True) and two-state (False) priors, built once."""
         table = _factor_table(self)
-        return {True: table, False: tuple(f for f in table if f[0] not in _FOUR_STATE_ONLY)}
+        two_state = ParamSpace(self.k_annual, self.k_prec_annual, ModelMode.TWO_STATE).family_names
+        return {True: table, False: tuple(f for f in table if f[0] in two_state)}
 
 
 def default_hyperparameters(
@@ -256,42 +246,42 @@ class _Normal3:
         return m + rng.standard_normal(size) @ self.chol.T
 
 
-_FOUR_STATE_ONLY = ("trans", "mu_logit_decay", "logit_decay_mean", "decay_prec", "decay_mean")
 _LOGIT_FAMILIES = ("decay_mean", "decay_prec")  # declared on the logit scale
 
 
 def _factor_table(h: Hyperparameters) -> tuple:
     """The four-state prior as ``(family, shape, parent, fixed mean, law)`` factors.
 
-    Entries are in draw order, parents first. A factor's mean is its parent
-    family's value, broadcast against it from the right, or else the fixed
-    mean. The decay families enter on the logit scale.
+    Entries are in draw order, parents first, with the layout's shapes and
+    parents. A factor's mean is its parent's value, broadcast from the right,
+    or else the fixed mean. The decay families enter on the logit scale.
     """
-    kg, kp = h.k_annual, h.k_prec_annual
     v, r1, r2 = h.v_decay, h.r_decay_1, h.r_decay_2
     v_beta = h.holiday_cov()
     decay_mid = _Normal((1.0 - r2) * r1 * v)
-    return (
-        ("trans", (len(TRANS_NAMES),), None, h.m_trans, _Normal(h.v_trans)),
-        ("ar_eig01", (2,), None, None, _Beta(h.a_ar, h.b_ar)),
-        ("mu_level", (), None, h.m_level, _Normal(h.r_level * h.v_level)),
-        ("level", (2,), "mu_level", None, _Normal((1.0 - h.r_level) * h.v_level)),
-        ("mu_weather", (2,), None, h.m_weather, _Normal(h.r_weather * h.v_weather)),
-        ("weather", (2, 2), "mu_weather", None, _Normal((1.0 - h.r_weather) * h.v_weather)),
-        ("mu_weekday", (2, 3), None, 0.0, _Normal(h.r_weekday * h.v_weekday)),
-        ("weekday", (2, 2, 3), "mu_weekday", None, _Normal((1.0 - h.r_weekday) * h.v_weekday)),
-        ("mu_annual", (2, kg), None, 0.0, _Normal(h.r_annual * h.v_annual)),
-        ("annual", (2, 2, kg), "mu_annual", None, _Normal((1.0 - h.r_annual) * h.v_annual)),
-        ("mu_holiday", (3,), None, 0.0, _Normal3(h.r_holiday * v_beta, rows=False)),
-        ("holiday", (2, 3), "mu_holiday", None, _Normal3((1.0 - h.r_holiday) * v_beta, rows=True)),
-        ("mu_logit_decay", (), None, h.m_decay, _Normal(r1 * r2 * v)),
-        ("logit_decay_mean", (), "mu_logit_decay", None, decay_mid),
-        ("decay_prec", (), "mu_logit_decay", None, decay_mid),
-        ("decay_mean", (2,), "logit_decay_mean", None, _Normal((1.0 - r1) * v)),
-        ("prec_base", (3,), None, h.m_prec_base, _Normal(h.v_prec_base)),
-        ("prec_holiday", (3,), None, 0.0, _Normal(h.v_prec_holiday)),
-        ("prec_annual", (3, 2, kp), None, 0.0, _Normal(h.v_prec_annual[:, None, :])),
+    laws = (
+        ("trans", h.m_trans, _Normal(h.v_trans)),
+        ("ar_eig01", None, _Beta(h.a_ar, h.b_ar)),
+        ("mu_level", h.m_level, _Normal(h.r_level * h.v_level)),
+        ("level", None, _Normal((1.0 - h.r_level) * h.v_level)),
+        ("mu_weather", h.m_weather, _Normal(h.r_weather * h.v_weather)),
+        ("weather", None, _Normal((1.0 - h.r_weather) * h.v_weather)),
+        ("mu_weekday", 0.0, _Normal(h.r_weekday * h.v_weekday)),
+        ("weekday", None, _Normal((1.0 - h.r_weekday) * h.v_weekday)),
+        ("mu_annual", 0.0, _Normal(h.r_annual * h.v_annual)),
+        ("annual", None, _Normal((1.0 - h.r_annual) * h.v_annual)),
+        ("mu_holiday", 0.0, _Normal3(h.r_holiday * v_beta, rows=False)),
+        ("holiday", None, _Normal3((1.0 - h.r_holiday) * v_beta, rows=True)),
+        ("mu_logit_decay", h.m_decay, _Normal(r1 * r2 * v)),
+        ("logit_decay_mean", None, decay_mid),
+        ("decay_prec", None, decay_mid),
+        ("decay_mean", None, _Normal((1.0 - r1) * v)),
+        ("prec_base", h.m_prec_base, _Normal(h.v_prec_base)),
+        ("prec_holiday", 0.0, _Normal(h.v_prec_holiday)),
+        ("prec_annual", 0.0, _Normal(h.v_prec_annual[:, None, :])),
     )
+    layout = {f.name: f for f in ParamSpace(h.k_annual, h.k_prec_annual).families}
+    return tuple((name, layout[name].shape, layout[name].parent, mean, law) for name, mean, law in laws)
 
 
 def _parent_mean(p, lead: tuple, shape: tuple):
@@ -425,37 +415,6 @@ def sample_prior(
     """One exact draw of (EmissionParams, TransitionParams | None, HyperLatents)."""
     d = sample_prior_batch(hyper, rng, 1, mode)
     return assemble_params({name: x[0] for name, x in d.items()}, mode)
-
-
-def assemble_params(values: dict, mode: ModelMode = ModelMode.FOUR_STATE):
-    """(EmissionParams, TransitionParams | None, HyperLatents) from natural values.
-
-    ``values`` maps family names (the struct field names, plus ``trans``) to
-    arrays of the field's shape; 0-d values become floats. The two-state model
-    has no transition coefficients, and its decay factors are pinned at 1/2
-    (logit 0), freshly built on each call. Values with a leading axis of rows
-    give structs whose fields all carry it.
-    """
-    if mode is ModelMode.FOUR_STATE:
-        trans = TransitionParams.from_array(values["trans"])
-    else:
-        trans = None
-        lead = np.shape(values["level"])[:-1]
-        values = dict(values, decay_mean=np.full(lead + (2,), 0.5), decay_prec=np.full(lead, 0.5),
-                      logit_decay_mean=np.zeros(lead), mu_logit_decay=np.zeros(lead))
-
-    def struct(cls):
-        return cls(**{name: _field_value(values[name]) for name in _FIELD_NAMES[cls]})
-
-    return struct(EmissionParams), trans, struct(HyperLatents)
-
-
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (EmissionParams, HyperLatents)}
-
-
-def _field_value(x):
-    """Arrays stay as they are; 0-d values become floats."""
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ Each backend in ``BACKENDS`` only steps from the chain starts, handing
   (``NumpyPosterior.logpost_and_grad_batch``), checked against finite
   differences in the tests; the chains advance together, one batched call
   per leapfrog step.
-* ``adaptive-metropolis``: a greedy stochastic climb, then blockwise
-  Gaussian random-walk with per-block empirical proposal covariances and
-  acceptance-targeted scales, adapted during warmup only. It steps block by
-  block across the chains: each chain draws its proposal from its own
-  stream, one call values every chain's proposal, and each chain accepts or
-  rejects from its own stream.
+* ``adaptive-metropolis`` (``_rwm``): a greedy stochastic climb, then
+  Gaussian random-walk over ``_free_blocks``, the prior's hierarchies, with
+  per-block empirical proposal covariances and acceptance-targeted scales,
+  adapted during warmup only. It steps block by block across the chains:
+  each chain draws its proposal from its own stream, one call values every
+  chain's proposal, and each chain accepts or rejects from its own stream.
 
 All chains are valued in one batched pass: ``NumpyPosterior`` runs its
 forward and reverse passes once over a (C, D) block, and each row's value
@@ -420,26 +420,20 @@ def _hmc(posterior, q, lp, rngs, warmup, config):
 # Adaptive random-walk backend
 
 
-_BLOCK_GROUPS = (
-    ("trans",),
-    ("ar_eig01",),
-    ("level", "mu_level"),
-    ("holiday", "mu_holiday"),
-    ("annual", "mu_annual"),
-    ("weekday", "mu_weekday"),
-    ("weather", "mu_weather"),
-    ("decay_mean", "decay_prec", "logit_decay_mean", "mu_logit_decay"),
-    ("prec_base",),
-    ("prec_holiday",),
-    ("prec_annual",),
-)
-
-
 def _free_blocks(space: ParamSpace):
-    """Free-vector indices of each ``_BLOCK_GROUPS`` group that has free coordinates."""
-    family = np.array([f.name for f in space.families for _ in f.scalar_names], dtype=object)
-    family = family[space.free_idx]
-    blocks = [np.flatnonzero(np.isin(family, group)) for group in _BLOCK_GROUPS]
+    """Free-vector indices of each random-walk block that has free coordinates.
+
+    A block is a root family of the prior's hierarchy with every family below
+    it; blocks come in the layout order of their first family.
+    """
+    parent = {f.name: f.parent for f in space.families}
+
+    def root(name):
+        return name if parent[name] is None else root(parent[name])
+
+    roots = [root(f.name) for f in space.families]
+    scalar_root = np.repeat(roots, [len(f.scalar_names) for f in space.families])[space.free_idx]
+    blocks = [np.flatnonzero(scalar_root == r) for r in dict.fromkeys(roots)]
     return [b for b in blocks if b.size]
 
 

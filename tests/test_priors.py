@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from demandhmm.paramspace import ParamSpace
 from demandhmm.priors import (
     ConfigError,
     Hyperparameters,
@@ -351,6 +352,17 @@ class TestSamplePrior:
             h.update(f"{name}{x.shape}{x.dtype.str}".encode())
             h.update(x.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("k", [(1, 1), (6, 12)], ids=["k1_1", "k6_12"])
+    @pytest.mark.parametrize("mode", list(ModelMode), ids=lambda m: m.value)
+    def test_draws_exactly_the_layout_families(self, mode, k):
+        # a layout family without a prior factor would be silently flat
+        hyper = default_hyperparameters("paper-like", *k)
+        d = sample_prior_batch(hyper, np.random.default_rng(1), 2, mode)
+        expected = {f.name: (2,) + f.shape for f in ParamSpace(*k, mode).families}
+        if mode is ModelMode.FOUR_STATE:
+            expected["logit_decay"] = (2, 3)
+        assert {name: x.shape for name, x in d.items()} == expected
 
     def test_supports(self, hyper):
         rng = np.random.default_rng(5)

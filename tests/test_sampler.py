@@ -16,6 +16,7 @@ from demandhmm.sampler import (
     Diagnostics,
     NumpyPosterior,
     SamplerConfig,
+    _free_blocks,
     _hmc,
     compute_diagnostics,
     run_mcmc,
@@ -421,6 +422,32 @@ class TestRunMcmc:
         draws, _ = run_mcmc(y, cov, hyper, cfg, ModelMode.TWO_STATE)
         assert draws.mode is ModelMode.TWO_STATE
         assert "to_pre_const" not in draws.names
+
+
+_DECAY = ["decay_mean", "decay_prec", "logit_decay_mean", "mu_logit_decay"]
+_TWO_STATE_BLOCKS = [
+    ["ar_eig01"], ["level", "mu_level"], ["holiday", "mu_holiday"], ["annual", "mu_annual"],
+    ["weekday", "mu_weekday"], ["weather", "mu_weather"], ["prec_base"], ["prec_holiday"],
+    ["prec_annual"],
+]
+
+
+@pytest.mark.parametrize(
+    "mode, free, groups",
+    [
+        (ModelMode.FOUR_STATE, None, [["trans"], *_TWO_STATE_BLOCKS[:6], _DECAY, *_TWO_STATE_BLOCKS[6:]]),
+        (ModelMode.TWO_STATE, None, _TWO_STATE_BLOCKS),
+        (ModelMode.FOUR_STATE, ["level", "trans"], [["trans"], ["level"]]),
+        (ModelMode.FOUR_STATE, ["mu_level"], [["mu_level"]]),
+    ],
+    ids=["four_state", "two_state", "level_trans", "mu_level"],
+)
+def test_random_walk_blocks(mode, free, groups):
+    # each block holds the free coordinates of its families, in free-vector order
+    space = ParamSpace(2, 2, mode, free=free)
+    family = [f.name for f in space.families for _ in f.scalar_names]
+    expected = [[i for i, j in enumerate(space.free_idx) if family[j] in g] for g in groups]
+    assert [b.tolist() for b in _free_blocks(space)] == expected
 
 
 class TestDiagnostics:
