@@ -254,27 +254,23 @@ def _state_weights(design: DesignMatrices, decay) -> np.ndarray:
     return w
 
 
-def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bool = False) -> DayTables:
-    """Evaluate mean and precision tables for every day and candidate state.
+def _stage(*fields):
+    """Declares the ``EmissionParams`` fields a day-table stage reads, as its ``fields``."""
+    def declare(fn):
+        fn.fields = frozenset(fields)
+        return fn
 
-    The arrays are built with the day axis last, so numpy's loops run over
-    days rather than over 2 regions or 4 states; the tables are (T, ...)
-    views of them. Parameters with a leading axis of rows give tables with
-    that axis, each row as that row alone would give it. Raises
-    ``LinAlgError`` when a row's first-day law is not positive definite or
-    its Lyapunov system is singular; with ``per_row`` that row is marked in
-    ``valid`` instead.
-    """
-    two_k = 2 * params.k_annual
-    if design.f_annual.shape[1] != two_k or design.f_prec.shape[1] != 2 * params.k_prec_annual:
-        raise ValueError("design matrices were built for different harmonic counts")
+    return declare
+
+
+@_stage("level", "holiday", "annual", "weekday", "weather", "decay_mean")
+def _mean_rows(params: EmissionParams, design: DesignMatrices, days: np.ndarray) -> None:
+    """Write each region's mean under each state into ``days[..., 0:2, :, :]``."""
     lead = params.level.shape[:-1]
-    days = np.empty(lead + (7, 4, design.n.shape[0]))  # mu (2 regions), phi, ltau1, ltau2, tau1, tau2
-
     # state-independent part of the mean, (..., 2, T)
     base = (
         params.level[..., :, None]
-        + params.annual.reshape(lead + (2, two_k)) @ design.f_annual.T
+        + params.annual.reshape(lead + (2, 2 * params.k_annual)) @ design.f_annual.T
         + params.weekday.reshape(lead + (2, 6)) @ design.f_week.T
         + (params.weather[..., :, 0, None] + params.weather[..., :, 1, None] * design.w.T)
         * design.w_tilde.T
@@ -286,6 +282,11 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bo
         out=days[..., 0:2, :, :],
     )
 
+
+@_stage("prec_base", "prec_holiday", "prec_annual", "decay_prec")
+def _precision_rows(params: EmissionParams, design: DesignMatrices, days: np.ndarray) -> None:
+    """Write phi, log tau1, log tau2 (clamped), tau1 and tau2 into ``days[..., 2:7, :, :]``."""
+    lead = params.level.shape[:-1]
     tw = _state_weights(design, params.decay_prec)  # (..., 4, T)
     seasonal = params.prec_annual.reshape(lead + (3, 2 * params.k_prec_annual)) @ design.f_prec.T
     np.add(
@@ -295,43 +296,97 @@ def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bo
     )  # omega = (phi, log tau1, log tau2), (..., 3, 4, T)
     np.clip(days[..., 3:5, :, :], -OMEGA_CLAMP, OMEGA_CLAMP, out=days[..., 3:5, :, :])
     np.exp(days[..., 3:5, :, :], out=days[..., 5:7, :, :])
-    phi, tau1, tau2 = days[..., 2, :, :], days[..., 5, :, :], days[..., 6, :, :]
 
+
+# the first-day law reads day 1's precision rows, so every field they read
+@_stage("ar_eig01", *_precision_rows.fields)
+def _first_day_law(params: EmissionParams, days: np.ndarray):
+    """``(fields, omega_ok, v_ok)``: psi and the stationary first-day law under each
+    state (``v_inv``, ``v_logdet``, ``v_chol`` and ``valid``, as ``DayTables``
+    fields), and whether each row's precision matrices and V are positive definite."""
+    lead = params.level.shape[:-1]
     psi = params.ar_matrix
-    # first-day law under each state: the precision matrix of day 1's components
-    phi0, t1, t2 = phi[..., 0], tau1[..., 0], tau2[..., 0]
+    # the precision matrix of day 1's components under each state
+    phi0, t1, t2 = days[..., 2, :, 0], days[..., 5, :, 0], days[..., 6, :, 0]
     omega1 = np.empty(lead + (4, 2, 2))
     omega1[..., 0, 0] = t1 + phi0 * phi0 * t2
     omega1[..., 0, 1] = omega1[..., 1, 0] = -phi0 * t2
     omega1[..., 1, 1] = t2
     v, omega_ok, v_ok = _stationary_variance_rows(psi, omega1)   # (..., 4, 2, 2)
-    if not per_row:
-        _raise_unless_positive_definite(omega_ok, v_ok)
     v00, v01, v11 = v[..., 0, 0], v[..., 0, 1], v[..., 1, 1]
     det = v00 * v11 - v01 * v01
     v_inv = np.empty(lead + (4, 2, 2))
     v_inv[..., 0, 0] = v11 / det
     v_inv[..., 0, 1] = v_inv[..., 1, 0] = -v01 / det
     v_inv[..., 1, 1] = v00 / det
-    v_logdet = np.log(det)
     l11 = np.sqrt(v00)
     l21 = v01 / l11
     v_chol = np.zeros(lead + (4, 2, 2))
     v_chol[..., 0, 0] = l11
     v_chol[..., 1, 0] = l21
     v_chol[..., 1, 1] = np.sqrt(np.maximum(v11 - l21 * l21, 0.0))  # det > 0 up to rounding
-    return DayTables(
-        mu=reverse_trailing(days[..., 0:2, :, :], 3),
-        phi=reverse_trailing(phi, 2),
-        tau1=reverse_trailing(tau1, 2),
-        tau2=reverse_trailing(tau2, 2),
-        psi=psi,
-        v_inv=v_inv,
-        v_logdet=v_logdet,
-        v_chol=v_chol,
-        days=days,
-        valid=omega_ok & v_ok,
-    )
+    law = {"psi": psi, "v_inv": v_inv, "v_logdet": np.log(det), "v_chol": v_chol, "valid": omega_ok & v_ok}
+    return law, omega_ok, v_ok
+
+
+def _day_rows(days: np.ndarray) -> dict:
+    """The per-day ``DayTables`` fields: ``days`` and its (T, ...) views."""
+    return {
+        "mu": reverse_trailing(days[..., 0:2, :, :], 3),
+        "phi": reverse_trailing(days[..., 2, :, :], 2),
+        "tau1": reverse_trailing(days[..., 5, :, :], 2),
+        "tau2": reverse_trailing(days[..., 6, :, :], 2),
+        "days": days,
+    }
+
+
+def build_day_tables(params: EmissionParams, design: DesignMatrices, per_row: bool = False) -> DayTables:
+    """Evaluate mean and precision tables for every day and candidate state.
+
+    Three stages build them, each declaring the ``EmissionParams`` fields it
+    reads (``fields``): the mean rows, the precision rows, and psi with the
+    first-day law; this runs all three, ``update_day_tables`` only those a
+    change feeds. The arrays are built with the day axis last, so numpy's
+    loops run over days rather than over 2 regions or 4 states; the tables
+    are (T, ...) views of them. Parameters with a leading axis of rows give
+    tables with that axis, each row as that row alone would give it. Raises
+    ``LinAlgError`` when a row's first-day law is not positive definite or
+    its Lyapunov system is singular; with ``per_row`` that row is marked in
+    ``valid`` instead.
+    """
+    if (design.f_annual.shape[1] != 2 * params.k_annual
+            or design.f_prec.shape[1] != 2 * params.k_prec_annual):
+        raise ValueError("design matrices were built for different harmonic counts")
+    # mu (2 regions), phi, ltau1, ltau2, tau1, tau2
+    days = np.empty(params.level.shape[:-1] + (7, 4, design.n.shape[0]))
+    _mean_rows(params, design, days)
+    _precision_rows(params, design, days)
+    law, omega_ok, v_ok = _first_day_law(params, days)
+    if not per_row:
+        _raise_unless_positive_definite(omega_ok, v_ok)
+    return DayTables(**_day_rows(days), **law)
+
+
+def update_day_tables(
+    params: EmissionParams, design: DesignMatrices, tables: DayTables, changed
+) -> DayTables:
+    """``build_day_tables(params, design, per_row=True)``, given the tables of
+    parameters that differ from ``params`` in the fields ``changed`` only.
+
+    Only the stages that read a changed field run, over copies of the rows of
+    ``tables``; every other row is taken from ``tables`` as it is, so the
+    result is bit for bit the full build. ``tables`` itself comes back when
+    no stage reads a changed field.
+    """
+    rows = [stage for stage in (_mean_rows, _precision_rows) if stage.fields & changed]
+    if rows:
+        days = tables.days.copy()
+        for stage in rows:
+            stage(params, design, days)
+        tables = replace(tables, **_day_rows(days))
+    if _first_day_law.fields & changed:
+        tables = replace(tables, **_first_day_law(params, tables.days)[0])
+    return tables
 
 
 def day_tables(params: EmissionParams, cov: CovariateSeries) -> DayTables:

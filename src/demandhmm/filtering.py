@@ -13,8 +13,10 @@ day cannot take only ever contributes exact zeros to four-state sums, and the
 slot sums group the other terms as those sums did, so every result has the
 bits of a 4x4 computation with 27 (i, k, j) terms per tree pair instead of
 64, or 1 in the two-state model. ``_kernel_terms`` builds all the kernels in
-one vectorised pass, and a pairwise tree reduction in log space multiplies
-them in O(log T) vectorised steps (Hassan, Sarkka & Garcia-Fernandez,
+one vectorised pass from the day tables and the transition part
+(``transition_terms``, which a caller whose coefficients did not move
+keeps), and a pairwise tree reduction in log space multiplies them in
+O(log T) vectorised steps (Hassan, Sarkka & Garcia-Fernandez,
 "Temporal parallelization of inference in hidden Markov models", IEEE TSP
 69, 2021). The gradients go back to the four states' layout of the day
 tables and the transition tables. The tree is the one filter here:
@@ -196,7 +198,32 @@ def _psi_entries(psi: np.ndarray):
     return p[..., 0, 0, :, :], p[..., 0, 1, :, :], p[..., 1, 0, :, :], p[..., 1, 1, :, :]
 
 
-def _kernel_terms(y, cov, tables, trans):
+@dataclass(frozen=True)
+class TransitionTerms:
+    """The kernels' transition part, which depends on the transition coefficients alone.
+
+    ``anchor`` (K,) is the anchor day's log law over its slots and
+    ``log_tables`` (..., K, K, T) the log transition tables gathered to the
+    slot pairs, with the coefficients' leading axis of rows if they have one
+    (the two-state model has no coefficients and none).
+    """
+
+    slots: StateSlots
+    anchor: np.ndarray
+    log_tables: np.ndarray
+
+
+def transition_terms(cov: CovariateSeries, trans: TransitionParams | None) -> TransitionTerms:
+    """The transition part of ``cov``'s kernels under ``trans``."""
+    slots = state_slots(cov, trans is not None)
+    return TransitionTerms(
+        slots=slots,
+        anchor=log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))[slots.states[0]],
+        log_tables=slots.gather_pairs(states_module.log_transition_tables(trans, cov.n[1:], cov.p[1:])),
+    )
+
+
+def _kernel_terms(y, tables, transition: TransitionTerms):
     """(..., K, K, T) log kernels over the day slots, day last, and the terms their adjoint needs.
 
     Entry [i, j, t] is ``log lambda_t(b, c) + log f_t(y_t | b, c)`` for
@@ -204,11 +231,13 @@ def _kernel_terms(y, cov, tables, trans):
     slot j on day t+1; -inf where either is a pad or the transition is
     structurally impossible. Day 1's observation follows the stationary law
     of c, and row 0 also carries the anchor day's log distribution over b.
-    Day is the last axis of every array here, so numpy's loops run over
-    days rather than over states. Tables with a leading axis of rows give
-    kernels with that axis, each row as that row alone would give it.
+    The transition part comes in built (``transition_terms``), so a caller
+    whose coefficients did not move can keep it. Day is the last axis of
+    every array here, so numpy's loops run over days rather than over
+    states. Tables with a leading axis of rows give kernels with that axis,
+    each row as that row alone would give it.
     """
-    slots = state_slots(cov, trans is not None)
+    slots = transition.slots
     days = slots.gather(tables.days)                                  # (..., 7, K, T)
     d0, d1 = y[:, 0] - days[..., 0, :, :], y[:, 1] - days[..., 1, :, :]
     phi, tau1, tau2 = days[..., 2, :, :], days[..., 5, :, :], days[..., 6, :, :]
@@ -228,10 +257,9 @@ def _kernel_terms(y, cov, tables, trans):
         )
         dev0 = y[0] - tables.mu[..., 0, :, :]                         # (..., 4, 2)
         quad0 = np.einsum("...ci,...cij,...cj->...c", dev0, tables.v_inv, dev0)
-    logl0 = log_initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))[slots.states[0]]
     first = (-LOG_2PI - 0.5 * tables.v_logdet - 0.5 * quad0)[..., slots.states[1]]
-    out[..., 0] = logl0[:, None] + first[..., None, :]
-    out += slots.gather_pairs(states_module.log_transition_tables(trans, cov.n[1:], cov.p[1:]))
+    out[..., 0] = transition.anchor[:, None] + first[..., None, :]
+    out += transition.log_tables
     return out, (slots, y, dev0, d0, d1, e0, u2, phi, tau1, tau2)
 
 
@@ -319,7 +347,7 @@ def forward_filter(
     when the log likelihood is NaN.
     """
     y = validate_series(y, cov)
-    logk, (slots, *_) = _kernel_terms(y, cov, day_tables(emission, cov), trans)
+    logk, (slots, *_) = _kernel_terms(y, day_tables(emission, cov), transition_terms(cov, trans))
     loglik = _not_nan(_product_loglik(_tree_levels(logk)[0]))
     filt, lognorm = _filter_recursion(logk)
     log_filtered = np.full((y.shape[0] + 1, 4), -np.inf)
@@ -399,9 +427,10 @@ def _not_nan(loglik: float) -> float:
     return loglik
 
 
-def log_likelihood_tape(y, cov, tables, trans):
+def log_likelihood_tape(y, tables, transition: TransitionTerms):
     """Tree log likelihood of validated ``y`` and what its adjoint needs.
 
+    ``transition`` is the kernels' transition part, ``transition_terms``.
     Returns ``(loglik, tape)``; the tape holds the log likelihood, the (K, K)
     log product ``P`` of all slot kernels (entry [i, j]: all state paths from
     the anchor day's slot i to the last day's slot j), the tree levels and
@@ -410,7 +439,7 @@ def log_likelihood_tape(y, cov, tables, trans):
     rescaling returned NaN on extreme prior draws. Tables with a leading axis
     of rows give one log likelihood (an array) and one product per row.
     """
-    logk, terms = _kernel_terms(y, cov, tables, trans)
+    logk, terms = _kernel_terms(y, tables, transition)
     top, levels = _tree_levels(logk)
     loglik = _product_loglik(top)
     return loglik, (loglik, top, levels, terms)
@@ -440,9 +469,10 @@ def _nonzero_likelihood_tape(y, cov, tables, trans):
     """``log_likelihood_tape`` of validated ``y``; raises ``FloatingPointError``
     on a NaN log likelihood, and on zero likelihood naming the first such day,
     found by the filter recursion over kernels rebuilt for the purpose."""
-    loglik, tape = log_likelihood_tape(y, cov, tables, trans)
+    transition = transition_terms(cov, trans)
+    loglik, tape = log_likelihood_tape(y, tables, transition)
     if _not_nan(loglik) == -np.inf:
-        _, lognorm = _filter_recursion(_kernel_terms(y, cov, tables, trans)[0])
+        _, lognorm = _filter_recursion(_kernel_terms(y, tables, transition)[0])
         raise _zero_likelihood(lognorm, cov)
     return tape
 
@@ -453,7 +483,7 @@ def log_likelihood(y, cov, emission, trans) -> float:
     Raises ``FloatingPointError`` when it is NaN.
     """
     y = validate_series(y, cov)
-    return _not_nan(log_likelihood_tape(y, cov, day_tables(emission, cov), trans)[0])
+    return _not_nan(log_likelihood_tape(y, day_tables(emission, cov), transition_terms(cov, trans))[0])
 
 
 def terminal_log_distribution(

@@ -315,7 +315,8 @@ class PosteriorDraws:
 
     def by_chain(self) -> np.ndarray:
         """(n_chains, n_per_chain, d) view; requires balanced chains."""
-        chains = np.unique(self.chain)
+        # not np.unique: its first call imports numpy.ma, which nothing else in a fit loads
+        chains = sorted(set(self.chain.tolist()))
         per = [self.free_draws[self.chain == c] for c in chains]
         n = min(p.shape[0] for p in per)
         return np.stack([p[:n] for p in per])

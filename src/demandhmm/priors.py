@@ -14,7 +14,9 @@ decay.
 
 The prior's laws and fixed means are declared once, as a factor table cached
 per ``Hyperparameters``; shapes and parents come from ``paramspace``'s layout.
-:func:`log_prior`, :func:`log_prior_grad` and :func:`sample_prior_batch` walk it.
+:func:`prior_terms`, :func:`log_prior_grad` and :func:`sample_prior_batch`
+walk it. :func:`log_prior` is the in-order sum of the per-factor terms, so a
+sampler that keeps them recomputes only the factors a move reaches.
 
 Hyperparameters are plain data, configurable from a flat ``key = value`` text
 file; unknown keys are rejected. Transition-coefficient prior variances are
@@ -305,6 +307,57 @@ def _table_values(emission, trans, latents) -> dict:
 # Density, gradient and exact sampling
 
 
+def prior_terms(
+    emission: EmissionParams,
+    trans: TransitionParams | None,
+    latents: HyperLatents,
+    hyper: Hyperparameters,
+    current: np.ndarray | None = None,
+    changed=frozenset(),
+):
+    """``(terms, outside)``: the addends of :func:`log_prior` and the rows outside its support.
+
+    ``terms`` (..., F) holds each factor's log density summed over the
+    factor, in table order, then (four-state model) the negated change of
+    measure from the decay logits to the decay values; ``outside`` says
+    whether a unit-interval parameter lies outside (0, 1). Given ``current``,
+    the terms of parameters that differ from these in the families
+    ``changed`` only, a factor is recomputed only if its family or its parent
+    changed; every other term is copied from ``current``.
+    """
+    four = trans is not None
+    lead = np.shape(emission.level)[:-1]
+    unit = emission.ar_eig01
+    if four:
+        rho = np.concatenate([emission.decay_mean, np.reshape(emission.decay_prec, lead + (1,))], axis=-1)
+        unit = np.concatenate([unit, rho], axis=-1)
+    outside = np.any((unit <= 0.0) | (unit >= 1.0), axis=-1)
+
+    table = hyper._factor_tables[four]
+    terms = np.empty(lead + (len(table) + four,)) if current is None else current.copy()
+    # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf;
+    # rows outside the support, set to -inf by log_prior, take logs of values <= 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = _table_values(emission, trans, latents)
+        for k, (name, shape, parent, mean, law) in enumerate(table):
+            if current is None or name in changed or parent in changed:
+                m = mean if parent is None else _parent_mean(values[parent], lead, shape)
+                terms[..., k] = _row_sum(law.logpdf(values[name], m), lead)
+        if four and (current is None or not changed.isdisjoint(_LOGIT_FAMILIES)):
+            # change of measure from logits to the (0, 1) decay values themselves
+            terms[..., -1] = -np.sum(np.log(rho) + np.log1p(-rho), axis=-1)
+    return terms, outside
+
+
+def prior_total(terms: np.ndarray, outside) -> np.ndarray:
+    """The log prior from :func:`prior_terms`: its terms added in order, -inf outside the support."""
+    lp = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(terms.shape[-1]):
+            lp = lp + terms[..., k]
+    return np.where(outside, -np.inf, lp)
+
+
 def log_prior(
     emission: EmissionParams,
     trans: TransitionParams | None,
@@ -319,30 +372,14 @@ def log_prior(
     so that samplers can reject. ``trans is None`` is the two-state model,
     whose pinned decay factors carry no density.
 
+    It is the in-order sum of :func:`prior_terms`, one term per factor of
+    the prior's table and one for the change of measure, so a caller that
+    keeps the terms can recompute only the factors a change reaches.
     Parameters with a leading axis of rows give an array of one density per
     row, each as that row alone would give it.
     """
-    four = trans is not None
-    lead = np.shape(emission.level)[:-1]
-    unit = emission.ar_eig01
-    if four:
-        rho = np.concatenate([emission.decay_mean, np.reshape(emission.decay_prec, lead + (1,))], axis=-1)
-        unit = np.concatenate([unit, rho], axis=-1)
-    outside = np.any((unit <= 0.0) | (unit >= 1.0), axis=-1)
-
-    lp = 0.0
-    # parameters far out (a diverging HMC trajectory) overflow the squares: density -inf;
-    # rows outside the support, set to -inf below, take logs of values <= 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = _table_values(emission, trans, latents)
-        for name, shape, parent, mean, law in hyper._factor_tables[four]:
-            m = mean if parent is None else _parent_mean(values[parent], lead, shape)
-            lp = lp + _row_sum(law.logpdf(values[name], m), lead)
-        if four:
-            # change of measure from logits to the (0, 1) decay values themselves
-            lp = lp - np.sum(np.log(rho) + np.log1p(-rho), axis=-1)
-    lp = np.where(outside, -np.inf, lp)
-    return float(lp) if not lead else lp
+    lp = prior_total(*prior_terms(emission, trans, latents, hyper))
+    return float(lp) if lp.ndim == 0 else lp
 
 
 def _row_sum(x, lead: tuple):

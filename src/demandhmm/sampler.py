@@ -19,6 +19,13 @@ Each backend in ``BACKENDS`` only steps from the chain starts, handing
   adapted during warmup only. It steps block by block across the chains:
   each chain draws its proposal from its own stream, one call values every
   chain's proposal, and each chain accepts or rejects from its own stream.
+  Each chain keeps the parts of its current state's log posterior
+  (``PosteriorParts``: the prior's per-factor terms, the kernels' transition
+  part, the day tables, the log likelihood), so that call
+  (``NumpyPosterior.block_values``) recomputes only the prior factors,
+  transition part and day-table stages the block's families feed, and a
+  chain that accepts takes its proposal's parts. The values are bit for bit
+  those of the full pass.
 
 All chains are valued in one batched pass: ``NumpyPosterior`` runs its
 forward and reverse passes once over a (C, D) block, and each row's value
@@ -45,10 +52,16 @@ from . import diagnostics as diag
 from . import emission as emission_module
 from . import priors
 from .covariates import CovariateSeries
-from .emission import day_tables_adjoint
-from .filtering import log_likelihood_adjoint, log_likelihood_tape, validate_series
+from .emission import DayTables, day_tables_adjoint
+from .filtering import (
+    TransitionTerms,
+    log_likelihood_adjoint,
+    log_likelihood_tape,
+    transition_terms,
+    validate_series,
+)
 from .paramspace import ParamSpace, PosteriorDraws
-from .priors import Hyperparameters, log_prior_grad
+from .priors import Hyperparameters, log_prior_grad, prior_terms, prior_total
 from .states import ModelMode, log_transition_tables_adjoint
 
 
@@ -124,18 +137,59 @@ class Diagnostics:
         }
 
 
+@dataclass
+class PosteriorParts:
+    """The intermediates of the log posterior at C rows, kept to value a move of a few families.
+
+    ``prior`` (C, F) holds ``priors.prior_terms``. ``live`` says whether a
+    row's prior is finite; only then are its rows of the likelihood's inputs
+    (the kernels' ``transition`` part and the day ``tables``) and its
+    ``loglik`` its own. The rows of a row that is not live hold another
+    row's inputs, or those it had before; when no row of a fresh pass is
+    live, ``transition`` and ``tables`` are None.
+    """
+
+    prior: np.ndarray
+    live: np.ndarray
+    transition: TransitionTerms | None
+    tables: DayTables | None
+    loglik: np.ndarray
+
+    def _arrays(self) -> list:
+        arrays = [self.prior, self.live, self.loglik]
+        if self.transition is not None and self.transition.log_tables.ndim == 4:
+            arrays.append(self.transition.log_tables)   # the two-state model's hold no rows
+        if self.tables is not None:
+            t = self.tables
+            arrays += [t.days, t.psi, t.v_inv, t.v_logdet, t.v_chol, t.valid]
+        return arrays
+
+    def take(self, other: "PosteriorParts", rows: np.ndarray) -> None:
+        """Rows ``rows`` (a mask) take ``other``'s parts, in place; an array
+        ``other`` shares with these parts is left as it is."""
+        if self.tables is None:     # no row is live: every row's inputs may be other's
+            self.transition, self.tables = other.transition, other.tables
+        for mine, theirs in zip(self._arrays(), other._arrays(), strict=True):
+            if theirs is not mine:
+                mine[rows] = theirs[rows]
+
+
 class NumpyPosterior:
     """Log posterior on the unconstrained free vector, and its gradient.
 
-    ``__call__`` and ``logpost_and_grad_batch`` share one forward pass
-    (unpack, prior, day tables, kernels, tree product, log-Jacobian) that
-    values all the rows of a (C, D) block at once, every array carrying a
-    leading row axis, over the design built once in ``__init__``; one row
-    (D,) is the block of one. The gradient runs its adjoints in reverse over
-    the intermediates that pass keeps, over the same axis. Each row's value
-    and gradient are bit for bit what that row gives alone: numpy's stacked
-    products, solves and last-axis reductions treat each row as it would
-    treat it alone.
+    One forward pass (unpack, prior, transition part, day tables, kernels,
+    tree product, log-Jacobian) values all the rows of a (C, D) block at
+    once, every array carrying a leading row axis, over the design built
+    once in ``__init__``; one row (D,) is the block of one. The gradient
+    runs its adjoints in reverse over the intermediates that pass keeps,
+    over the same axis. Each row's value and gradient are bit for bit what
+    that row gives alone: numpy's stacked products, solves and last-axis
+    reductions treat each row as it would treat it alone.
+
+    ``block_values`` is the pass for values: it also returns the rows'
+    ``PosteriorParts``, and given the parts of rows that differ from ``q``
+    in a few families only, it recomputes only what those families feed.
+    ``__call__`` is its full pass.
     """
 
     def __init__(
@@ -174,7 +228,7 @@ class NumpyPosterior:
             keep = np.isfinite(lp)
             if keep.all():
                 tables = emission_module.build_day_tables(emission, self.design, per_row=True)
-                loglik, tape = log_likelihood_tape(self.y, self.cov, tables, trans)
+                loglik, tape = log_likelihood_tape(self.y, tables, transition_terms(self.cov, trans))
                 keep = np.isfinite(loglik)
                 if keep.all():
                     value = loglik + lp + self.space.log_jacobian(full)
@@ -186,8 +240,57 @@ class NumpyPosterior:
     def __call__(self, u_free: np.ndarray):
         """Log posterior of one row (D,), a float, or of each row of a (C, D) block."""
         u_free = np.asarray(u_free, dtype=np.float64)
-        values = self._forward(u_free.reshape(-1, u_free.shape[-1]))[0]
+        values = self.block_values(u_free.reshape(-1, u_free.shape[-1]))[0]
         return float(values[0]) if u_free.ndim == 1 else values
+
+    def block_values(self, q: np.ndarray, parts: PosteriorParts | None = None, families=frozenset()):
+        """Values (C,) and ``PosteriorParts`` at the (C, D) rows of ``q``.
+
+        Without ``parts`` every part is computed. ``parts`` are those of rows
+        that differ from ``q`` in the families ``families`` (a set) only: then
+        a prior factor is recomputed only if its family or its parent is
+        among them, the transition part only if ``trans`` is, the day-table
+        stages only if they read one of them, and the log likelihood only if
+        one of its inputs moved; the rest is taken from ``parts``. Either way
+        each value is bit for bit ``self(q[c])``. A row whose prior or log
+        likelihood is not finite, or whose first-day law cannot be valued,
+        reads -inf.
+        """
+        full = self.space.insert_free(self.base_full, q)
+        emission, trans, latents = self.space.unpack(full)
+        current = None if parts is None else parts.prior
+        prior, outside = prior_terms(emission, trans, latents, self.hyper, current, families)
+        lp = prior_total(prior, outside)
+        live = np.isfinite(lp)
+        if not live.any():
+            # nothing to value: the likelihood's inputs stay as they were, if there were any
+            transition, tables = (None, None) if parts is None else (parts.transition, parts.tables)
+            loglik = np.full(live.shape, -np.inf)
+        else:
+            if not live.all():
+                # a row of infinite prior is not valued: it takes a live row's inputs
+                stand_in = np.where(live[:, None], full, full[np.argmax(live)])
+                emission, trans, _ = self.space.unpack(stand_in)
+            whole = parts is None or not (live.all() and parts.live.all())
+            transition, tables, loglik = self._likelihood(emission, trans, None if whole else parts, families)
+        values = np.full(live.shape, -np.inf)
+        ok = live & np.isfinite(loglik)
+        if tables is not None:
+            ok &= tables.valid
+        values[ok] = (loglik + lp + self.space.log_jacobian(full))[ok]
+        return values, PosteriorParts(prior, live, transition, tables, loglik)
+
+    def _likelihood(self, emission, trans, parts, families):
+        """``(transition, tables, loglik)`` at these parameters, reusing ``parts`` as ``block_values`` says."""
+        if parts is None:
+            transition = transition_terms(self.cov, trans)
+            tables = emission_module.build_day_tables(emission, self.design, per_row=True)
+        else:
+            transition = transition_terms(self.cov, trans) if "trans" in families else parts.transition
+            tables = emission_module.update_day_tables(emission, self.design, parts.tables, families)
+            if transition is parts.transition and tables is parts.tables:
+                return transition, tables, parts.loglik
+        return transition, tables, log_likelihood_tape(self.y, tables, transition)[0]
 
     def _gradient(self, full, emission, trans, latents, tables, tape) -> np.ndarray:
         g_tables, g_loglam = log_likelihood_adjoint(tape, tables)
@@ -475,13 +578,20 @@ class _BlockAdapter:
         return self._chol * math.exp(self.log_scale)
 
 
-def _climb(posterior, q, lp, blocks, rngs, n_iter):
+def _block_families(space: ParamSpace, blocks) -> list:
+    """The set of families each block's free coordinates belong to."""
+    family = np.repeat(space.family_names, [len(f.scalar_names) for f in space.families])[space.free_idx]
+    return [frozenset(family[idx].tolist()) for idx in blocks]
+
+
+def _climb(posterior, q, lp, parts, blocks, families, rngs, n_iter):
     """Greedy stochastic ascent carrying remote starts into the typical set.
 
     Runs before any Metropolis adaptation and is discarded with the rest of
     warmup, so the retained kernel is unaffected. The step scale grows on
     improvement and shrinks otherwise. Block-major like ``_rwm``: each chain
-    draws from its own stream, one call values every chain's proposal.
+    draws from its own stream, one call values every chain's proposal from
+    the chains' ``parts``, and a chain that moves takes its proposal's parts.
     """
     C = q.shape[0]
     scales = np.full((C, len(blocks)), 0.1)
@@ -490,10 +600,11 @@ def _climb(posterior, q, lp, blocks, rngs, n_iter):
             prop = q.copy()
             for c, rng in enumerate(rngs):
                 prop[c, idx] = q[c, idx] + scales[c, b] * rng.standard_normal(len(idx)) / math.sqrt(len(idx))
-            lp_prop = posterior(prop)
+            lp_prop, prop_parts = posterior.block_values(prop, parts, families[b])
             up = lp_prop > lp
             q[up] = prop[up]
             lp[up] = lp_prop[up]
+            parts.take(prop_parts, up)
             scales[:, b] *= np.where(up, 1.3, 0.92)
     return q, lp
 
@@ -505,13 +616,18 @@ def _rwm(posterior, q, lp, rngs, warmup, config):
     from the rest of it. Each iteration steps block by block across the
     chains: every chain draws its proposal from its own stream, one call
     values all the proposals, and each chain accepts or rejects from its own
-    stream, so a chain's draws do not depend on the other chains.
+    stream, so a chain's draws do not depend on the other chains. The call
+    starts from each chain's current ``PosteriorParts`` and recomputes only
+    what the block's families feed; a chain that accepts takes its
+    proposal's parts, so its parts stay those of its state.
     """
     C = q.shape[0]
     blocks = _free_blocks(posterior.space)
+    families = _block_families(posterior.space, blocks)
     adapters = [[_BlockAdapter(len(b), _RWM_TARGET_ACCEPT) for b in blocks] for _ in range(C)]
     climb = min(300, warmup // 3)
-    q, lp = _climb(posterior, q, lp, blocks, rngs, climb)
+    parts = posterior.block_values(q)[1]
+    q, lp = _climb(posterior, q, lp, parts, blocks, families, rngs, climb)
 
     for it in range(climb, config.n_iterations):
         accepted = np.zeros(C)
@@ -519,7 +635,8 @@ def _rwm(posterior, q, lp, rngs, warmup, config):
             prop = q.copy()
             for c, rng in enumerate(rngs):
                 prop[c, idx] = q[c, idx] + adapters[c][b].chol() @ rng.standard_normal(len(idx))
-            lp_prop = posterior(prop)
+            lp_prop, prop_parts = posterior.block_values(prop, parts, families[b])
+            took = np.zeros(C, dtype=bool)
             for c, rng in enumerate(rngs):
                 ratio = lp_prop[c] - lp[c]
                 alpha = 1.0 if ratio >= 0 else math.exp(max(ratio, -700.0))
@@ -527,9 +644,11 @@ def _rwm(posterior, q, lp, rngs, warmup, config):
                     q[c] = prop[c]
                     lp[c] = lp_prop[c]
                     accepted[c] += 1
+                    took[c] = True
                 if it < warmup:
                     adapters[c][b].tune(alpha)
                     adapters[c][b].observe(q[c, idx].copy())
+            parts.take(prop_parts, took)
         yield it, q, lp, accepted, len(blocks), 0
 
 

@@ -108,6 +108,21 @@ class TestFit:
         assert draws.n_draws == 2 * 10
         assert np.all(np.isfinite(draws.logpost))
 
+    def test_fit_does_not_load_numpy_ma(self, workspace, tmp_path):
+        # numpy.ma takes 10-18 ms to import, and nothing a fit runs needs it
+        argv = [
+            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            "--holidays", str(workspace / "holidays.csv"),
+            "--config", str(workspace / "config.txt"), "--seed", "3",
+            "--out-dir", str(tmp_path), "--chains", "2", "--iters", "8",
+            "--thin", "1", "--backend", "adaptive-metropolis",
+        ]
+        code = f"import sys\nfrom demandhmm.cli import main\nassert main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+
     def test_outputs(self, fitted):
         assert (fitted / "draws.csv").exists()
         assert (fitted / "draws_meta.json").exists()

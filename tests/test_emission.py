@@ -11,9 +11,13 @@ from demandhmm.emission import (
     EmissionParams,
     build_day_tables,
     build_design,
+    _first_day_law,
+    _mean_rows,
+    _precision_rows,
     _stationary_variance_rows,
     psi_from_xi,
     stationary_variance,
+    update_day_tables,
 )
 
 from helpers import (
@@ -399,3 +403,64 @@ class TestDayTables:
         design = build_design(cov, emission.k_annual + 1, emission.k_prec_annual)
         with pytest.raises(ValueError):
             build_day_tables(emission, design)
+
+
+_STAGES = (_mean_rows, _precision_rows, _first_day_law)
+_FIELDS = tuple(f.name for f in dataclasses.fields(EmissionParams))
+_UNIT_FIELDS = ("ar_eig01", "decay_mean", "decay_prec")
+
+
+def _moved(params, name):
+    """``params`` with the field ``name`` moved: unit-interval fields shrink, the rest shift."""
+    x = getattr(params, name)
+    return params.replace(**{name: x * 0.9 if name in _UNIT_FIELDS else x + 0.05})
+
+
+def _stage_output(stage, params, design):
+    """What ``stage`` writes or returns at ``params``, as one tuple of arrays."""
+    days = build_day_tables(params, design, per_row=True).days
+    if stage is _first_day_law:
+        return tuple(stage(params, days)[0].values())
+    out = np.full(days.shape, np.nan)
+    stage(params, design, out)
+    return (out[~np.isnan(out)],)
+
+
+class TestDayTableStages:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        emission, _, _ = small_truth()
+        cov = make_cov(
+            dt.date(2021, 4, 1), 30, [(dt.date(2021, 4, 2), 1), (dt.date(2021, 4, 14), 3)],
+            rng=np.random.default_rng(13),
+        )
+        return emission, build_design(cov, emission.k_annual, emission.k_prec_annual)
+
+    def test_every_field_feeds_a_stage(self):
+        assert set().union(*(stage.fields for stage in _STAGES)) == set(_FIELDS)
+
+    @pytest.mark.parametrize("stage", _STAGES, ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("name", _FIELDS)
+    def test_a_stage_reads_exactly_its_declared_fields(self, setup, stage, name):
+        # a field outside the declaration leaves the stage's rows bitwise as they were;
+        # one inside it moves them
+        emission, design = setup
+        before = _stage_output(stage, emission, design)
+        after = _stage_output(stage, _moved(emission, name), design)
+        same = all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert same == (name not in stage.fields)
+
+    @pytest.mark.parametrize("names", [[n] for n in _FIELDS] + [["level", "prec_base"], []])
+    def test_update_equals_the_full_build(self, setup, names):
+        emission, design = setup
+        tables = build_day_tables(emission, design, per_row=True)
+        moved = emission
+        for name in names:
+            moved = _moved(moved, name)
+        updated = update_day_tables(moved, design, tables, frozenset(names))
+        full = build_day_tables(moved, design, per_row=True)
+        for f in dataclasses.fields(full):
+            assert np.array_equal(getattr(updated, f.name), getattr(full, f.name)), f.name
+        assert (updated is tables) == (not names)
+        assert np.shares_memory(updated.mu, updated.days)
+

@@ -19,6 +19,7 @@ from demandhmm.filtering import (
     smooth_states,
     state_slots,
     terminal_log_distribution,
+    transition_terms,
 )
 from demandhmm.generative import simulate
 from demandhmm.priors import default_hyperparameters, sample_prior
@@ -168,7 +169,7 @@ class TestStateSlots:
         assert np.isfinite(loglik)
         assert log_likelihood(y, cov, emission, trans) == pytest.approx(loglik, rel=1e-12)
         tables = day_tables(emission, cov)
-        _, tape = log_likelihood_tape(y, cov, tables, trans)
+        _, tape = log_likelihood_tape(y, tables, transition_terms(cov, trans))
         _, pairs = log_likelihood_adjoint(tape, tables)
         tol = max(1e-9, 1e-15 * abs(loglik))
         assert pairs.shape == (cov.T, 4, 4)
@@ -200,7 +201,7 @@ class TestStateSlots:
         assert np.all(sequential_reference(y, cov, emission, trans).pairs[off] == 0.0)
         assert np.all(np.isfinite(logk).any(axis=(1, 2)))
         # at the slots, the slot kernels are the four states' kernels
-        slot_logk, (slots, *_) = _kernel_terms(y, cov, tables, trans)
+        slot_logk, (slots, *_) = _kernel_terms(y, tables, transition_terms(cov, trans))
         assert np.allclose(slot_logk, slots.gather_pairs(logk), rtol=1e-13, atol=0.0)
 
     def test_slots_kept_per_series_and_model(self, problem):
@@ -406,7 +407,7 @@ class TestFilterProperties:
         ref = sequential_reference(y, cov, emission, trans)
         assume(np.isfinite(ref.loglik))
         tables = build_day_tables(emission, build_design(cov, 2, 2))
-        _, tape = log_likelihood_tape(y, cov, tables, trans)
+        _, tape = log_likelihood_tape(y, tables, transition_terms(cov, trans))
         _, xi = log_likelihood_adjoint(tape, tables)
         logk = log_kernels(y, cov, tables, trans)
         # both recursions round exponents of the size of log L

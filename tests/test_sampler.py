@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from demandhmm import emission as emission_module
 from demandhmm.diagnostics import _average_ranks, rank_diagnostics
@@ -16,8 +18,10 @@ from demandhmm.sampler import (
     Diagnostics,
     NumpyPosterior,
     SamplerConfig,
+    _block_families,
     _free_blocks,
     _hmc,
+    _rwm,
     compute_diagnostics,
     run_mcmc,
 )
@@ -448,6 +452,135 @@ def test_random_walk_blocks(mode, free, groups):
     family = [f.name for f in space.families for _ in f.scalar_names]
     expected = [[i for i, j in enumerate(space.free_idx) if family[j] in g] for g in groups]
     assert [b.tolist() for b in _free_blocks(space)] == expected
+
+
+_SPACES = [
+    (ModelMode.FOUR_STATE, None),
+    (ModelMode.TWO_STATE, None),
+    (ModelMode.FOUR_STATE, ["level", "trans"]),
+    (ModelMode.FOUR_STATE, ["mu_level"]),
+]
+_SPACE_IDS = ["four_state", "two_state", "level_trans", "mu_level"]
+
+
+def _posterior_at_truth(problem, mode, free, n_rows, seed):
+    """A posterior in the space ``(mode, free)``, pinned at the truth, and ``n_rows``
+    finite states near it with their values."""
+    emission, trans, latents, cov, y, hyper, _ = problem
+    space = ParamSpace(2, 2, mode, free=free)
+    truth = space.pack(emission, trans if mode is ModelMode.FOUR_STATE else None, latents)
+    post = NumpyPosterior(y, cov, hyper, space, truth)
+    rng = np.random.default_rng(seed)
+    q = space.extract_free(truth) + 0.01 * rng.standard_normal((n_rows, space.size))
+    values = post(q)
+    assert np.isfinite(values).all()
+    return post, q, values
+
+
+def _assert_parts_equal(kept, fresh):
+    """The parts of the same rows are equal: the prior's terms and liveness everywhere,
+    the likelihood's inputs and value at the live rows."""
+    assert np.array_equal(kept.prior, fresh.prior, equal_nan=True)
+    assert np.array_equal(kept.live, fresh.live)
+    live = fresh.live
+    assert np.array_equal(kept.loglik[live], fresh.loglik[live])
+    if not live.any():
+        return
+    k_trans, f_trans = kept.transition.log_tables, fresh.transition.log_tables
+    if f_trans.ndim == 4:               # one table per row: the transition coefficients move
+        k_trans, f_trans = k_trans[live], f_trans[live]
+    assert np.array_equal(k_trans, f_trans)
+    for name in ("days", "psi", "v_inv", "v_logdet", "v_chol", "valid"):
+        assert np.array_equal(getattr(kept.tables, name)[live], getattr(fresh.tables, name)[live]), name
+
+
+class TestBlockValues:
+    """``block_values`` from the parts of a current state values a move of a few
+    families exactly as the full pass values it."""
+
+    @pytest.mark.parametrize("mode, free", _SPACES, ids=_SPACE_IDS)
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_block_equals_the_full_pass(self, problem, mode, free, data):
+        post, q, _ = _posterior_at_truth(problem, mode, free, 3, 40)
+        parts = post.block_values(q)[1]
+        blocks = _free_blocks(post.space)
+        for idx, families in zip(blocks, _block_families(post.space, blocks)):
+            prop = q.copy()
+            for r in range(q.shape[0]):
+                step = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=idx.size, max_size=idx.size))
+                prop[r, idx] += step
+            values, prop_parts = post.block_values(prop, parts, families)
+            assert np.array_equal(values, post(prop))
+            _assert_parts_equal(prop_parts, post.block_values(prop)[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode, free", _SPACES, ids=_SPACE_IDS)
+    def test_marked_rows_read_minus_inf_in_every_block(self, problem, mode, free):
+        # row 1 of a block that feeds the first-day law cannot value it (its precision
+        # cancels); row 2 leaves the prior's support; row 0 is an ordinary move
+        post, q, _ = _posterior_at_truth(problem, mode, free, 3, 41)
+        parts = post.block_values(q)[1]
+        blocks = _free_blocks(post.space)
+        marked = 0
+        for idx, families in zip(blocks, _block_families(post.space, blocks)):
+            prop = q.copy()
+            prop[:, idx] += 0.05
+            if "prec_base" in families:
+                prop[1, post.space.free_names.index("prec_base_1")] = 1e8
+            prop[2, idx[0]] = np.nan
+            values, prop_parts = post.block_values(prop, parts, families)
+            assert np.array_equal(values, post(prop))
+            assert np.array_equal(values, post.logpost_and_grad_batch(prop)[0])
+            assert values[2] == -np.inf and not prop_parts.live[2]
+            if "prec_base" in families:
+                assert values[1] == -np.inf and not prop_parts.tables.valid[1]
+                marked += 1
+            assert np.isfinite(values[0])
+        assert marked == (free is None)
+
+
+class _Permissive:
+    """A chain stream that accepts every move whose acceptance probability is above
+    0, and proposes steps 1e200 times its normal draws once ``far`` is set."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.far = False
+
+    def standard_normal(self, n):
+        x = self.rng.standard_normal(n)
+        return 1e200 * x if self.far else x
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("mode, free", _SPACES, ids=_SPACE_IDS)
+def test_kept_parts_are_those_of_each_chains_state(problem, monkeypatch, mode, free):
+    # a chain whose move reads -inf can still take it (its acceptance probability is
+    # floored at exp(-700)); whatever it takes, its parts stay those of its state
+    post, q, lp = _posterior_at_truth(problem, mode, free, 2, 42)
+    block_values, kept = NumpyPosterior.block_values, []
+
+    def recorded(self, q, parts=None, families=frozenset()):
+        if parts is not None:
+            kept.append(parts)
+        return block_values(self, q, parts, families)
+
+    monkeypatch.setattr(NumpyPosterior, "block_values", recorded)
+    rngs = [_Permissive(50), _Permissive(51)]
+    config = SamplerConfig(n_chains=2, n_iterations=40, algorithm="adaptive-metropolis")
+    warmup, seen_dead = 12, 0
+    # a chain at -inf takes the ratio of two -inf values, NaN: it rejects
+    with np.errstate(invalid="ignore"):
+        for it, q_it, lp_it, *_ in _rwm(post, q, lp, rngs, warmup, config):
+            rngs[0].far = it + 1 >= warmup     # past the adapters, chain 0 steps out of the prior
+            values, fresh = block_values(post, q_it)
+            assert np.array_equal(lp_it, values)
+            _assert_parts_equal(kept[-1], fresh)
+            seen_dead += not fresh.live[0]
+    assert seen_dead > 0 and np.isfinite(lp_it[1])
 
 
 class TestDiagnostics:
