@@ -326,7 +326,7 @@ def _cmd_report(args) -> int:
             ["parameter", "mean", "sd", *[f"q{int(q * 1000):03d}" for q in qs]],
             # one draw has no sample standard deviation: nan, without numpy's warnings
             ([name, repr(float(col.mean())), repr(float(col.std(ddof=1) if col.size > 1 else np.nan)),
-              *[repr(float(np.quantile(col, q))) for q in qs]]
+              *[repr(float(dataio.quantile(col, q))) for q in qs]]
              for name, col in zip(draws.names, draws.constrained().T)),
         )
     if args.smoothed:

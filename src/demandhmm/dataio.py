@@ -27,6 +27,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -274,11 +275,37 @@ def write_ppc_days_csv(path, cov: CovariateSeries, y, summary):
     )
 
 
+def quantile(a, q: float):
+    """``np.quantile(a, q, axis=0)`` bit for bit, for its default linear method.
+
+    The same steps: partition a copy at the positions numpy picks (0 and
+    n - 1, and below the top the two neighbours of ``(n - 1) q``),
+    interpolate between the neighbours as numpy's ``_lerp`` does, from
+    the upper one when the weight is at least 1/2, and give a NaN wherever a
+    column holds one. ``np.quantile`` would also import ``numpy.ma`` (through
+    ``np.unique``), which nothing else the commands run needs.
+    """
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[0]
+    at = (n - 1) * q
+    lo = hi = -1
+    if at < n - 1:
+        lo = math.floor(at)
+        hi = lo + 1
+    a.partition(sorted({0, -1, lo, hi}), axis=0)
+    below, above = a[lo], a[hi]
+    t = at - lo
+    diff = above - below
+    out = above - diff * (1 - t) if t >= 0.5 else below + diff * t
+    nan = np.isnan(a[-1])
+    return np.where(nan, a[-1], out)[()] if np.any(nan) else out
+
+
 def write_forecast_csv(path, future_cov: CovariateSeries, paths: np.ndarray):
     """Per-day forecast summary: mean and central 95% band per region."""
     mean = paths.mean(axis=0)
-    q025 = np.quantile(paths, 0.025, axis=0)
-    q975 = np.quantile(paths, 0.975, axis=0)
+    q025 = quantile(paths, 0.025)
+    q975 = quantile(paths, 0.975)
     write_rows(
         path, ["date", "region", "pred_mean", "pred_q025", "pred_q975"],
         ([d.isoformat(), j + 1, repr(float(mean[i, j])), repr(float(q025[i, j])),

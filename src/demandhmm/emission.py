@@ -389,9 +389,9 @@ def update_day_tables(
     return tables
 
 
-def day_tables(params: EmissionParams, cov: CovariateSeries) -> DayTables:
+def day_tables(params: EmissionParams, cov: CovariateSeries, per_row: bool = False) -> DayTables:
     """``build_day_tables`` of ``params`` over the design of ``cov``."""
-    return build_day_tables(params, build_design(cov, params.k_annual, params.k_prec_annual))
+    return build_day_tables(params, build_design(cov, params.k_annual, params.k_prec_annual), per_row)
 
 
 def day_tables_adjoint(

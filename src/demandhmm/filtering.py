@@ -487,17 +487,37 @@ def log_likelihood(y, cov, emission, trans) -> float:
 
 
 def terminal_log_distribution(
-    y: np.ndarray, cov: CovariateSeries, tables: DayTables, trans: TransitionParams | None
+    y: np.ndarray, cov: CovariateSeries, tables: DayTables, trans: TransitionParams | None,
+    per_row: bool = False,
 ) -> np.ndarray:
-    """Normalised log filtered distribution (4,) of the state on the last day.
+    """Normalised log filtered distribution (..., 4) of the state on the last day.
 
-    Raises ``FloatingPointError`` on a NaN log likelihood, and naming the
-    first day of zero likelihood when the series has none.
+    Tables with a leading axis of rows give one distribution per row, each
+    as that row alone would give it. Raises ``FloatingPointError`` on a NaN
+    log likelihood, and naming the first day of zero likelihood when the
+    series has none. With ``per_row`` (tables built with it too), a row whose
+    first-day law failed (``DayTables.valid``) or whose log likelihood is NaN
+    or zero reads NaN instead.
     """
-    loglik, product, _, (slots, *_) = _nonzero_likelihood_tape(validate_series(y, cov), cov, tables, trans)
-    out = np.full(4, -np.inf)
-    out[slots.states[-1]] = _logsumexp(product, axis=0) - loglik
+    y = validate_series(y, cov)
+    if per_row:
+        loglik, tape = log_likelihood_tape(y, tables, transition_terms(cov, trans))
+    else:
+        tape = _nonzero_likelihood_tape(y, cov, tables, trans)
+    loglik, product, _, (slots, *_) = tape
+    out = np.full(product.shape[:-2] + (4,), -np.inf)
+    # a row of zero likelihood reads -inf - -inf: NaN, as it should
+    with np.errstate(invalid="ignore"):
+        out[..., slots.states[-1]] = _logsumexp(product, axis=-2) - np.asarray(loglik)[..., None]
+    if per_row:
+        out[_unvalued(tables, loglik)] = np.nan
     return out
+
+
+def _unvalued(tables: DayTables, loglik) -> np.ndarray:
+    """Which rows cannot be valued: their first-day law failed (``DayTables.valid``),
+    or their log likelihood is NaN or zero."""
+    return ~(tables.valid & (np.asarray(loglik) > -np.inf))
 
 
 def backward_smooth(
@@ -521,37 +541,51 @@ def smooth_states(y, cov, emission, trans):
     """Smoothed state marginals from the tree's reverse pass; returns
     ``(loglik, SmoothedStates)``.
 
-    Day 0's marginal sums the first pair marginal over the next state, day
-    t >= 1's sums pair t-1 over the previous state. Raises
-    ``FloatingPointError`` on a NaN log likelihood, and naming the first day
-    of zero likelihood when the series has none.
+    Raises ``FloatingPointError`` on a NaN log likelihood, and naming the
+    first day of zero likelihood when the series has none.
     """
     y = validate_series(y, cov)
-    tables = day_tables(emission, cov)
-    loglik, top, levels, (slots, *_) = _nonzero_likelihood_tape(y, cov, tables, trans)
-    xi = _tree_adjoint(levels, np.exp(top - loglik))   # (i, j, T) slot pair marginals
-    probs = np.zeros((y.shape[0] + 1, 4))
-    probs[0, slots.states[0]] = _over_slots(np.add, xi[:, :, 0], -1)
-    probs[1:] = slots.scatter(_over_slots(np.add, xi, -3)).T
-    probs /= probs.sum(axis=1, keepdims=True)
-    return loglik, SmoothedStates(probs=probs)
+    tape = _nonzero_likelihood_tape(y, cov, day_tables(emission, cov), trans)
+    return tape[0], SmoothedStates(probs=_smoothed_probs(tape))
+
+
+def _smoothed_probs(tape) -> np.ndarray:
+    """Smoothed state marginals (..., T+1, 4) of days 0..T from a tape of finite log likelihoods.
+
+    Day 0's marginal sums the first pair marginal over the next state, day
+    t >= 1's sums pair t-1 over the previous state.
+    """
+    loglik, top, levels, (slots, *_) = tape
+    xi = _tree_adjoint(levels, np.exp(top - np.asarray(loglik)[..., None, None]))   # (..., i, j, T)
+    probs = np.zeros(xi.shape[:-3] + (xi.shape[-1] + 1, 4))
+    probs[..., 0, slots.states[0]] = _over_slots(np.add, xi[..., 0], -1)
+    probs[..., 1:, :] = slots.scatter(_over_slots(np.add, xi, -3)).swapaxes(-1, -2)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def rao_blackwell_states(draws, y, cov) -> SmoothedStates:
     """Average per-draw smoothed marginals over retained posterior draws.
 
-    ``draws`` is a ``paramspace.PosteriorDraws``; each draw's ``trans`` names its model.
+    ``draws`` is a ``paramspace.PosteriorDraws``; each draw's ``trans`` names
+    its model. The draws are smoothed in blocks of rows
+    (``PosteriorDraws.blocks``), each row as it would be alone, and summed in
+    draw order. Raises the error of the first draw that cannot be smoothed:
+    ``LinAlgError`` for a failed first-day law, or a ``FloatingPointError``
+    naming the draw.
     """
     if draws.n_draws < 1:
         raise ValueError("at least one posterior draw is required")
     y = validate_series(y, cov)
     total = np.zeros((y.shape[0] + 1, 4))
-    for i in range(draws.n_draws):
-        emission, trans, _ = draws.params_at(i)
-        try:
-            _, smoothed = smooth_states(y, cov, emission, trans)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"draw {i}: {exc}") from exc
-        total += smoothed.probs
+    for rows, (emission, trans, _) in draws.blocks(cov.T):
+        tables = day_tables(emission, cov, per_row=True)
+        loglik, tape = log_likelihood_tape(y, tables, transition_terms(cov, trans))
+        failed = _unvalued(tables, loglik)
+        if failed.any():
+            draws.raise_for(rows.start + int(np.argmax(failed)), lambda e, t: smooth_states(y, cov, e, t))
+        for probs in _smoothed_probs(tape):
+            total += probs
+        del tables, tape   # a block's arrays go before the next block's are built
     total /= draws.n_draws
     return SmoothedStates(probs=total)

@@ -3,8 +3,10 @@
 Inverts the model's generative story: draw the anchor state, walk the
 non-homogeneous chain, start demand from its stationary law and roll the
 VAR(1) recursion forward. ``simulate`` and ``continue_simulation`` (forecast
-paths) share one path function, and each draws its uniforms ``u`` (T+1,)
-first and its standard normals ``z`` (T, 2) second. Also provides
+paths) share one path function, and each path draws its uniforms ``u``
+(T+1,) first and its standard normals ``z`` (T, 2) second (``path_noise``).
+Parameters with a leading axis of rows give one path per row, each drawn as
+it would be alone. Also provides
 synthetic-input helpers (sinusoidal CWV, a UK-style observed-holiday
 calendar) and a documented set of "truth" parameters with pronounced holiday
 and proximity effects, used by the recovery and calibration studies and by
@@ -14,6 +16,7 @@ the CLI demo.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,102 +39,157 @@ from .states import TransitionParams, initial_distribution
 class SimulationOutput:
     """States for days 0..T, log demand for days 1..T, and the covariates used."""
 
-    states: np.ndarray        # (T+1,) int64 in 1..4
-    y: np.ndarray             # (T, 2) log demand
+    states: np.ndarray        # (..., T+1) int64 in 1..4
+    y: np.ndarray             # (..., T, 2) log demand
     cov: CovariateSeries
 
 
 def simulate(
     emission: EmissionParams, trans: TransitionParams | None, cov: CovariateSeries, seed
 ) -> SimulationOutput:
-    """Simulate one dataset, two-state if ``trans`` is None.
+    """Simulate one dataset, two-state if ``trans`` is None; parameters with a
+    leading axis of rows give one dataset per row, with that axis.
 
     ``seed`` is an int or a ``numpy`` SeedSequence/Generator.
     """
-    rng = np.random.default_rng(seed)
-    tables, cum = _path_tables(emission, trans, cov)
-    l0 = initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
-    u = rng.random(cov.T + 1)
-    z = rng.standard_normal((cov.T, 2))
-    states, y = _draw_path(tables, cum, l0, u, z)
+    tables, cum = path_tables(emission, trans, cov)
+    anchor = initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
+    states, y = draw_paths(tables, cum, anchor, np.random.default_rng(seed))
     return SimulationOutput(states=states + 1, y=y, cov=cov)
 
 
+def path_tables(emission: EmissionParams, trans: TransitionParams | None, cov: CovariateSeries,
+                per_row: bool = False):
+    """Day tables and cumulative transition probabilities (..., T, 4, 4) over ``cov``.
+
+    With ``per_row`` a row whose first-day law fails is marked in the tables'
+    ``valid`` instead of raising (see ``emission.build_day_tables``).
+    """
+    tables = day_tables(emission, cov, per_row)
+    lam = np.exp(states_module.log_transition_tables(trans, cov.n[1:], cov.p[1:]))
+    return tables, np.cumsum(lam, axis=-1)
+
+
+def path_noise(rng: np.random.Generator, T: int):
+    """One path's noise: its uniforms ``u`` (T+1,) first, then its standard normals ``z`` (T, 2)."""
+    return rng.random(T + 1), rng.standard_normal((T, 2))
+
+
+def draw_paths(tables: DayTables, cum: np.ndarray, anchor: np.ndarray, rng: np.random.Generator):
+    """0-based states (..., T+1) and log demand (..., T, 2) of one path per row of
+    ``path_tables``' output from the anchor day's law ``anchor`` (4,), each row
+    drawing its ``path_noise`` from ``rng`` in row order."""
+    lead, T = tables.psi.shape[:-2], tables.days.shape[-1]
+    u, z = np.empty(lead + (T + 1,)), np.empty(lead + (T, 2))
+    for row in np.ndindex(lead):
+        u[row], z[row] = path_noise(rng, T)
+    return _draw_path(tables, cum, anchor, u, z)
+
+
 def continue_simulation(
-    emission: EmissionParams,
-    trans: TransitionParams | None,
-    future_cov: CovariateSeries,
-    last_state: int,
+    tables: DayTables,
+    cum: np.ndarray,
+    last_state,
     last_y: np.ndarray,
     last_mu: np.ndarray,
-    rng: np.random.Generator,
+    u: np.ndarray,
+    z: np.ndarray,
 ):
-    """Roll states and demand forward from a known end point (forecasting)."""
-    tables, cum = _path_tables(emission, trans, future_cov)
-    u = rng.random(future_cov.T + 1)
-    z = rng.standard_normal((future_cov.T, 2))
-    states, y = _draw_path(tables, cum, (last_state - 1, last_y, last_mu), u, z)
-    return states[1:] + 1, y
+    """States (1..4) and log demand rolled forward from known end points (forecasting).
+
+    ``tables`` and ``cum`` are ``path_tables`` of the future window;
+    ``last_state`` (1..4), ``last_y`` and ``last_mu`` describe the day before
+    it, and ``u``, ``z`` are each path's ``path_noise``, all with the rows'
+    leading axis if there is one.
+    """
+    states, y = _draw_path(tables, cum, (np.asarray(last_state) - 1, last_y, last_mu), u, z)
+    return states[..., 1:] + 1, y
 
 
-def _path_tables(emission, trans, cov):
-    """Day tables and cumulative transition probabilities (T, 4, 4) over ``cov``."""
-    tables = day_tables(emission, cov)
-    lam = np.exp(states_module.log_transition_tables(trans, cov.n[1:], cov.p[1:]))
-    return tables, np.cumsum(lam, axis=2)
-
-
-def _state_walk(cum: np.ndarray, s0: int, u: np.ndarray) -> np.ndarray:
-    """0-based states of days 0..T from ``s0``, day t+1 drawn with ``u[t + 1]``.
+def _state_walk(cum: np.ndarray, s0, u: np.ndarray) -> np.ndarray:
+    """0-based states of days 0..T from ``s0``, day t+1 drawn with ``u[..., t + 1]``.
 
     Each day moves to the first state whose cumulative probability exceeds
     its uniform, or to state 4 if none does. Day t's next-state map is
-    ``walk[t, s]``; the doubling passes turn ``walk[t]`` into the composition
-    of the maps of days 0..t, which is exact on integers.
+    ``walk[..., t, s]``; the doubling passes turn ``walk[..., t, :]`` into the
+    composition of the maps of days 0..t, which is exact on integers. Leading
+    axes of ``s0`` and ``u`` are rows, over which ``cum`` broadcasts.
     """
-    walk = np.count_nonzero(cum[:, :, :3] <= u[1:, None, None], axis=2)
+    walk = np.count_nonzero(cum[..., :3] <= u[..., 1:, None, None], axis=-1)
     d = 1
-    while d < len(walk):
-        walk[d:] = np.take_along_axis(walk[d:], walk[:-d], axis=1)
+    while d < walk.shape[-2]:
+        walk[..., d:, :] = np.take_along_axis(walk[..., d:, :], walk[..., :-d, :], axis=-1)
         d *= 2
-    return np.concatenate(([s0], walk[:, s0]))
+    s0 = np.asarray(s0)[..., None]
+    return np.concatenate((s0, np.take_along_axis(walk, s0[..., None, :], axis=-1)[..., 0]), axis=-1)
+
+
+# From this many rows on, the VAR(1) recursion runs over all rows at once; below
+# it, row by row in Python floats, where a day costs less than one numpy call.
+_VECTOR_ROWS = 20
 
 
 def _draw_path(tables: DayTables, cum: np.ndarray, start, u: np.ndarray, z: np.ndarray):
-    """Draw 0-based states (T+1,) and log demand (T, 2) from uniforms and normals.
+    """Draw 0-based states (..., T+1) and log demand (..., T, 2) from uniforms and normals.
 
     ``start`` is either the anchor distribution (4,), in which case the
-    anchor state comes from ``u[0]`` and day 1 from the stationary law
+    anchor state comes from ``u[..., 0]`` and day 1 from the stationary law
     (``v_chol``), or ``(state, y, mu)`` of the day before day 1, from which
-    the recursion continues (``u[0]`` is then unused).
+    the recursion continues (``u[..., 0]`` is then unused). Leading axes of
+    the tables, ``u``, ``z`` and ``start`` are rows, each drawn as it would be
+    alone; ``cum`` broadcasts over them.
     """
-    T = len(z)
+    lead, T = z.shape[:-2], z.shape[-2]
     anchored = not isinstance(start, tuple)
     if anchored:
-        s0 = int(np.count_nonzero(np.cumsum(start)[:3] <= u[0]))
+        s0 = np.count_nonzero(np.cumsum(start)[:3] <= u[..., :1], axis=-1)
     else:
         s0, y_prev, mu_prev = start
     states = _state_walk(cum, s0, u)
-    days, s = np.arange(T), states[1:]
-    m = tables.mu[days, s]
-    e0 = z[:, 0] / np.sqrt(tables.tau1[days, s])
-    e1 = tables.phi[days, s] * e0 + z[:, 1] / np.sqrt(tables.tau2[days, s])
+    s = states[..., 1:]
+    m = np.take_along_axis(tables.mu, s[..., None, None], axis=-2)[..., 0, :]     # (..., T, 2)
+    tau1, tau2, phi = (np.take_along_axis(x, s[..., None], axis=-1)[..., 0]
+                       for x in (tables.tau1, tables.tau2, tables.phi))
+    e0 = z[..., 0] / np.sqrt(tau1)
+    e1 = phi * e0 + z[..., 1] / np.sqrt(tau2)
 
-    m0, m1, e0, e1 = m[:, 0].tolist(), m[:, 1].tolist(), e0.tolist(), e1.tolist()
-    rows = []
+    y = np.empty(lead + (T, 2))
+    first = int(anchored)
     if anchored:
-        v = tables.v_chol[s[0]].tolist()
-        z0, z1 = z[0].tolist()
-        rows.append((m0[0] + v[0][0] * z0, m1[0] + v[1][0] * z0 + v[1][1] * z1))
-        y_prev, mu_prev = rows[0], (m0[0], m1[0])
-    d0, d1 = float(y_prev[0] - mu_prev[0]), float(y_prev[1] - mu_prev[1])
-    (p00, p01), (_, p11) = tables.psi.tolist()
-    for t in range(len(rows), T):
+        v = np.take_along_axis(tables.v_chol, s[..., :1, None, None], axis=-3)[..., 0, :, :]
+        z0, z1 = z[..., 0, 0], z[..., 0, 1]
+        y[..., 0, 0] = m[..., 0, 0] + v[..., 0, 0] * z0
+        y[..., 0, 1] = m[..., 0, 1] + v[..., 1, 0] * z0 + v[..., 1, 1] * z1
+        y_prev, mu_prev = y[..., 0, :], m[..., 0, :]
+    # the recursion over days first..T-1, on rows flattened to one axis
+    n, days = math.prod(lead), T - first
+    d = np.broadcast_to(np.subtract(y_prev, mu_prev), lead + (2,)).reshape(n, 2)
+    psi = np.broadcast_to(tables.psi, lead + (2, 2)).reshape(n, 4)[:, [0, 1, 3]]
+    m, e0, e1 = m.reshape(n, T, 2)[:, first:], e0.reshape(n, T)[:, first:], e1.reshape(n, T)[:, first:]
+    out = y.reshape(n, T, 2)[:, first:]
+    if n >= _VECTOR_ROWS:
+        rolled = _var_roll(m[..., 0].T, m[..., 1].T, e0.T, e1.T, *psi.T, *d.T)
+        out[...] = np.reshape(rolled, (days, 2, n)).transpose(2, 0, 1)
+    else:
+        for r in range(n):
+            rolled = _var_roll(m[r, :, 0].tolist(), m[r, :, 1].tolist(), e0[r].tolist(), e1[r].tolist(),
+                               *psi[r].tolist(), *d[r].tolist())
+            out[r] = np.reshape(rolled, (days, 2))
+    return states, y
+
+
+def _var_roll(m0, m1, e0, e1, p00, p01, p11, d0, d1) -> list:
+    """``(y0, y1)`` of successive days of the VAR(1) recursion, from the deviations
+    ``(d0, d1)`` of the day before, each day's means ``m`` and innovations ``e``
+    and the AR matrix's entries ``p``. The values are floats for one path, or
+    arrays over rows (day first), where each row's arithmetic is the floats'."""
+    rows = []
+    for t in range(len(m0)):
         y0 = m0[t] + (p00 * d0 + p01 * d1) + e0[t]
         y1 = m1[t] + (p01 * d0 + p11 * d1) + e1[t]
         rows.append((y0, y1))
         d0, d1 = y0 - m0[t], y1 - m1[t]
-    return states, np.array(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

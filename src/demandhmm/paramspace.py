@@ -280,6 +280,13 @@ def _field_value(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
+# Post-processing (smoothing, replicates, forecasts) values its draws in blocks
+# of rows of about this many draw-days, not all at once: a block's day tables,
+# kernels and tree levels take about 0.8 MB per 1500-day draw, and the
+# post-processing commands must not peak above a fit.
+BLOCK_DRAW_DAYS = 1600
+
+
 @dataclass
 class PosteriorDraws:
     """Retained draws in unconstrained free coordinates plus provenance."""
@@ -303,11 +310,32 @@ class PosteriorDraws:
     def names(self) -> tuple:
         return self.space.free_names
 
-    def full_vector(self, i: int) -> np.ndarray:
-        return self.space.insert_free(self.base_full, self.free_draws[i])
+    def params_at(self, i):
+        """The structs of draw ``i``, or of the draws ``i`` selects (a slice) with a leading axis of rows."""
+        return self.space.unpack(self.space.insert_free(self.base_full, self.free_draws[i]))
 
-    def params_at(self, i: int):
-        return self.space.unpack(self.full_vector(i))
+    def blocks(self, days: int):
+        """``(rows, params)`` for consecutive blocks of draws in draw order: ``rows``
+        a slice of draw indices and ``params`` their structs with a leading axis of
+        rows. A block holds ``max(1, BLOCK_DRAW_DAYS // days)`` draws."""
+        size = max(1, BLOCK_DRAW_DAYS // days)
+        for start in range(0, self.n_draws, size):
+            rows = slice(start, min(start + size, self.n_draws))
+            yield rows, self.params_at(rows)
+
+    def raise_for(self, i: int, value) -> None:
+        """Raise the error that ``value(emission, trans)`` raises on draw ``i``
+        alone; a ``FloatingPointError`` is named ``draw i: ...``.
+
+        Post-processing values its draws in blocks and comes here with the first
+        draw of a block that could not be valued.
+        """
+        emission, trans, _ = self.params_at(i)
+        try:
+            value(emission, trans)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"draw {i}: {exc}") from exc
+        raise RuntimeError(f"draw {i} failed in its block but not alone")
 
     def constrained(self) -> np.ndarray:
         """(M, d) natural-space values of the free coordinates."""

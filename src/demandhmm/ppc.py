@@ -13,6 +13,14 @@ distribution (which equals the smoothed one), then states and demand evolve
 over the supplied future covariates (future holidays are known; future CWV
 is a scenario).
 
+Both value their draws in blocks of rows (``PosteriorDraws.blocks``, sized by
+a budget of draw-days that bounds peak memory): one day-table build and one
+path or tree pass per block, each row with the bits it would have alone. The
+random stream is drawn in draw order as a loop over the draws drew it:
+replicates take each draw's uniforms, then its normals; forecasts take each
+draw's terminal state, then its uniforms, then its normals, and roll the
+continuations of a block of draws at once. So every output is the per-draw one.
+
 Each draw's ``trans`` carries its model: ``None`` is the two-state comparator.
 """
 
@@ -25,10 +33,12 @@ import numpy as np
 # the functions perfbench traces are called through their module, where its tracer wraps them
 from . import generative
 from .covariates import CovariateSeries
+from .dataio import quantile
 from .diagnostics import json_number
 from .emission import day_tables
 from .filtering import terminal_log_distribution
 from .paramspace import PosteriorDraws
+from .states import initial_distribution
 
 GAP_BUCKETS = (0, 1, 2, 3, 10)
 
@@ -79,19 +89,29 @@ def posterior_predictive_replicates(
 ) -> np.ndarray:
     """(M, T, 2) replicated log-demand series, one per retained draw.
 
-    Raises ``FloatingPointError`` naming the first draw whose replicate is
-    not finite.
+    Draws are simulated in blocks (``PosteriorDraws.blocks``), each drawing
+    its noise in draw order, so every replicate is the one ``simulate`` gives
+    that draw alone from the same stream. Raises the ``LinAlgError`` of the
+    first draw whose first-day law fails, or a ``FloatingPointError`` naming
+    it when its replicate is not finite, whichever comes first in draw order.
     """
     y = np.asarray(y)
     if y.shape != (cov.T, 2):
         raise ValueError("data and covariates are misaligned")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
     out = np.empty((draws.n_draws, cov.T, 2))
-    for i in range(draws.n_draws):
-        emission, trans, _ = draws.params_at(i)
-        out[i] = generative.simulate(emission, trans, cov, rng).y
-        if not np.all(np.isfinite(out[i])):
-            raise FloatingPointError(f"draw {i}: replicate is not finite")
+    for rows, (emission, trans, _) in draws.blocks(cov.T):
+        tables, cum = generative.path_tables(emission, trans, cov, per_row=True)
+        anchor = initial_distribution(trans, int(cov.n[0]), int(cov.p[0]))
+        _, out[rows] = generative.draw_paths(tables, cum, anchor, rng)
+        finite = np.all(np.isfinite(out[rows]), axis=(1, 2))
+        failed = ~(tables.valid & finite)
+        if failed.any():
+            i = int(np.argmax(failed))
+            if tables.valid[i]:
+                raise FloatingPointError(f"draw {rows.start + i}: replicate is not finite")
+            draws.raise_for(rows.start + i, lambda e, _: day_tables(e, cov))
+        del tables, cum   # a block's arrays go before the next block's are built
     return out
 
 
@@ -114,8 +134,8 @@ def coverage_by_gap(
     if y.shape != (T, 2) or cov.T != T:
         raise ValueError("replicates, data and covariates are misaligned")
 
-    q025 = np.quantile(replicates, 0.025, axis=0)
-    q975 = np.quantile(replicates, 0.975, axis=0)
+    q025 = quantile(replicates, 0.025)
+    q975 = quantile(replicates, 0.975)
     pred_mean = replicates.mean(axis=0)
     outside = (y < q025) | (y > q975)
     gap = cov.gap[1:]
@@ -149,30 +169,43 @@ def forecast(
     ``future_cov`` must start the day after the last observation; its anchor
     day is that last observation day. Each path samples the terminal state
     from the draw's own terminal filtered distribution and rolls the chain
-    forward.
+    forward. Each draw takes its terminal state, then its path's noise, from
+    the stream in draw order. Both windows are valued in blocks of draws
+    (``PosteriorDraws.blocks``), each block's paths rolled at once. Raises
+    the error of the first draw, in draw order, whose first-day law fails in
+    either window (``LinAlgError``) or whose likelihood is NaN or zero
+    (``FloatingPointError`` naming the draw).
     """
-    y = np.asarray(y)
     if future_cov.day0 != cov.dates[-1]:
         raise ValueError(
             "future covariates must start immediately after the data "
             f"(expected anchor {cov.dates[-1]}, got {future_cov.day0})"
         )
+    M, h = draws.n_draws, future_cov.T
+    # the last filtered distribution is the last smoothed one
+    log_last, last_mu = np.empty((M, 4)), np.empty((M, 4, 2))
+    for rows, (emission, trans, _) in draws.blocks(cov.T):
+        tables = day_tables(emission, cov, per_row=True)
+        log_last[rows] = terminal_log_distribution(y, cov, tables, trans, per_row=True)
+        last_mu[rows] = tables.mu[:, -1]
+        del tables   # a block's arrays go before the next block's are built
+
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
-    h = future_cov.T
-    paths = np.empty((draws.n_draws, h, 2))
-    for i in range(draws.n_draws):
-        emission, trans, _ = draws.params_at(i)
-        tables = day_tables(emission, cov)
-        try:
-            # the last filtered distribution is the last smoothed one
-            log_last = terminal_log_distribution(y, cov, tables, trans)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"draw {i}: {exc}") from exc
-        last_probs = np.exp(log_last)
-        last_state = int(rng.choice(4, p=last_probs / last_probs.sum())) + 1
-        last_mu = tables.mu[-1, last_state - 1]
-        _, path = generative.continue_simulation(
-            emission, trans, future_cov, last_state, y[-1], last_mu, rng
+    paths = np.empty((M, h, 2))
+    for rows, (emission, trans, _) in draws.blocks(h):
+        tables, cum = generative.path_tables(emission, trans, future_cov, per_row=True)
+        failed = np.isnan(log_last[rows]).any(axis=1) | ~tables.valid
+        if failed.any():
+            draws.raise_for(rows.start + int(np.argmax(failed)), lambda e, t: (
+                terminal_log_distribution(y, cov, day_tables(e, cov), t), day_tables(e, future_cov)))
+        n = rows.stop - rows.start
+        last_state = np.empty(n, dtype=np.int64)
+        u, z = np.empty((n, h + 1)), np.empty((n, h, 2))
+        for r, probs in enumerate(np.exp(log_last[rows])):
+            last_state[r] = rng.choice(4, p=probs / probs.sum())
+            u[r], z[r] = generative.path_noise(rng, h)
+        _, paths[rows] = generative.continue_simulation(
+            tables, cum, last_state + 1, np.asarray(y)[-1], last_mu[rows][np.arange(n), last_state], u, z
         )
-        paths[i] = path
+        del tables, cum, u, z
     return paths

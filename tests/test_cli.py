@@ -108,15 +108,22 @@ class TestFit:
         assert draws.n_draws == 2 * 10
         assert np.all(np.isfinite(draws.logpost))
 
-    def test_fit_does_not_load_numpy_ma(self, workspace, tmp_path):
-        # numpy.ma takes 10-18 ms to import, and nothing a fit runs needs it
+    @pytest.mark.parametrize("command", ["fit", "smooth", "ppc", "forecast"])
+    def test_command_does_not_load_numpy_ma(self, command, workspace, fitted, tmp_path):
+        # numpy.ma takes 10-18 ms to import, and nothing these commands run needs it
         argv = [
-            "fit", "--data", str(workspace / "sim" / "data.csv"),
+            command, "--data", str(workspace / "sim" / "data.csv"),
             "--holidays", str(workspace / "holidays.csv"),
             "--config", str(workspace / "config.txt"), "--seed", "3",
-            "--out-dir", str(tmp_path), "--chains", "2", "--iters", "8",
-            "--thin", "1", "--backend", "adaptive-metropolis",
+            "--out-dir", str(tmp_path / "out"),
         ]
+        if command == "fit":
+            argv += ["--chains", "2", "--iters", "8", "--thin", "1", "--backend", "adaptive-metropolis"]
+        else:
+            argv += ["--draws", str(fitted / "draws.csv")]
+        if command == "forecast":
+            future = _future_cwv(tmp_path / "future_cwv.csv", workspace / "sim" / "data.csv", 7)
+            argv += ["--horizon", "7", "--future-cwv", str(future)]
         code = f"import sys\nfrom demandhmm.cli import main\nassert main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandhmm.covariates import CovariateSeries
-from demandhmm.emission import build_day_tables, build_design, stationary_variance
+from demandhmm.emission import EmissionParams, build_day_tables, build_design, stationary_variance
 from demandhmm.generative import (
     _draw_path,
     _easter_sunday,
     _state_walk,
     continue_simulation,
     default_truth,
+    path_noise,
+    path_tables,
     simulate,
     sinusoidal_cwv,
     uk_holiday_calendar,
 )
 from demandhmm.states import (
     ModelMode,
+    TransitionParams,
     initial_distribution,
     log_transition_tables,
     transition_matrix,
@@ -60,9 +64,9 @@ def _reference_demand(tables, states, z, start=None):
 
 
 @st.composite
-def _walk_problems(draw):
+def _walk_problems(draw, T=None):
     """Cumulative tables with exact 0/1 entries, holiday days and empty rows; uniforms; a start."""
-    T = draw(st.integers(1, 50))
+    T = draw(st.integers(1, 50)) if T is None else T
     weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     lam = np.array(draw(st.lists(weight, min_size=16 * T, max_size=16 * T))).reshape(T, 4, 4)
     lam[np.array(draw(st.lists(st.booleans(), min_size=T, max_size=T)))] = [0.0, 1.0, 0.0, 0.0]
@@ -162,6 +166,46 @@ class TestSimulate:
         cum, s0, u = problem
         assert _state_walk(cum, s0, u).tolist() == _reference_walk(cum, s0, u)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda T: st.lists(_walk_problems(T), min_size=1, max_size=5)),
+           st.booleans())
+    def test_walk_over_rows_matches_each_row(self, problems, shared):
+        cums, s0, u = (np.array(x) for x in zip(*problems))
+        cum = cums[0] if shared else cums      # one table for every row, or one per row
+        got = _state_walk(cum, s0, u)
+        for r in range(len(problems)):
+            assert got[r].tolist() == _state_walk(cum if shared else cums[r], s0[r], u[r]).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 25), st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from(list(ModelMode)))
+    def test_paths_over_rows_match_each_row(self, n, T, seed, anchored, mode):
+        # from 20 rows on the recursion runs over arrays of rows, below it row by row
+        rng = np.random.default_rng(seed)
+        emission, trans, _ = small_truth()
+        cov = make_cov(dt.date(2021, 5, 1), T, [(dt.date(2021, 5, 4), 2)], rng=rng)
+        alone = [(emission.replace(level=emission.level + 0.01 * rng.standard_normal(2),
+                                   ar_eig01=rng.uniform(0.2, 0.8, 2)),
+                  None if mode is ModelMode.TWO_STATE else
+                  TransitionParams.from_array(trans.as_array() + rng.standard_normal(7)))
+                 for _ in range(n)]
+        emissions, transitions = zip(*alone)
+        rows = (
+            EmissionParams(**{f.name: np.stack([np.asarray(getattr(e, f.name)) for e in emissions])
+                              for f in fields(EmissionParams)}),
+            None if mode is ModelMode.TWO_STATE
+            else TransitionParams.from_array(np.stack([t.as_array() for t in transitions])),
+        )
+        u, z = rng.random((n, T + 1)), rng.standard_normal((n, T, 2))
+        last = (rng.integers(0, 4, n), 3.4 + rng.standard_normal((n, 2)), 3.4 + rng.standard_normal((n, 2)))
+        anchor = initial_distribution(rows[1], int(cov.n[0]), int(cov.p[0]))
+        states, y = _draw_path(*path_tables(*rows, cov), anchor if anchored else last, u, z)
+        for r, (e, t) in enumerate(alone):
+            start = anchor if anchored else tuple(x[r] for x in last)
+            states_r, y_r = _draw_path(*path_tables(e, t, cov), start, u[r], z[r])
+            assert states[r].tolist() == states_r.tolist()
+            assert y[r].tobytes() == y_r.tobytes()
+
     @pytest.mark.parametrize("mode", list(ModelMode))
     def test_paths_match_per_day_recursion(self, mode):
         emission, trans, _ = small_truth()
@@ -184,8 +228,8 @@ class TestSimulate:
             assert np.array_equal(sim.y, _reference_demand(tables, states, z))
 
             for s0 in range(4):
-                states, y = continue_simulation(emission, trans, cov, s0 + 1, last_y, last_mu,
-                                                np.random.default_rng(seed))
+                states, y = continue_simulation(tables, cum, s0 + 1, last_y, last_mu,
+                                                *path_noise(np.random.default_rng(seed), 60))
                 states = np.concatenate(([s0], states - 1))
                 assert states.tolist() == _reference_walk(cum, s0, u)
                 assert np.array_equal(y, _reference_demand(tables, states, z, (last_y, last_mu)))
@@ -240,8 +284,8 @@ class TestSimulate:
         tables = build_day_tables(emission, design)
         s_last = int(sim.states[-1])
         states, y = continue_simulation(
-            emission, trans, future, s_last, sim.y[-1],
-            tables.mu[-1, s_last - 1], np.random.default_rng(13),
+            *path_tables(emission, trans, future), s_last, sim.y[-1],
+            tables.mu[-1, s_last - 1], *path_noise(np.random.default_rng(13), 7),
         )
         assert states.shape == (7,) and y.shape == (7, 2)
         assert np.all(np.isfinite(y))

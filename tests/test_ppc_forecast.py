@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandhmm import emission as emission_module
-from demandhmm.emission import build_day_tables, build_design
-from demandhmm.filtering import smooth_states
-from demandhmm.generative import simulate
+from demandhmm import paramspace
+from demandhmm.dataio import quantile
+from demandhmm.emission import build_day_tables, build_design, day_tables
+from demandhmm.filtering import rao_blackwell_states, smooth_states, terminal_log_distribution
+from demandhmm.generative import continue_simulation, path_noise, path_tables, simulate
 from demandhmm.paramspace import ParamSpace
 from demandhmm.ppc import coverage_by_gap, forecast, posterior_predictive_replicates
 from demandhmm.priors import default_hyperparameters, sample_prior
@@ -306,7 +310,8 @@ class TestForecast:
 
 
 class TestDesignReuse:
-    """Designs come from the series' cache: one build per series and harmonic counts."""
+    """Designs come from the series' cache: one build per series and harmonic counts,
+    and one table build per block of draws."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -317,12 +322,13 @@ class TestDesignReuse:
             designs.append(make_design(**kw))
             return designs[-1]
 
-        def counted_tables(params, design):
-            tables.append(design)
-            return make_tables(params, design)
+        def counted_tables(params, design, per_row=False):
+            tables.append((design, params.level.shape[:-1]))
+            return make_tables(params, design, per_row)
 
         monkeypatch.setattr(emission_module, "DesignMatrices", counted_design)
         monkeypatch.setattr(emission_module, "build_day_tables", counted_tables)
+        monkeypatch.setattr(paramspace, "BLOCK_DRAW_DAYS", 16 * 120)   # blocks of 16 draws
         return designs, tables
 
     def test_replicates_build_one_design(self, scene, built):
@@ -332,18 +338,186 @@ class TestDesignReuse:
         posterior_predictive_replicates(draws, y, cov, seed=1)
         designs, tables = built
         assert len(designs) == 1
-        assert [id(d) for d in tables] == [id(designs[0])] * 40
+        assert [(id(d), rows) for d, rows in tables] == [(id(designs[0]), (n,)) for n in (16, 16, 8)]
 
     def test_forecast_builds_each_window_once(self, scene, built):
         cov, y = scene
         cov = dataclasses.replace(cov)
         future = TestForecast()._future(cov, 7)
-        draws = _make_draws(_jittered_params(6, np.random.default_rng(43)))
+        draws = _make_draws(_jittered_params(20, np.random.default_rng(43)))
         forecast(draws, y, cov, future, seed=1)
         designs, tables = built
         assert len(designs) == 2
         observed = build_design(cov, 2, 2)
         ahead = build_design(future, 2, 2)
         assert {id(d) for d in designs} == {id(observed), id(ahead)}
-        # per draw: the observed window's tables, then the future's
-        assert [id(d) for d in tables] == [id(observed), id(ahead)] * 6
+        # the observed window's tables per block, then the future's: one block of all 20 draws
+        assert [(id(d), rows) for d, rows in tables] == [
+            (id(observed), (16,)), (id(observed), (4,)), (id(ahead), (20,))
+        ]
+
+
+def _smooth_alone(draws, y, cov):
+    """Rao-Blackwell average of draws smoothed one at a time, summed in draw order."""
+    total = np.zeros((cov.T + 1, 4))
+    for i in range(draws.n_draws):
+        emission, trans, _ = draws.params_at(i)
+        total += smooth_states(y, cov, emission, trans)[1].probs
+    return total / draws.n_draws
+
+
+def _replicates_alone(draws, cov, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    return np.stack([simulate(*draws.params_at(i)[:2], cov, rng).y for i in range(draws.n_draws)])
+
+
+def _forecast_alone(draws, y, cov, future, seed):
+    """Each draw alone: terminal law, terminal state, then its path's noise, from one stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    paths = []
+    for i in range(draws.n_draws):
+        emission, trans, _ = draws.params_at(i)
+        tables = day_tables(emission, cov)
+        probs = np.exp(terminal_log_distribution(y, cov, tables, trans))
+        state = int(rng.choice(4, p=probs / probs.sum()))
+        _, path = continue_simulation(*path_tables(emission, trans, future), state + 1, y[-1],
+                                      tables.mu[-1, state], *path_noise(rng, future.T))
+        paths.append(path)
+    return np.stack(paths)
+
+
+class TestDrawBlocks:
+    """Draws valued in blocks of rows give, bit for bit, what each draw gives alone."""
+
+    @pytest.fixture(params=[ModelMode.FOUR_STATE, ModelMode.TWO_STATE], ids=["four", "two"])
+    def mode(self, request):
+        return request.param
+
+    @pytest.fixture
+    def blocks_of_3(self, scene, monkeypatch):
+        monkeypatch.setattr(paramspace, "BLOCK_DRAW_DAYS", 3 * scene[0].T)
+
+    def _draws(self, mode, n, seed=60):
+        params = _jittered_params(n, np.random.default_rng(seed))
+        if mode is ModelMode.TWO_STATE:
+            params = [(e, None, l) for e, _, l in params]
+        return _make_draws(params, mode=mode)
+
+    @pytest.mark.parametrize("n", [1, 7, 24])
+    def test_smooth(self, scene, mode, n, blocks_of_3):
+        cov, y = scene
+        draws = self._draws(mode, n)
+        got = rao_blackwell_states(draws, y, cov).probs
+        assert got.tobytes() == _smooth_alone(draws, y, cov).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 24])
+    def test_replicates(self, scene, mode, n, blocks_of_3):
+        cov, y = scene
+        draws = self._draws(mode, n)
+        got = posterior_predictive_replicates(draws, y, cov, seed=21)
+        assert got.tobytes() == _replicates_alone(draws, cov, 21).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 24])
+    @pytest.mark.parametrize("h", [10, 130])   # 36 paths a block, rolled as arrays from 20; or 2
+    def test_forecast(self, scene, mode, n, h, blocks_of_3):
+        cov, y = scene
+        draws = self._draws(mode, n)
+        future = TestForecast()._future(cov, h, [(cov.dates[-1] + dt.timedelta(days=4), 2)])
+        got = forecast(draws, y, cov, future, seed=22)
+        assert got.tobytes() == _forecast_alone(draws, y, cov, future, 22).tobytes()
+
+    def test_default_blocks_share_one_size(self):
+        draws = self._draws(ModelMode.FOUR_STATE, 9)
+        assert [(r.start, r.stop) for r, _ in draws.blocks(380)] == [(0, 4), (4, 8), (8, 9)]
+        assert [(r.start, r.stop) for r, _ in draws.blocks(5000)] == [(i, i + 1) for i in range(9)]
+
+
+class TestErrorsInBlocks:
+    """The first draw that cannot be valued, in draw order, names the error, wherever it sits
+    in its block; here draw 3, the second row of the second block of two."""
+
+    @pytest.fixture
+    def problem(self, scene, monkeypatch):
+        monkeypatch.setattr(paramspace, "BLOCK_DRAW_DAYS", 2 * scene[0].T)
+        cov, y = scene
+        emission, trans, latents = small_truth()
+        future = TestForecast()._future(cov, 5)
+        annual = emission.annual.copy()
+        annual[0, 0, 0] = 1.7e308
+        bad = {
+            "zero": emission.replace(level=np.array([1e200, emission.level[1]])),
+            "nan": emission.replace(level=np.array([1.7e308, emission.level[1]]), annual=annual),
+            "law": emission.replace(prec_base=np.array([1e8, *emission.prec_base[1:]])),
+        }
+
+        def draws(**at):
+            params = [(emission, trans, latents)] * 5
+            for i, kind in at.items():
+                params[int(i[1:])] = (bad[kind], trans, latents)
+            return _make_draws(params)
+
+        return cov, y, future, draws
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_likelihood_names_draw_and_day(self, problem):
+        cov, y, future, draws = problem
+        message = r"^draw 3: zero likelihood: the filter increment is -inf on day 1 \(2021-02-01\)$"
+        with pytest.raises(FloatingPointError, match=message):
+            rao_blackwell_states(draws(d3="zero"), y, cov)
+        with pytest.raises(FloatingPointError, match=message):
+            forecast(draws(d3="zero"), y, cov, future, seed=1)
+
+    def test_nan_likelihood_and_replicate(self, problem):
+        cov, y, future, draws = problem
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^draw 3: log likelihood is NaN$"):
+                rao_blackwell_states(draws(d3="nan"), y, cov)
+            with pytest.raises(FloatingPointError, match="^draw 3: log likelihood is NaN$"):
+                forecast(draws(d3="nan"), y, cov, future, seed=1)
+            with pytest.raises(FloatingPointError, match="^draw 3: replicate is not finite$"):
+                posterior_predictive_replicates(draws(d3="nan"), y, cov, seed=1)
+
+    def test_first_day_law(self, problem):
+        cov, y, future, draws = problem
+        message = "^omega1 must be symmetric positive definite$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            rao_blackwell_states(draws(d3="law"), y, cov)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            forecast(draws(d3="law"), y, cov, future, seed=1)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            posterior_predictive_replicates(draws(d3="law"), y, cov, seed=1)
+
+    def test_first_failure_in_draw_order_wins(self, problem):
+        cov, y, future, draws = problem
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                rao_blackwell_states(draws(d2="law", d3="nan"), y, cov)
+            with pytest.raises(FloatingPointError, match="^draw 2: "):
+                forecast(draws(d2="nan", d3="law"), y, cov, future, seed=1)
+            with pytest.raises(FloatingPointError, match="^draw 2: replicate is not finite$"):
+                posterior_predictive_replicates(draws(d2="nan", d3="law"), y, cov, seed=1)
+
+
+_ORDERED = st.floats(-5.0, 5.0).map(lambda x: round(x, 1))   # rounded, so ties are common
+_ENTRIES = st.one_of(_ORDERED, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+class TestQuantile:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(lambda m: st.lists(_ENTRIES, min_size=2 * m, max_size=2 * m)),
+        st.sampled_from([0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0]),
+    )
+    def test_matches_numpy_bit_for_bit(self, values, q):
+        a = np.array(values).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(a, q, axis=0)
+            assert quantile(a, q).tobytes() == want.tobytes()
+            for col in a.T:      # one column: a numpy float, as np.quantile gives
+                got, want = quantile(col, q), np.quantile(col, q)
+                assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_leaves_its_input_alone(self):
+        a = np.array([[3.0], [1.0], [2.0]])
+        quantile(a, 0.5)
+        assert a[:, 0].tolist() == [3.0, 1.0, 2.0]
